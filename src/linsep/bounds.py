@@ -82,18 +82,14 @@ def achievable_cost(p: Params) -> int:
     """Cost achieved by the cyclic-assignment scheme (N | K)."""
     if not p.divisible:
         raise Unsupported("use achievable_cost_general when N does not divide K")
-    per = p.K // p.N
-    if p.K_c < per:
-        return p.N_r * p.K_c
-    if p.K_c <= per * p.N_r:
-        return per * p.N_r
-    return p.K_c
+    return achievable_cost_general(p)
 
 
 def achievable_cost_general(p: Params) -> int:
-    """Cost achieved by the virtual-slot extension for any K, N."""
-    if p.divisible:
-        return achievable_cost(p)
+    """Cost achieved by the virtual-slot extension for any K, N.
+
+    With N | K both roundings of K/N equal K/N: the cyclic scheme's cost.
+    """
     lo, hi = floor(p.K / p.N), ceil(p.K / p.N)
     if p.K_c <= lo:
         return p.N_r * p.K_c

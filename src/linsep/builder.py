@@ -13,6 +13,13 @@ combinations:
   into C(K_c, t) erasure-coded symbols, and one middle sub-problem is solved
   per symbol index.
 
+All three are ordered lists of middle sub-problems, which ``Scheme`` exposes
+as one view: ``subproblem(i)`` and the message block its code rows multiply,
+``subproblem_input(i, w)``.  A middle scheme is its own single sub-problem on
+the messages; a small scheme has one per demand row, on that row's
+aggregates; a large scheme has one per coded symbol, on that symbol's block,
+built lazily.  ``build_cyclic_family`` is the one place that picks the regime.
+
 When N does not divide K, the demand is embedded into N*ceil(K/N) effective
 slots (the extra slots carry all-zero messages) and the same machinery runs
 on the effective problem.
@@ -163,6 +170,22 @@ class MDSDescriptor:
         vecs = [self.vector(i, f) for i in self.indices_containing(j)]
         return vectors_as_matrix(vecs, f, self.split_count)
 
+    def symbols(self, w: FMatrix, index: int) -> FMatrix:
+        """Coded symbol block W_{., S} of a 1-based subset index.
+
+        One row per message and L/m columns: the generator vector of S mixes
+        the m sub-messages of every message.
+        """
+        m = self.split_count
+        if w.cols == 0 or w.cols % m:
+            raise ShapeMismatch(f"message length {w.cols} not divisible by {m}")
+        lm = w.cols // m
+        subs = w.array.reshape(w.rows, m, lm)
+        flat = FMatrix(w.field, subs.transpose(1, 0, 2).reshape(m, w.rows * lm))
+        vec = self.vector(index, w.field)
+        mixed = mat_mul(FMatrix(w.field, vec.array.reshape(1, -1)), flat)
+        return FMatrix(w.field, mixed.array.reshape(w.rows, lm))
+
 
 @dataclass(frozen=True)
 class GroupedWorker:
@@ -192,9 +215,12 @@ class GroupedCode:
         return self.null_vectors[self.tags.index(tag)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scheme:
-    """A built coding scheme; immutable after construction."""
+    """A built coding scheme; frozen once constructed.
+
+    ``_large_cache`` memoizes the large regime's lazily built sub-problems.
+    """
 
     regime: str
     params: SchemeParams
@@ -210,7 +236,9 @@ class Scheme:
     virtual: VirtualLayout | None = None
     recombine: FMatrix | None = None  # fallback: rows -> original demand
     degenerate: bool = False
-    _large_cache: dict = dc_field(default_factory=dict, repr=False, compare=False)
+    _large_cache: dict = dc_field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def message_width(self) -> int:
@@ -220,6 +248,41 @@ class Scheme:
     @property
     def rows_per_worker(self) -> int:
         return self.message_width // self.params.N
+
+    @property
+    def split_count(self) -> int:
+        """Sub-messages per message: the MDS split count, else 1."""
+        return self.mds.split_count if self.mds else 1
+
+    @property
+    def subproblem_count(self) -> int:
+        """Number of middle sub-problems; a middle scheme is its own one."""
+        if self.mds is not None:
+            return self.mds.code_length
+        return len(self.subschemes) or 1
+
+    def subproblem(self, i: int) -> "Scheme":
+        """Middle sub-problem i (0-based) of a cyclic-family scheme."""
+        if self.mds is not None:
+            return self.subscheme(i + 1)
+        return self.subschemes[i] if self.subschemes else self
+
+    def subproblem_input(self, i: int, w_eff: FMatrix) -> FMatrix:
+        """Message rows that the code rows of sub-problem i multiply."""
+        if self.mds is not None:
+            return self.mds.symbols(w_eff, i + 1)
+        return mat_mul(self.aggregators[i], w_eff) if self.aggregators else w_eff
+
+    @property
+    def rows_sent(self) -> int:
+        """Rows one worker sends per message block, over all sub-problems.
+
+        Derived from the parameters alone, so no sub-problem is built.  A
+        small-regime sub-problem runs on N aggregates: one row per worker.
+        """
+        if self.grouped is not None:
+            return self.grouped.workers[0].sent_rows.rows
+        return self.subproblem_count * (1 if self.subschemes else self.rows_per_worker)
 
     def subscheme(self, index: int) -> "Scheme":
         """Large regime: the middle scheme of the 1-based subset index."""
@@ -245,15 +308,11 @@ def regime_for(k_c: int, per: int, n_r: int) -> str:
 
 
 def expected_cost(scheme: Scheme) -> int:
-    """Communication cost the construction is designed to hit."""
-    p = scheme.params
-    if scheme.regime == MIDDLE:
-        return scheme.rows_per_worker * p.N_r
-    if scheme.regime == SMALL:
-        return p.K_c * p.N_r
-    if scheme.regime == LARGE:
-        return p.K_c
-    return 2 * p.N_r  # grouped family
+    """Communication cost the construction is designed to hit.
+
+    N_r answers of ``rows_sent`` rows, each row 1/m of a message long.
+    """
+    return scheme.rows_sent * scheme.params.N_r // scheme.split_count
 
 
 # ---------------------------------------------------------------------------
@@ -445,24 +504,42 @@ def build_general(
         raise ShapeMismatch("demand width disagrees with the assignment")
     eff_assignment = cyclic_assignment(a.effective_k, a.N, a.N_r)
     eff_demand = DemandMatrix(_effective_demand(f_mat, a, virtual_seed))
+    built = build_cyclic_family(
+        eff_demand, eff_assignment, l_symbols=l_symbols, padding_seed=padding_seed
+    )
     layout = VirtualLayout(
         effective_k=a.effective_k,
         slot_of_dataset=a.slot_of_dataset,
         effective_demand=eff_demand.matrix,
         effective_assignment=eff_assignment,
     )
-    regime = regime_for(f_mat.k_c, a.effective_k // a.N, a.N_r)
+    return replace(
+        built,
+        params=replace(built.params, K=a.K),
+        assignment=a,
+        demand=f_mat,
+        virtual=layout,
+    )
+
+
+def build_cyclic_family(
+    f_mat: DemandMatrix,
+    a: Assignment,
+    *,
+    l_symbols: int | None = None,
+    padding_seed: int = 0,
+    virtual_seed: int = 0,
+) -> Scheme:
+    """Build on a cyclic or general-virtual assignment; K_c picks the regime."""
+    if a.kind == GENERAL_VIRTUAL:
+        return build_general(f_mat, a, l_symbols=l_symbols, padding_seed=padding_seed,
+                             virtual_seed=virtual_seed)
+    regime = regime_for(f_mat.k_c, a.K // a.N, a.N_r)
     if regime == SMALL:
-        built = build_small(eff_demand, eff_assignment, padding_seed=padding_seed)
-    elif regime == MIDDLE:
-        built = build_middle(eff_demand, eff_assignment, padding_seed=padding_seed)
-    else:
-        built = build_large(eff_demand, eff_assignment, l_symbols)
-    built.virtual = layout
-    built.demand = f_mat
-    built.assignment = a
-    built.params = replace(built.params, K=a.K)
-    return built
+        return build_small(f_mat, a, padding_seed=padding_seed)
+    if regime == MIDDLE:
+        return build_middle(f_mat, a, padding_seed=padding_seed)
+    return build_large(f_mat, a, l_symbols)
 
 
 def build_auto(
@@ -474,24 +551,13 @@ def build_auto(
     padding_seed: int = 0,
     virtual_seed: int = 0,
 ) -> Scheme:
-    """Pick the assignment and regime for the given demand."""
-    k = f_mat.k
-    if k % n_workers == 0:
-        a = cyclic_assignment(k, n_workers, n_recover)
-        regime = regime_for(f_mat.k_c, k // n_workers, n_recover)
-        if regime == SMALL:
-            return build_small(f_mat, a, padding_seed=padding_seed)
-        if regime == MIDDLE:
-            return build_middle(f_mat, a, padding_seed=padding_seed)
-        return build_large(f_mat, a, l_symbols)
-    a = general_assignment(k, n_workers, n_recover)
-    return build_general(
-        f_mat,
-        a,
-        l_symbols=l_symbols,
-        padding_seed=padding_seed,
-        virtual_seed=virtual_seed,
-    )
+    """Pick the assignment and regime for the given demand.
+
+    The general assignment is the cyclic one whenever N divides K.
+    """
+    a = general_assignment(f_mat.k, n_workers, n_recover)
+    return build_cyclic_family(f_mat, a, l_symbols=l_symbols, padding_seed=padding_seed,
+                               virtual_seed=virtual_seed)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ a scheme as JSON), ``verify`` (decodability check of a built or loaded
 scheme), ``simulate`` (end-to-end trials over a parameter grid, CSV out),
 and ``bounds`` (closed-form cost table over a grid, CSV out).
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
+Exit codes: 0 success, 1 verification failure, 2 usage error (including a
+bad flag value), 3 I/O error (including a malformed scheme file).
 Every run prints its effective seed on stderr, and every output is a pure
 function of the flags and that seed.
 """
@@ -16,28 +17,22 @@ import argparse
 import csv
 import json
 import sys
-from fractions import Fraction
 
 from . import bounds as bd
 from . import serialize
 from .assignment import cyclic_assignment, general_assignment, grouped_assignment
 from .builder import (
-    GROUPED_REGIME,
-    LARGE,
-    SMALL,
     DemandMatrix,
     Scheme,
-    build_auto,
+    build_cyclic_family,
+    build_general,
     build_grouped,
-    build_middle,
-    build_small,
-    build_large,
     random_demand,
 )
 from .codec import verify_decodability
-from .errors import LinsepError
+from .errors import LinsepError, MalformedScheme
 from .field import DEFAULT_MODULUS, Field, derive_seed, from_rows
-from .harness import SWEEP_COLUMNS, GridPoint, TrialConfig, run_trial, sweep
+from .harness import SWEEP_COLUMNS, GridPoint, sweep
 
 USAGE_ERROR, VERIFY_FAIL, IO_ERROR = 2, 1, 3
 
@@ -123,43 +118,19 @@ def _build_scheme(args, f: Field, seed: int) -> Scheme:
             )
     else:
         demand = random_demand(args.kc, args.K, f, derive_seed(seed, "demand"))
-    padding_seed = derive_seed(seed, "padding")
     if args.assignment == "grouped":
         return build_grouped(demand, grouped_assignment(args.K, args.N, args.nr))
-    if args.assignment == "cyclic":
-        a = cyclic_assignment(args.K, args.N, args.nr)
-        per = args.K // args.N
-        if args.kc < per:
-            return build_small(demand, a, padding_seed=padding_seed)
-        if args.kc <= per * args.nr:
-            return build_middle(demand, a, padding_seed=padding_seed)
-        return build_large(demand, a, args.L)
-    if args.assignment == "general":
-        from .builder import build_general
-
-        return build_general(
-            demand,
-            general_assignment(args.K, args.N, args.nr),
-            l_symbols=args.L,
-            padding_seed=padding_seed,
-            virtual_seed=derive_seed(seed, "virtual"),
-        )
-    return build_auto(
-        demand, args.N, args.nr,
+    # "auto" places on the general assignment, which is the cyclic one when N
+    # divides K; "cyclic" and "general" each refuse the other's parameters.
+    place = cyclic_assignment if args.assignment == "cyclic" else general_assignment
+    build = build_general if args.assignment == "general" else build_cyclic_family
+    return build(
+        demand,
+        place(args.K, args.N, args.nr),
         l_symbols=args.L,
-        padding_seed=padding_seed,
+        padding_seed=derive_seed(seed, "padding"),
         virtual_seed=derive_seed(seed, "virtual"),
     )
-
-
-def _rows_per_worker(scheme: Scheme) -> int:
-    if scheme.regime == SMALL:
-        return scheme.params.K_c
-    if scheme.regime == LARGE:
-        return scheme.mds.code_length * scheme.rows_per_worker
-    if scheme.regime == GROUPED_REGIME:
-        return 2
-    return scheme.rows_per_worker
 
 
 def cmd_plan(args) -> int:
@@ -187,7 +158,7 @@ def cmd_build(args, seed: int) -> int:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return IO_ERROR
     print(f"regime: {scheme.regime}")
-    print(f"workers: {scheme.params.N} x {_rows_per_worker(scheme)} rows")
+    print(f"workers: {scheme.params.N} x {scheme.rows_sent} rows")
     print(f"wrote {args.out}")
     return 0
 
@@ -196,21 +167,25 @@ def _parse_mode(mode: str) -> tuple[str, int | None]:
     if mode == "exhaustive":
         return "exhaustive", None
     if mode.startswith("sample:"):
-        return "sample", int(mode.split(":", 1)[1])
+        try:
+            return "sample", int(mode.split(":", 1)[1])
+        except ValueError:
+            pass
     raise LinsepError(f"unknown mode {mode!r} (use exhaustive or sample:<count>)")
 
 
 def cmd_verify(args, seed: int) -> int:
+    mode, count = _parse_mode(args.mode)
     if args.scheme:
         try:
-            with open(args.scheme) as fh:
+            with open(args.scheme, "rb") as fh:
                 text = fh.read()
         except OSError as exc:
             print(f"error: cannot read {args.scheme}: {exc}", file=sys.stderr)
             return IO_ERROR
         try:
             scheme = serialize.loads(text)
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except MalformedScheme as exc:
             print(f"error: malformed scheme file: {exc}", file=sys.stderr)
             return IO_ERROR
     else:
@@ -218,7 +193,6 @@ def cmd_verify(args, seed: int) -> int:
             print("error: verify needs --scheme or -K/-N/--nr/--kc", file=sys.stderr)
             return USAGE_ERROR
         scheme = _build_scheme(args, Field(args.q), seed)
-    mode, count = _parse_mode(args.mode)
     failures = verify_decodability(
         scheme, mode=mode, sample_count=count, seed=derive_seed(seed, "verify")
     )
@@ -250,7 +224,8 @@ def _write_csv(rows: list[dict], columns, out_path: str | None) -> int:
 
 
 def _grid_points(args) -> list[GridPoint]:
-    kind = "grouped" if args.assignment == "grouped" else "auto"
+    """Every valid (K, N, N_r, K_c) of the flag lists, as simulate points."""
+    kind = "grouped" if getattr(args, "assignment", None) == "grouped" else "auto"
     return [
         GridPoint(k=k, n=n, n_r=n_r, k_c=k_c, scheme_kind=kind, l=getattr(args, "L", None))
         for k in args.K
@@ -270,48 +245,17 @@ def cmd_simulate(args, seed: int) -> int:
         except OSError as exc:
             print(f"error: cannot write {args.trial_log}: {exc}", file=sys.stderr)
             return IO_ERROR
-    if args.demand_file:
-        if len(points) != 1:
-            raise LinsepError("--demand-file needs a single-point grid")
-        pt = points[0]
-        f = Field(args.q)
-        demand = _load_demand(args.demand_file, f)
-        rows = []
-        failures = 0
-        measured = Fraction(0)
-        regime = ""
-        for trial in range(args.trials):
-            base = derive_seed(seed, pt.k, pt.n, pt.n_r, pt.k_c, pt.scheme_kind, trial)
-            cfg = TrialConfig(
-                k=pt.k, n=pt.n, n_r=pt.n_r, k_c=pt.k_c, l=pt.l, q=args.q,
-                scheme_kind=pt.scheme_kind,
-                demand_seed=derive_seed(base, "demand"),
-                message_seed=derive_seed(base, "messages"),
-                padding_seed=derive_seed(base, "padding"),
-            )
-            result = run_trial(cfg, demand=demand)
-            if log_fh:
-                log_fh.write(result.to_json() + "\n")
-            regime = result.regime
-            measured = max(measured, result.measured_cost)
-            failures += 0 if result.all_ok else 1
-        if args.trials:
-            p = bd.Params(K=pt.k, N=pt.n, N_r=pt.n_r, K_c=pt.k_c)
-            verdict = bd.optimality_class(p)
-            rows.append({
-                "K": pt.k, "N": pt.n, "N_r": pt.n_r, "K_c": pt.k_c,
-                "regime": regime, "trials": args.trials, "failures": failures,
-                "measured_cost": str(measured),
-                "formula_cost": 2 * pt.n_r if pt.scheme_kind == "grouped"
-                else bd.achievable_cost_general(p),
-                "converse": verdict.converse, "status": verdict.status,
-                "seed": seed,
-            })
-    else:
+    try:
+        demand = None
+        if args.demand_file:
+            if len(points) != 1:
+                raise LinsepError("--demand-file needs a single-point grid")
+            demand = _load_demand(args.demand_file, Field(args.q))
         on_trial = (lambda r: log_fh.write(r.to_json() + "\n")) if log_fh else None
-        rows = sweep(points, args.trials, seed, on_trial=on_trial)
-    if log_fh:
-        log_fh.close()
+        rows = sweep(points, args.trials, seed, on_trial, q=args.q, demand=demand)
+    finally:
+        if log_fh:
+            log_fh.close()
     code = _write_csv(rows, SWEEP_COLUMNS, args.out)
     if code:
         return code
@@ -322,19 +266,12 @@ def cmd_simulate(args, seed: int) -> int:
 
 def cmd_bounds(args) -> int:
     rows = []
-    for k in args.K:
-        for n in args.N:
-            for n_r in args.nr:
-                for k_c in args.kc:
-                    if not (1 <= n_r <= n and 1 <= k_c <= k):
-                        continue
-                    p = bd.Params(K=k, N=n, N_r=n_r, K_c=k_c)
-                    v = bd.optimality_class(p)
-                    rows.append({
-                        "K": k, "N": n, "N_r": n_r, "K_c": k_c,
-                        "converse": v.converse, "achievable": v.achievable,
-                        "status": v.status,
-                    })
+    for pt in _grid_points(args):
+        v = bd.optimality_class(bd.Params(K=pt.k, N=pt.n, N_r=pt.n_r, K_c=pt.k_c))
+        rows.append({
+            "K": pt.k, "N": pt.n, "N_r": pt.n_r, "K_c": pt.k_c,
+            "converse": v.converse, "achievable": v.achievable, "status": v.status,
+        })
     return _write_csv(
         rows, ("K", "N", "N_r", "K_c", "converse", "achievable", "status"), args.out
     )

@@ -1,15 +1,21 @@
 """Worker-side encoding, master-side decoding, and decodability verification.
 
-Decoding works in task-coefficient space: the master stacks the responders'
-code rows, inverts the stack (per sub-problem where the scheme has them), and
-strips any padding rows.  The simulation harness cross-checks the result
-against a direct message-space multiplication, so the two paths stay
-independent.
+Every cyclic-family scheme is handled as the ordered list of middle
+sub-problems that ``Scheme.subproblem`` exposes.  A worker's answer stacks,
+sub-problem by sub-problem, its code rows times that sub-problem's message
+input, so sub-problem i owns answer rows [off_i, off_i + rows_i).  Decoding
+works in task-coefficient space: per sub-problem the master stacks the
+responders' code rows, inverts the stack, and keeps the first K_c rows of
+that sub-problem's demand (dropping padding).  Only the large regime adds a
+step, rebuilding every demand row from the MDS-coded symbols; the grouped
+scheme has its own pairwise decoder.  The simulation harness cross-checks
+the result against a direct message-space multiplication, so the two paths
+stay independent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -18,15 +24,7 @@ import numpy as np
 
 from . import field as fl
 from .assignment import Assignment
-from .builder import (
-    GROUPED_REGIME,
-    LARGE,
-    MIDDLE,
-    SMALL,
-    DemandMatrix,
-    Scheme,
-    build_large,
-)
+from .builder import DemandMatrix, MDSDescriptor, Scheme, build_large
 from .errors import (
     LinsepError,
     RankDeficientDemand,
@@ -106,43 +104,21 @@ def _effective_messages(scheme: Scheme, w: MessageBlock) -> FMatrix:
     return FMatrix(w.w.field, arr)
 
 
-def _mds_symbols(scheme: Scheme, w_eff: FMatrix, index: int) -> FMatrix:
-    """Coded symbol block W_{., S}: one row per message, L/m columns."""
-    m = scheme.mds.split_count
-    lm = w_eff.cols // m
-    subs = w_eff.array.reshape(w_eff.rows, m, lm)
-    flat = FMatrix(w_eff.field, subs.transpose(1, 0, 2).reshape(m, w_eff.rows * lm))
-    vec = scheme.mds.vector(index, w_eff.field)
-    mixed = mat_mul(FMatrix(w_eff.field, vec.array.reshape(1, -1)), flat)
-    return FMatrix(w_eff.field, mixed.array.reshape(w_eff.rows, lm))
-
-
 def encode_worker(scheme: Scheme, n: int, w: MessageBlock) -> WorkerAnswer:
     """Compute worker n's transmission for the given message block."""
     if not (1 <= n <= scheme.params.N):
         raise ShapeMismatch(f"no worker {n} in a {scheme.params.N}-worker scheme")
     w_eff = _effective_messages(scheme, w)
-    if scheme.regime == MIDDLE:
-        return WorkerAnswer(n, mat_mul(scheme.workers[n - 1].message_rows, w_eff))
-    if scheme.regime == SMALL:
-        rows = []
-        for sub, agg in zip(scheme.subschemes, scheme.aggregators):
-            aggregates = mat_mul(agg, w_eff)
-            rows.append(mat_mul(sub.workers[n - 1].message_rows, aggregates))
-        return WorkerAnswer(n, row_stack(rows))
-    if scheme.regime == LARGE:
-        m = scheme.mds.split_count
-        if w.l % m != 0 or w.l == 0:
-            raise ShapeMismatch(f"message length {w.l} not divisible by {m}")
-        rows = []
-        for idx in range(1, scheme.mds.code_length + 1):
-            symbols = _mds_symbols(scheme, w_eff, idx)
-            sub = scheme.subscheme(idx)
-            rows.append(mat_mul(sub.workers[n - 1].message_rows, symbols))
-        return WorkerAnswer(n, row_stack(rows))
-    if scheme.regime == GROUPED_REGIME:
+    if scheme.grouped is not None:
         return WorkerAnswer(n, mat_mul(scheme.grouped.workers[n - 1].sent_rows, w_eff))
-    raise ShapeMismatch(f"unknown regime {scheme.regime!r}")
+    rows = [
+        mat_mul(
+            scheme.subproblem(i).workers[n - 1].message_rows,
+            scheme.subproblem_input(i, w_eff),
+        )
+        for i in range(scheme.subproblem_count)
+    ]
+    return WorkerAnswer(n, row_stack(rows))
 
 
 def _check_answers(scheme: Scheme, answers) -> list[WorkerAnswer]:
@@ -158,8 +134,73 @@ def _check_answers(scheme: Scheme, answers) -> list[WorkerAnswer]:
     return sorted(answers, key=lambda a: a.worker)
 
 
-def _stack_task_rows(workers, responders) -> FMatrix:
-    return row_stack([workers[n - 1].task_rows for n in responders])
+def _decode_subproblems(scheme: Scheme, answers, f: Field) -> FMatrix:
+    """Recovered rows of every middle sub-problem, in sub-problem order."""
+    parts = []
+    offset = 0
+    for i in range(scheme.subproblem_count):
+        sub = scheme.subproblem(i)
+        rows = sub.rows_per_worker
+        stack = row_stack([sub.workers[a.worker - 1].task_rows for a in answers])
+        try:
+            inv = inverse(stack)
+        except SingularMatrix:
+            raise SingularMatrix(
+                f"sub-problem {i + 1}: stacked code rows are singular"
+            ) from None
+        x = FMatrix(f, np.vstack([a.x.array[offset : offset + rows] for a in answers]))
+        parts.append(mat_mul(inv, x).array[: sub.demand.k_c])
+        offset += rows
+    if scheme.mds is None:
+        return FMatrix(f, np.vstack(parts))
+    return _mds_reconstruct(scheme.mds, parts, scheme.params.K_c, f)
+
+
+def _mds_reconstruct(mds: MDSDescriptor, parts, k_c: int, f: Field) -> FMatrix:
+    """Large regime: rebuild demand row j from the coded symbols containing j.
+
+    ``parts[i]`` holds the demand rows of subset i + 1, in subset order.
+    """
+    out_rows = []
+    for j in range(1, k_c + 1):
+        idxs = mds.indices_containing(j)
+        h_j = FMatrix(f, [parts[i - 1][mds.subsets[i - 1].index(j)] for i in idxs])
+        try:
+            segments = mat_mul(inverse(mds.reconstruction_stack(j, f)), h_j)
+        except SingularMatrix:
+            raise SingularMatrix(
+                f"component {j}: reconstruction stack is singular"
+            ) from None
+        out_rows.append(FMatrix(f, segments.array.reshape(1, -1)))
+    return row_stack(out_rows)
+
+
+def _decode_grouped(scheme: Scheme, answers, f: Field) -> FMatrix:
+    """Each responder pair jointly sends the combination of its complement pair."""
+    code = scheme.grouped
+    n_all = range(1, scheme.params.N + 1)
+    combo_rows = []
+    null_stack = []
+    for pair in combinations([a.worker for a in answers], 2):
+        tag = tuple(x for x in n_all if x not in pair)
+        acc = None
+        for n in pair:
+            gw = code.workers[n - 1]
+            e1, e2 = gw.expansion(tag)
+            x_n = next(a.x for a in answers if a.worker == n)
+            coeffs = fl.from_rows(x_n.field, [[e1, e2]])
+            part = mat_mul(coeffs, x_n)
+            acc = part if acc is None else FMatrix(
+                x_n.field, (acc.array + part.array) % x_n.field.q
+            )
+        combo_rows.append(acc)
+        null_stack.append(code.null_vector(tag))
+    v = fl.vectors_as_matrix(null_stack, f, scheme.demand.k_c)
+    try:
+        inv = inverse(v)
+    except SingularMatrix:
+        raise SingularMatrix("pair combinations are linearly dependent") from None
+    return mat_mul(inv, row_stack(combo_rows))
 
 
 def decode(
@@ -171,95 +212,17 @@ def decode(
     answers = _check_answers(scheme, answers)
     responders = tuple(a.worker for a in answers)
     f = fl.Field(scheme.params.q)
-    if scheme.regime == LARGE:
-        width = answers[0].x.cols
-        l_total = width * scheme.mds.split_count
-    else:
-        l_total = answers[0].x.cols
+    l_total = answers[0].x.cols * scheme.split_count
     if l_total == 0:
         raise ShapeMismatch("answers carry no symbols")
     cost = Fraction(sum(a.t_n for a in answers), l_total)
-
-    def failure(detail: str) -> DecodeReport:
-        return DecodeReport(responders, False, None, cost, detail)
-
-    k_c = scheme.demand.k_c
-    if scheme.regime == MIDDLE:
-        stack = _stack_task_rows(scheme.workers, responders)
-        try:
-            inv = inverse(stack)
-        except SingularMatrix:
-            return failure("stacked code rows are singular")
-        full = mat_mul(inv, row_stack([a.x for a in answers]))
-        raw = full.take_rows(range(scheme.demand.k_c))
-    elif scheme.regime == SMALL:
-        out_rows = []
-        for j, sub in enumerate(scheme.subschemes):
-            stack = _stack_task_rows(sub.workers, responders)
-            try:
-                inv = inverse(stack)
-            except SingularMatrix:
-                return failure(f"sub-problem {j + 1}: stacked code rows are singular")
-            x_j = row_stack([a.x.take_rows([j]) for a in answers])
-            out_rows.append(mat_mul(inv, x_j).take_rows([0]))
-        raw = row_stack(out_rows)
-    elif scheme.regime == LARGE:
-        per = scheme.rows_per_worker
-        m = scheme.mds.split_count
-        recovered_rows: dict[tuple[int, int], FMatrix] = {}
-        for idx in range(1, scheme.mds.code_length + 1):
-            sub = scheme.subscheme(idx)
-            stack = _stack_task_rows(sub.workers, responders)
-            try:
-                inv = inverse(stack)
-            except SingularMatrix:
-                return failure(f"symbol subset {idx}: stacked code rows are singular")
-            x_idx = row_stack(
-                [a.x.take_rows(range((idx - 1) * per, idx * per)) for a in answers]
-            )
-            rec = mat_mul(inv, x_idx)
-            for pos, j in enumerate(scheme.mds.subsets[idx - 1]):
-                recovered_rows[(j, idx)] = rec.take_rows([pos])
-        out_rows = []
-        k_c = scheme.params.K_c
-        for j in range(1, k_c + 1):
-            idxs = scheme.mds.indices_containing(j)
-            h_j = row_stack([recovered_rows[(j, i)] for i in idxs])
-            v_j = scheme.mds.reconstruction_stack(j, f)
-            try:
-                segments = mat_mul(inverse(v_j), h_j)
-            except SingularMatrix:
-                return failure(f"component {j}: reconstruction stack is singular")
-            out_rows.append(FMatrix(f, segments.array.reshape(1, -1)))
-        raw = row_stack(out_rows)
-    elif scheme.regime == GROUPED_REGIME:
-        code = scheme.grouped
-        n_all = range(1, scheme.params.N + 1)
-        combo_rows = []
-        null_stack = []
-        for pair in combinations(responders, 2):
-            tag = tuple(x for x in n_all if x not in pair)
-            acc = None
-            for n in pair:
-                gw = code.workers[n - 1]
-                e1, e2 = gw.expansion(tag)
-                x_n = next(a.x for a in answers if a.worker == n)
-                coeffs = fl.from_rows(x_n.field, [[e1, e2]])
-                part = mat_mul(coeffs, x_n)
-                acc = part if acc is None else FMatrix(
-                    x_n.field, (acc.array + part.array) % x_n.field.q
-                )
-            combo_rows.append(acc)
-            null_stack.append(code.null_vector(tag))
-        v = fl.vectors_as_matrix(null_stack, f, scheme.demand.k_c)
-        try:
-            inv = inverse(v)
-        except SingularMatrix:
-            return failure("pair combinations are linearly dependent")
-        raw = mat_mul(inv, row_stack(combo_rows))
-    else:
-        raise ShapeMismatch(f"unknown regime {scheme.regime!r}")
-
+    try:
+        if scheme.grouped is not None:
+            raw = _decode_grouped(scheme, answers, f)
+        else:
+            raw = _decode_subproblems(scheme, answers, f)
+    except SingularMatrix as exc:
+        return DecodeReport(responders, False, None, cost, str(exc))
     if scheme.recombine is not None:
         raw = mat_mul(scheme.recombine, raw)
     return DecodeReport(responders, True, raw, cost)
@@ -332,41 +295,8 @@ def verify_decodability(
         scheme.params.N, scheme.params.N_r, mode, sample_count, seed, subset_cap
     )
     f = fl.Field(scheme.params.q)
-    q = f.q
-
-    def full_rank_stacks(worker_groups) -> set[tuple[int, ...]]:
-        # worker_groups: list over sub-problems of per-worker task-row arrays.
-        bad: set[tuple[int, ...]] = set()
-        for rows_by_worker in worker_groups:
-            for a_set in subsets:
-                if a_set in bad:
-                    continue
-                stack = np.concatenate([rows_by_worker[n - 1] for n in a_set])
-                if fl._rank_raw(stack, q) != stack.shape[0]:
-                    bad.add(tuple(a_set))
-        return bad
-
-    if scheme.regime == MIDDLE:
-        groups = [[w.task_rows.array for w in scheme.workers]]
-        failing = full_rank_stacks(groups)
-    elif scheme.regime == SMALL:
-        groups = [
-            [w.task_rows.array for w in sub.workers] for sub in scheme.subschemes
-        ]
-        failing = full_rank_stacks(groups)
-    elif scheme.regime == LARGE:
-        total = scheme.mds.code_length
-        if total > subproblem_cap:
-            stream = ElementStream(f, derive_seed(seed, "large-subproblems"))
-            indices = [i + 1 for i in _sample_distinct(total, subproblem_cap, stream)]
-        else:
-            indices = list(range(1, total + 1))
-        groups = [
-            [w.task_rows.array for w in scheme.subscheme(i).workers] for i in indices
-        ]
-        failing = full_rank_stacks(groups)
-    elif scheme.regime == GROUPED_REGIME:
-        failing = set()
+    failing: set[tuple[int, ...]] = set()
+    if scheme.grouped is not None:
         n_all = range(1, scheme.params.N + 1)
         for a_set in subsets:
             vecs = [
@@ -376,8 +306,20 @@ def verify_decodability(
             v = fl.vectors_as_matrix(vecs, f, scheme.demand.k_c)
             if v.rows != v.cols or rank(v) != v.rows:
                 failing.add(tuple(a_set))
-    else:
-        raise ShapeMismatch(f"unknown regime {scheme.regime!r}")
+        return sorted(failing)
+    total = scheme.subproblem_count
+    indices = range(total)
+    if scheme.mds is not None and total > subproblem_cap:
+        stream = ElementStream(f, derive_seed(seed, "large-subproblems"))
+        indices = _sample_distinct(total, subproblem_cap, stream)
+    for i in indices:
+        rows_by_worker = [w.task_rows.array for w in scheme.subproblem(i).workers]
+        for a_set in subsets:
+            if a_set in failing:
+                continue
+            stack = np.concatenate([rows_by_worker[n - 1] for n in a_set])
+            if fl._rank_raw(stack, f.q) != stack.shape[0]:
+                failing.add(tuple(a_set))
     return sorted(failing)
 
 
@@ -412,9 +354,10 @@ def fallback_full_recovery(
         g = random_matrix(k, k, f, derive_seed(seed, "full-recovery", attempt))
         if rank(g) != k:
             continue
-        scheme = build_large(DemandMatrix(g), a, l_symbols)
-        if verify_decodability(scheme):
-            continue
-        scheme.recombine = mat_mul(f_mat.matrix, inverse(g))
-        return scheme
+        scheme = replace(
+            build_large(DemandMatrix(g), a, l_symbols),
+            recombine=mat_mul(f_mat.matrix, inverse(g)),
+        )
+        if not verify_decodability(scheme):
+            return scheme
     raise LinsepError("no decodable full-recovery demand found; widen the search")

@@ -5,6 +5,14 @@ class LinsepError(Exception):
     """Base class for all library errors."""
 
 
+class BadModulus(LinsepError, ValueError):
+    """Field modulus is not a prime in the supported range."""
+
+
+class MalformedScheme(LinsepError):
+    """A scheme file does not describe a scheme this version can load."""
+
+
 class InversionOfZero(LinsepError):
     """Multiplicative inverse of 0 requested."""
 
@@ -19,15 +27,6 @@ class UseGeneralAssignment(LinsepError):
 
 class UnsupportedGroupedParams(LinsepError):
     """Grouped assignment/scheme requested outside the supported parameter family."""
-
-
-class DegenerateDemand(LinsepError):
-    """Demand matrix is rank-deficient where the construction expects full rank.
-
-    Scheme construction does not raise this: degenerate schemes are built and
-    flagged, and the decodability verifier reports the consequences.  It is
-    raised only by entry points that cannot proceed at all.
-    """
 
 
 class GroupedSolveFailed(LinsepError):

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InversionOfZero, ShapeMismatch, SingularMatrix
+from .errors import BadModulus, InversionOfZero, ShapeMismatch, SingularMatrix
 
 DEFAULT_MODULUS = 2**31 - 1  # Mersenne prime; failure probabilities ~ poly/q
 
@@ -59,14 +59,11 @@ class Field:
 
     def __post_init__(self) -> None:
         if not isinstance(self.q, int) or self.q <= 2:
-            raise ValueError(f"modulus must be an integer > 2, got {self.q}")
+            raise BadModulus(f"modulus must be an integer > 2, got {self.q}")
         if self.q > _MAX_MODULUS:
-            raise ValueError(f"modulus {self.q} too large for exact int64 arithmetic")
+            raise BadModulus(f"modulus {self.q} too large for exact int64 arithmetic")
         if not is_prime(self.q):
-            raise ValueError(f"modulus {self.q} is not prime")
-
-    def element(self, x: int) -> int:
-        return x % self.q
+            raise BadModulus(f"modulus {self.q} is not prime")
 
     def __repr__(self) -> str:
         return f"Field({self.q})"
@@ -224,17 +221,11 @@ class FMatrix:
     def cols(self) -> int:
         return self._a.shape[1]
 
-    def row(self, i: int) -> FVector:
-        return FVector(self.field, self._a[i])
-
     def take_columns(self, cols: Sequence[int]) -> "FMatrix":
         return FMatrix(self.field, self._a[:, list(cols)])
 
     def take_rows(self, rows: Sequence[int]) -> "FMatrix":
         return FMatrix(self.field, self._a[list(rows), :])
-
-    def transpose(self) -> "FMatrix":
-        return FMatrix(self.field, self._a.T)
 
     def to_lists(self) -> list[list[int]]:
         return [[int(x) for x in row] for row in self._a]
@@ -249,9 +240,6 @@ class FMatrix:
 
     def __hash__(self):
         return hash((self.field.q, self._a.shape, self._a.tobytes()))
-
-    def __matmul__(self, other: "FMatrix") -> "FMatrix":
-        return mat_mul(self, other)
 
     def __repr__(self) -> str:
         return f"FMatrix({self.rows}x{self.cols} mod {self.field.q})"
@@ -304,11 +292,6 @@ def mat_mul(a: FMatrix, b: FMatrix) -> FMatrix:
     lo = left & 0xFFFF
     prod = ((hi @ right) % q << 16) + (lo @ right)
     return FMatrix(a.field, prod % q)
-
-
-def mat_vec(a: FMatrix, v: FVector) -> FVector:
-    out = mat_mul(a, FMatrix(a.field, v.array.reshape(-1, 1)))
-    return FVector(a.field, out.array.reshape(-1))
 
 
 def _rref(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:

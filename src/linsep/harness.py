@@ -62,6 +62,16 @@ class TrialConfig:
             "padding_seed": self.padding_seed,
         }
 
+    @classmethod
+    def seeded(cls, base: int, **point) -> "TrialConfig":
+        """Config whose demand, message and padding seeds derive from ``base``."""
+        return cls(
+            **point,
+            demand_seed=derive_seed(base, "demand"),
+            message_seed=derive_seed(base, "messages"),
+            padding_seed=derive_seed(base, "padding"),
+        )
+
 
 @dataclass(frozen=True)
 class TrialResult:
@@ -212,53 +222,45 @@ class GridPoint:
     l: int | None = None
 
 
-def _converse_and_status(pt: GridPoint) -> tuple[int, str]:
-    p = bounds.Params(K=pt.k, N=pt.n, N_r=pt.n_r, K_c=pt.k_c)
-    v = bounds.optimality_class(p)
-    return v.converse, v.status
-
-
-def sweep(grid, trials_per_point: int, seed: int, on_trial=None) -> list[dict]:
+def sweep(grid, trials_per_point: int, seed: int, on_trial=None, *,
+          q: int = DEFAULT_MODULUS, demand: DemandMatrix | None = None) -> list[dict]:
     """Run ``trials_per_point`` seeded trials per grid point; deterministic.
 
     With zero trials the table is empty (header-only when written as CSV).
     ``on_trial`` receives every TrialResult as it completes, in grid-then-
-    trial order (used for per-trial logging).
+    trial order (used for per-trial logging).  Every trial runs over F_q;
+    a given ``demand`` replaces every trial's seeded demand draw.
     """
     table = []
     if trials_per_point <= 0:
         return table
     for pt in grid:
         failures = 0
-        measured: Fraction | None = None
+        measured = Fraction(0)
         regime = ""
         for trial in range(trials_per_point):
             base = derive_seed(seed, pt.k, pt.n, pt.n_r, pt.k_c, pt.scheme_kind, trial)
-            cfg = TrialConfig(
-                k=pt.k, n=pt.n, n_r=pt.n_r, k_c=pt.k_c, l=pt.l,
+            cfg = TrialConfig.seeded(
+                base, k=pt.k, n=pt.n, n_r=pt.n_r, k_c=pt.k_c, l=pt.l, q=q,
                 scheme_kind=pt.scheme_kind,
-                demand_seed=derive_seed(base, "demand"),
-                message_seed=derive_seed(base, "messages"),
-                padding_seed=derive_seed(base, "padding"),
             )
-            result = run_trial(cfg)
+            result = run_trial(cfg, demand=demand)
             if on_trial is not None:
                 on_trial(result)
             regime = result.regime
-            measured = result.measured_cost if measured is None else max(
-                measured, result.measured_cost
-            )
+            measured = max(measured, result.measured_cost)
             if not result.all_ok:
                 failures += 1
-        converse, status = _converse_and_status(pt)
+        p = bounds.Params(K=pt.k, N=pt.n, N_r=pt.n_r, K_c=pt.k_c)
+        verdict = bounds.optimality_class(p)
         formula = _formula_cost(
             TrialConfig(k=pt.k, n=pt.n, n_r=pt.n_r, k_c=pt.k_c, scheme_kind=pt.scheme_kind)
         )
         table.append({
             "K": pt.k, "N": pt.n, "N_r": pt.n_r, "K_c": pt.k_c,
             "regime": regime, "trials": trials_per_point, "failures": failures,
-            "measured_cost": str(measured) if measured is not None else "",
-            "formula_cost": formula, "converse": converse, "status": status,
+            "measured_cost": str(measured),
+            "formula_cost": formula, "converse": verdict.converse, "status": verdict.status,
             "seed": seed,
         })
     return table
@@ -277,13 +279,7 @@ def kc_for_free_check(n: int, n_r: int, trials: int, seed: int) -> dict:
         worst = Fraction(0)
         for trial in range(trials):
             base = derive_seed(seed, "free", k_c, trial)
-            cfg = TrialConfig(
-                k=n, n=n, n_r=n_r, k_c=k_c,
-                demand_seed=derive_seed(base, "demand"),
-                message_seed=derive_seed(base, "messages"),
-                padding_seed=derive_seed(base, "padding"),
-            )
-            result = run_trial(cfg)
+            result = run_trial(TrialConfig.seeded(base, k=n, n=n, n_r=n_r, k_c=k_c))
             ok = ok and result.all_ok
             worst = max(worst, result.measured_cost)
         costs[k_c] = worst

@@ -8,6 +8,7 @@ separators, so identical schemes produce byte-identical files.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 from . import field as fl
 from .assignment import (
@@ -32,7 +33,7 @@ from .builder import (
     WorkerCode,
     build_large,
 )
-from .errors import ShapeMismatch
+from .errors import LinsepError, MalformedScheme, ShapeMismatch
 from .field import Field, FMatrix, FVector, mat_mul
 
 FORMAT = "linsep-scheme-v1"
@@ -44,6 +45,15 @@ def _mat(m: FMatrix) -> list[list[str]]:
 
 def _unmat(f: Field, rows) -> FMatrix:
     return fl.from_rows(f, [[int(x) for x in row] for row in rows])
+
+
+def _middle_entry(sub: Scheme) -> dict:
+    """Padding rows and worker code rows of a middle (sub-)scheme."""
+    g, t = sub.padding_rows, sub.padded.rows
+    return {
+        "padding": _mat(sub.padded.take_rows(range(t - g, t))) if g else [],
+        "workers": [{"id": w.worker, "rows": _mat(w.task_rows)} for w in sub.workers],
+    }
 
 
 def scheme_to_dict(scheme: Scheme) -> dict:
@@ -72,27 +82,11 @@ def scheme_to_dict(scheme: Scheme) -> dict:
     if scheme.recombine is not None:
         out["recombine"] = _mat(scheme.recombine)
     if scheme.regime == MIDDLE:
-        g = scheme.padding_rows
-        out["padding"] = _mat(scheme.padded.take_rows(range(scheme.padded.rows - g, scheme.padded.rows))) if g else []
-        out["workers"] = [
-            {"id": w.worker, "rows": _mat(w.task_rows)} for w in scheme.workers
-        ]
+        out.update(_middle_entry(scheme))
     elif scheme.regime == SMALL:
         out["workers"] = []
         out["subproblems"] = [
-            {
-                "index": j + 1,
-                "padding": _mat(
-                    sub.padded.take_rows(
-                        range(sub.padded.rows - sub.padding_rows, sub.padded.rows)
-                    )
-                )
-                if sub.padding_rows
-                else [],
-                "workers": [
-                    {"id": w.worker, "rows": _mat(w.task_rows)} for w in sub.workers
-                ],
-            }
+            {"index": j + 1, **_middle_entry(sub)}
             for j, sub in enumerate(scheme.subschemes)
         ]
     elif scheme.regime == LARGE:
@@ -145,12 +139,15 @@ def _rebuild_assignment(d: dict, params: SchemeParams):
     return a
 
 
-def _middle_workers(f: Field, entries, padded: FMatrix) -> tuple[WorkerCode, ...]:
-    out = []
-    for e in entries:
+def _middle_from_entry(f: Field, entry: dict, demand: FMatrix):
+    """Padded demand and worker codes stored by ``_middle_entry``."""
+    padding = entry.get("padding")
+    padded = fl.row_stack([demand, _unmat(f, padding)]) if padding else demand
+    workers = []
+    for e in entry["workers"]:
         task = _unmat(f, e["rows"])
-        out.append(WorkerCode(e["id"], task, mat_mul(task, padded)))
-    return tuple(out)
+        workers.append(WorkerCode(e["id"], task, mat_mul(task, padded)))
+    return padded, tuple(workers)
 
 
 def scheme_from_dict(d: dict) -> Scheme:
@@ -164,15 +161,16 @@ def scheme_from_dict(d: dict) -> Scheme:
     a = _rebuild_assignment(d, params)
     demand = DemandMatrix(_unmat(f, d["demand"]))
 
-    virtual = None
     working_demand = demand.matrix
     working_assignment = a
+    recombine = _unmat(f, d["recombine"]) if "recombine" in d else None
+    common = dict(params=params, assignment=a, demand=demand, recombine=recombine)
     if "virtual" in d:
         eff = _unmat(f, d["virtual"]["effective_demand"])
         eff_assignment = cyclic_assignment(
             d["virtual"]["effective_k"], params.N, params.N_r
         )
-        virtual = VirtualLayout(
+        common["virtual"] = VirtualLayout(
             effective_k=d["virtual"]["effective_k"],
             slot_of_dataset=tuple(d["virtual"]["slots"]),
             effective_demand=eff,
@@ -183,21 +181,16 @@ def scheme_from_dict(d: dict) -> Scheme:
 
     regime = d["regime"]
     if regime == MIDDLE:
-        padding = _unmat(f, d["padding"]) if d.get("padding") else None
-        padded = (
-            fl.row_stack([working_demand, padding]) if padding is not None else working_demand
-        )
-        scheme = Scheme(
+        padded, workers = _middle_from_entry(f, d, working_demand)
+        return Scheme(
             regime=MIDDLE,
-            params=params,
-            assignment=a,
-            demand=demand,
             padded=padded,
             padding_rows=d["padding_rows"],
-            workers=_middle_workers(f, d["workers"], padded),
+            workers=workers,
             degenerate=d["degenerate"],
+            **common,
         )
-    elif regime == SMALL:
+    if regime == SMALL:
         n = params.N
         ones = DemandMatrix(fl.from_rows(f, [[1] * n]))
         sub_assignment = cyclic_assignment(n, n, params.N_r)
@@ -207,10 +200,7 @@ def scheme_from_dict(d: dict) -> Scheme:
 
         eff_demand_obj = DemandMatrix(working_demand)
         for entry in d["subproblems"]:
-            padding = _unmat(f, entry["padding"]) if entry["padding"] else None
-            padded = (
-                fl.row_stack([ones.matrix, padding]) if padding is not None else ones.matrix
-            )
+            padded, workers = _middle_from_entry(f, entry, ones.matrix)
             subschemes.append(
                 Scheme(
                     regime=MIDDLE,
@@ -219,28 +209,22 @@ def scheme_from_dict(d: dict) -> Scheme:
                     demand=ones,
                     padded=padded,
                     padding_rows=padded.rows - 1,
-                    workers=_middle_workers(f, entry["workers"], padded),
+                    workers=workers,
                 )
             )
             aggregators.append(_aggregator(eff_demand_obj, entry["index"], n))
-        scheme = Scheme(
+        return Scheme(
             regime=SMALL,
-            params=params,
-            assignment=a,
-            demand=demand,
             subschemes=tuple(subschemes),
             aggregators=tuple(aggregators),
             degenerate=d["degenerate"],
+            **common,
         )
-    elif regime == LARGE:
+    if regime == LARGE:
         # The large construction has no random inputs: rebuild it outright.
-        scheme = build_large(
-            DemandMatrix(working_demand), working_assignment, params.L
-        )
-        scheme.params = params
-        scheme.assignment = a
-        scheme.demand = demand
-    elif regime == GROUPED_REGIME:
+        built = build_large(DemandMatrix(working_demand), working_assignment, params.L)
+        return replace(built, **common)
+    if regime == GROUPED_REGIME:
         workers = tuple(
             GroupedWorker(
                 worker=e["id"],
@@ -258,22 +242,16 @@ def scheme_from_dict(d: dict) -> Scheme:
             combined_rows=_unmat(f, d["grouped"]["combined"]),
             workers=workers,
         )
-        scheme = Scheme(
-            regime=GROUPED_REGIME,
-            params=params,
-            assignment=a,
-            demand=demand,
-            grouped=code,
-        )
-    else:
-        raise ShapeMismatch(f"unknown regime {regime!r}")
-
-    if virtual is not None:
-        scheme.virtual = virtual
-    if "recombine" in d:
-        scheme.recombine = _unmat(f, d["recombine"])
-    return scheme
+        return Scheme(regime=GROUPED_REGIME, grouped=code, **common)
+    raise ShapeMismatch(f"unknown regime {regime!r}")
 
 
-def loads(text: str) -> Scheme:
-    return scheme_from_dict(json.loads(text))
+def loads(text: str | bytes) -> Scheme:
+    """Load a scheme file; any defect in it raises MalformedScheme."""
+    try:
+        return scheme_from_dict(json.loads(text))
+    except (
+        LinsepError, ValueError, KeyError, IndexError, TypeError, AttributeError,
+        ArithmeticError,
+    ) as exc:
+        raise MalformedScheme(str(exc)) from exc

@@ -1,12 +1,18 @@
 import csv
 import json
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from linsep import cli
 from linsep import builder as bl
 from linsep import field as fl
+from linsep import serialize as sz
+from linsep.assignment import cyclic_assignment
 
 FQ = fl.Field()
 
@@ -211,3 +217,63 @@ def test_verify_sample_mode(capsys):
         "--mode", "sample:3", "--seed", "5",
     )
     assert code == 0 and "decodable" in out
+
+
+def test_simulate_runs_and_logs_at_the_requested_modulus(tmp_path, capsys):
+    log = tmp_path / "trials.jsonl"
+    code, _, _ = run(
+        capsys, "simulate", "-K", "6", "-N", "3", "--nr", "2", "--kc", "3",
+        "-q", "101", "--trials", "2", "--out", str(tmp_path / "r.csv"),
+        "--trial-log", str(log),
+    )
+    assert code == 0
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    assert len(records) == 2
+    assert all(r["config"]["q"] == 101 for r in records)
+
+
+def _scheme_file(tmp_path, name, tamper):
+    data = sz.scheme_to_dict(bl.build_middle(
+        bl.demand_from_rows(FQ, [[1, 1, 1], [1, 2, 3]]), cyclic_assignment(3, 3, 2)
+    ))
+    tamper(data)
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _ragged(data):
+    data["workers"][0]["rows"][0].append("1")
+
+
+def _unknown_format(data):
+    data["format"] = "v9"
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["verify", "-K", "6", "-N", "3", "--nr", "2", "--kc", "2",
+      "--mode", "sample:abc"], 2),
+    (["build", "-K", "6", "-N", "3", "--nr", "2", "--kc", "2", "-q", "4",
+      "--out", "{tmp}/s.json"], 2),
+    (["verify", "--scheme", "{ragged}"], 3),
+    (["verify", "--scheme", "{unknown_format}"], 3),
+])
+def test_bad_input_exits_with_documented_code_and_no_traceback(
+    tmp_path, argv, expected
+):
+    files = {
+        "tmp": str(tmp_path),
+        "ragged": _scheme_file(tmp_path, "ragged.json", _ragged),
+        "unknown_format": _scheme_file(tmp_path, "v9.json", _unknown_format),
+    }
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "linsep", *(a.format(**files) for a in argv)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == expected, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if expected == 3:
+        assert "error: malformed scheme file" in proc.stderr

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -89,3 +90,11 @@ def test_oversized_scheme_refuses_serialization():
     assert scheme.mds.code_length > 10_000
     with pytest.raises(ShapeMismatch):
         sz.dumps(scheme)
+
+
+@pytest.mark.parametrize("name,scheme", list(sample_schemes()))
+def test_built_and_loaded_schemes_are_frozen(name, scheme):
+    for frozen in (scheme, sz.loads(sz.dumps(scheme))):
+        for fld in dataclasses.fields(frozen):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(frozen, fld.name, getattr(frozen, fld.name))
