@@ -14,11 +14,16 @@ combinations:
   per symbol index.
 
 All three are ordered lists of middle sub-problems, which ``Scheme`` exposes
-as one view: ``subproblem(i)`` and the message block its code rows multiply,
-``subproblem_input(i, w)``.  A middle scheme is its own single sub-problem on
-the messages; a small scheme has one per demand row, on that row's
-aggregates; a large scheme has one per coded symbol, on that symbol's block,
-built lazily.  ``build_cyclic_family`` is the one place that picks the regime.
+as one view: ``subproblems(indices)`` and the message block that the code
+rows of sub-problem i multiply, ``subproblem_input(i, w)``.  A middle scheme
+is its own single sub-problem on the messages; a small scheme has one per
+demand row, on that row's aggregates; a large scheme has one per coded
+symbol, on that symbol's block, built lazily.  ``_middle_schemes`` builds
+every middle scheme, a batch at a time: the small regime's sub-problems, the
+large regime's missing sub-problems of one ``subproblems`` call, or the one
+scheme of ``build_middle``; all worker null spaces of a batch come from one
+batched elimination.  ``build_cyclic_family`` is the one place that picks
+the regime.
 
 When N does not divide K, the demand is embedded into N*ceil(K/N) effective
 slots (the extra slots carry all-zero messages) and the same machinery runs
@@ -33,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field, replace
 from itertools import combinations
 from math import comb
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -219,7 +225,8 @@ class GroupedCode:
 class Scheme:
     """A built coding scheme; frozen once constructed.
 
-    ``_large_cache`` memoizes the large regime's lazily built sub-problems.
+    ``_large_cache`` memoizes the large regime's lazily built sub-problems;
+    ``subschemes_at`` fills it, a batch of subset indices at a time.
     """
 
     regime: str
@@ -261,11 +268,11 @@ class Scheme:
             return self.mds.code_length
         return len(self.subschemes) or 1
 
-    def subproblem(self, i: int) -> "Scheme":
-        """Middle sub-problem i (0-based) of a cyclic-family scheme."""
+    def subproblems(self, indices: Iterable[int]) -> list["Scheme"]:
+        """Middle sub-problems at the 0-based indices, in that order."""
         if self.mds is not None:
-            return self.subscheme(i + 1)
-        return self.subschemes[i] if self.subschemes else self
+            return self.subschemes_at([i + 1 for i in indices])
+        return [self.subschemes[i] if self.subschemes else self for i in indices]
 
     def subproblem_input(self, i: int, w_eff: FMatrix) -> FMatrix:
         """Message rows that the code rows of sub-problem i multiply."""
@@ -284,19 +291,30 @@ class Scheme:
             return self.grouped.workers[0].sent_rows.rows
         return self.subproblem_count * (1 if self.subschemes else self.rows_per_worker)
 
-    def subscheme(self, index: int) -> "Scheme":
-        """Large regime: the middle scheme of the 1-based subset index."""
+    def subschemes_at(self, indices: Sequence[int]) -> list["Scheme"]:
+        """Large regime: the middle schemes of the 1-based subset indices.
+
+        Those not yet in ``_large_cache`` are built together, in one batch.
+        """
         if self.regime != LARGE:
             raise ShapeMismatch("subscheme() applies to the large regime only")
-        if index not in self._large_cache:
-            subset = self.mds.subsets[index - 1]
+        missing = [i for i in indices if i not in self._large_cache]
+        if missing:
             source = self.virtual.effective_demand if self.virtual else self.demand.matrix
-            sub_demand = DemandMatrix(source.take_rows([j - 1 for j in subset]))
             base = (
                 self.virtual.effective_assignment if self.virtual else self.assignment
             )
-            self._large_cache[index] = build_middle(sub_demand, base)
-        return self._large_cache[index]
+            demands = [
+                DemandMatrix(source.take_rows([j - 1 for j in self.mds.subsets[i - 1]]))
+                for i in missing
+            ]
+            built = _middle_schemes(demands, base, [0] * len(missing))
+            self._large_cache.update(zip(missing, built))
+        return [self._large_cache[i] for i in indices]
+
+    def subscheme(self, index: int) -> "Scheme":
+        """Large regime: the middle scheme of the 1-based subset index."""
+        return self.subschemes_at([index])[0]
 
 
 def regime_for(k_c: int, per: int, n_r: int) -> str:
@@ -320,28 +338,71 @@ def expected_cost(scheme: Scheme) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _unit_rows(t: int, count: int, f: Field) -> list[FVector]:
-    eye = np.eye(t, dtype=np.int64)
-    return [FVector(f, eye[i]) for i in range(count)]
-
-
 def _null_code(
-    padded: FMatrix, zbar: tuple[tuple[int, ...], ...], rows_per_worker: int
-) -> tuple[tuple[WorkerCode, ...], bool]:
-    f = padded.field
-    t = padded.rows
-    workers = []
-    degenerate = False
-    for n, cols in enumerate(zbar, start=1):
-        sub = padded.take_columns([c - 1 for c in cols])
-        basis = left_null_space(sub) if cols else _unit_rows(t, t, f)
-        if len(basis) != rows_per_worker:
-            degenerate = True
-        chosen = basis[:rows_per_worker]
-        assert len(chosen) == rows_per_worker, "null space smaller than guaranteed"
-        task = vectors_as_matrix(chosen, f, t)
-        workers.append(WorkerCode(n, task, mat_mul(task, padded)))
-    return tuple(workers), degenerate
+    padded: np.ndarray,
+    zbar: tuple[tuple[int, ...], ...],
+    rows_per_worker: int,
+    f: Field,
+) -> list[tuple[tuple[WorkerCode, ...], bool]]:
+    """Worker codes and degenerate flag of every padded demand of a stack.
+
+    Worker n's task rows are the first ``rows_per_worker`` canonical left
+    null vectors of the demand columns it misses; every worker misses the
+    same number under the cyclic assignment, so all null spaces of the
+    ``(S, t, width)`` stack come from one batched elimination.
+    """
+    s, t, _ = padded.shape
+    n_workers = len(zbar)
+    cols = np.array(zbar, dtype=np.intp).reshape(n_workers, -1) - 1
+    blocks = padded[:, :, cols].transpose(0, 2, 1, 3).reshape(
+        s * n_workers, t, cols.shape[1]
+    )
+    bases = fl._left_null_batch(blocks, f.q)
+    per = rows_per_worker
+    out = []
+    for i in range(s):
+        mine = bases[i * n_workers : (i + 1) * n_workers]
+        assert all(len(b) >= per for b in mine), "null space smaller than guaranteed"
+        tasks = np.concatenate([b[:per] for b in mine])
+        sent = mat_mul(FMatrix(f, tasks), FMatrix(f, padded[i])).array
+        workers = tuple(
+            WorkerCode(
+                n + 1,
+                FMatrix(f, tasks[n * per : (n + 1) * per]),
+                FMatrix(f, sent[n * per : (n + 1) * per]),
+            )
+            for n in range(n_workers)
+        )
+        out.append((workers, any(len(b) != per for b in mine)))
+    return out
+
+
+def _middle_schemes(
+    demands: Sequence[DemandMatrix], a: Assignment, padding_seeds: Sequence[int]
+) -> list[Scheme]:
+    """Middle schemes of equal-shape demands on one cyclic assignment."""
+    per = a.K // a.N
+    t = per * a.N_r
+    f = demands[0].field
+    padded = [
+        pad_demand(d, t, derive_seed(seed, "padding")).matrix
+        for d, seed in zip(demands, padding_seeds)
+    ]
+    zbar = tuple(a.not_assigned(n) for n in range(1, a.N + 1))
+    codes = _null_code(np.stack([p.array for p in padded]), zbar, per, f)
+    return [
+        Scheme(
+            regime=MIDDLE,
+            params=SchemeParams(a.K, a.N, a.N_r, d.k_c, f.q),
+            assignment=a,
+            demand=d,
+            padded=p,
+            padding_rows=t - d.k_c,
+            workers=workers,
+            degenerate=degenerate,
+        )
+        for d, p, (workers, degenerate) in zip(demands, padded, codes)
+    ]
 
 
 def build_middle(
@@ -358,19 +419,7 @@ def build_middle(
         raise ShapeMismatch(
             f"middle regime needs {per} <= K_c <= {t}, got K_c={f_mat.k_c}"
         )
-    padded = pad_demand(f_mat, t, derive_seed(padding_seed, "padding"))
-    zbar = tuple(a.not_assigned(n) for n in range(1, a.N + 1))
-    workers, degenerate = _null_code(padded.matrix, zbar, per)
-    return Scheme(
-        regime=MIDDLE,
-        params=SchemeParams(a.K, a.N, a.N_r, f_mat.k_c, f_mat.field.q),
-        assignment=a,
-        demand=f_mat,
-        padded=padded.matrix,
-        padding_rows=t - f_mat.k_c,
-        workers=workers,
-        degenerate=degenerate,
-    )
+    return _middle_schemes([f_mat], a, [padding_seed])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -405,15 +454,12 @@ def build_small(
     f = f_mat.field
     sub_assignment = cyclic_assignment(a.N, a.N, a.N_r)
     ones = demand_from_rows(f, [[1] * a.N])
-    subschemes = []
-    aggregators = []
-    for j in range(1, f_mat.k_c + 1):
-        subschemes.append(
-            build_middle(
-                ones, sub_assignment, padding_seed=derive_seed(padding_seed, "sub", j)
-            )
-        )
-        aggregators.append(_aggregator(f_mat, j, a.N))
+    rows = range(1, f_mat.k_c + 1)
+    subschemes = _middle_schemes(
+        [ones] * f_mat.k_c,
+        sub_assignment,
+        [derive_seed(padding_seed, "sub", j) for j in rows],
+    )
     return Scheme(
         regime=SMALL,
         params=SchemeParams(a.K, a.N, a.N_r, f_mat.k_c, f.q),
@@ -421,7 +467,7 @@ def build_small(
         demand=f_mat,
         workers=(),
         subschemes=tuple(subschemes),
-        aggregators=tuple(aggregators),
+        aggregators=tuple(_aggregator(f_mat, j, a.N) for j in rows),
         degenerate=any(s.degenerate for s in subschemes),
     )
 

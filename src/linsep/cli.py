@@ -237,6 +237,7 @@ def _grid_points(args) -> list[GridPoint]:
 
 
 def cmd_simulate(args, seed: int) -> int:
+    f = Field(args.q)  # a bad modulus is a usage error even with no trials
     points = _grid_points(args)
     log_fh = None
     if args.trial_log:
@@ -250,9 +251,9 @@ def cmd_simulate(args, seed: int) -> int:
         if args.demand_file:
             if len(points) != 1:
                 raise LinsepError("--demand-file needs a single-point grid")
-            demand = _load_demand(args.demand_file, Field(args.q))
+            demand = _load_demand(args.demand_file, f)
         on_trial = (lambda r: log_fh.write(r.to_json() + "\n")) if log_fh else None
-        rows = sweep(points, args.trials, seed, on_trial, q=args.q, demand=demand)
+        rows = sweep(points, args.trials, seed, on_trial, q=f.q, demand=demand)
     finally:
         if log_fh:
             log_fh.close()

@@ -1,7 +1,7 @@
 """Worker-side encoding, master-side decoding, and decodability verification.
 
 Every cyclic-family scheme is handled as the ordered list of middle
-sub-problems that ``Scheme.subproblem`` exposes.  A worker's answer stacks,
+sub-problems that ``Scheme.subproblems`` exposes.  A worker's answer stacks,
 sub-problem by sub-problem, its code rows times that sub-problem's message
 input, so sub-problem i owns answer rows [off_i, off_i + rows_i).  Decoding
 works in task-coefficient space: per sub-problem the master stacks the
@@ -111,12 +111,10 @@ def encode_worker(scheme: Scheme, n: int, w: MessageBlock) -> WorkerAnswer:
     w_eff = _effective_messages(scheme, w)
     if scheme.grouped is not None:
         return WorkerAnswer(n, mat_mul(scheme.grouped.workers[n - 1].sent_rows, w_eff))
+    subs = scheme.subproblems(range(scheme.subproblem_count))
     rows = [
-        mat_mul(
-            scheme.subproblem(i).workers[n - 1].message_rows,
-            scheme.subproblem_input(i, w_eff),
-        )
-        for i in range(scheme.subproblem_count)
+        mat_mul(sub.workers[n - 1].message_rows, scheme.subproblem_input(i, w_eff))
+        for i, sub in enumerate(subs)
     ]
     return WorkerAnswer(n, row_stack(rows))
 
@@ -138,8 +136,7 @@ def _decode_subproblems(scheme: Scheme, answers, f: Field) -> FMatrix:
     """Recovered rows of every middle sub-problem, in sub-problem order."""
     parts = []
     offset = 0
-    for i in range(scheme.subproblem_count):
-        sub = scheme.subproblem(i)
+    for i, sub in enumerate(scheme.subproblems(range(scheme.subproblem_count))):
         rows = sub.rows_per_worker
         stack = row_stack([sub.workers[a.worker - 1].task_rows for a in answers])
         try:
@@ -269,6 +266,8 @@ def responder_subsets(
             )
         return list(combinations(range(1, n + 1), n_r))
     if mode == "sample":
+        if sample_count is not None and sample_count < 1:
+            raise ShapeMismatch(f"sample count must be at least 1, got {sample_count}")
         count = min(sample_count or 1, total)
         stream = ElementStream(fl.Field(fl.DEFAULT_MODULUS), derive_seed(seed, "subsets"))
         return [_unrank_combination(n, n_r, i) for i in _sample_distinct(total, count, stream)]
@@ -288,39 +287,59 @@ def verify_decodability(
     Exhaustive over responder subsets (or a seeded sample of ``sample_count``
     of them).  Large-regime schemes with more than ``subproblem_cap`` coded
     sub-problems are checked on a deterministic seeded sample of sub-problems,
-    since their count grows combinatorially in K_c.  The returned list is
-    sorted, regardless of evaluation order.
+    since their count grows combinatorially in K_c.  The stacks go through
+    the batched rank a block of subsets at a time, each block's stacks
+    within ``field._BATCH_ELEMENTS`` entries (or one subset's).  The
+    returned list is sorted, as the subsets are.
     """
     subsets = responder_subsets(
         scheme.params.N, scheme.params.N_r, mode, sample_count, seed, subset_cap
     )
-    f = fl.Field(scheme.params.q)
-    failing: set[tuple[int, ...]] = set()
+    q = scheme.params.q
     if scheme.grouped is not None:
         n_all = range(1, scheme.params.N + 1)
-        for a_set in subsets:
-            vecs = [
-                scheme.grouped.null_vector(tuple(x for x in n_all if x not in pair))
-                for pair in combinations(a_set, 2)
-            ]
-            v = fl.vectors_as_matrix(vecs, f, scheme.demand.k_c)
-            if v.rows != v.cols or rank(v) != v.rows:
-                failing.add(tuple(a_set))
-        return sorted(failing)
-    total = scheme.subproblem_count
-    indices = range(total)
-    if scheme.mds is not None and total > subproblem_cap:
-        stream = ElementStream(f, derive_seed(seed, "large-subproblems"))
-        indices = _sample_distinct(total, subproblem_cap, stream)
-    for i in indices:
-        rows_by_worker = [w.task_rows.array for w in scheme.subproblem(i).workers]
-        for a_set in subsets:
-            if a_set in failing:
-                continue
-            stack = np.concatenate([rows_by_worker[n - 1] for n in a_set])
-            if fl._rank_raw(stack, f.q) != stack.shape[0]:
-                failing.add(tuple(a_set))
-    return sorted(failing)
+        k_c = scheme.demand.k_c
+
+        def invertible(block):
+            stacks = np.array([
+                [
+                    scheme.grouped.null_vector(
+                        tuple(x for x in n_all if x not in pair)
+                    ).array
+                    for pair in combinations(a_set, 2)
+                ]
+                for a_set in block
+            ]).reshape(len(block), -1, k_c)
+            rows = stacks.shape[1]
+            return (fl._rank_batch(stacks, q) == rows) & (rows == k_c)
+
+        entries = comb(scheme.params.N_r, 2) * k_c
+    else:
+        total = scheme.subproblem_count
+        indices = range(total)
+        if scheme.mds is not None and total > subproblem_cap:
+            stream = ElementStream(fl.Field(q), derive_seed(seed, "large-subproblems"))
+            indices = _sample_distinct(total, subproblem_cap, stream)
+        # tasks[s, n]: worker n + 1's code rows in sampled sub-problem s.
+        tasks = np.array([
+            [w.task_rows.array for w in sub.workers]
+            for sub in scheme.subproblems(indices)
+        ])
+        s, _, per, t = tasks.shape
+        n_r = scheme.params.N_r
+
+        def invertible(block):
+            stacks = tasks[:, np.array(block) - 1].reshape(-1, n_r * per, t)
+            ranks = fl._rank_batch(stacks, q).reshape(s, len(block))
+            return (ranks == n_r * per).all(axis=0)
+
+        entries = s * n_r * per * t
+    step = max(1, fl._BATCH_ELEMENTS // max(1, entries))  # a pairless grouped file has 0
+    failing = []
+    for lo in range(0, len(subsets), step):
+        block = subsets[lo : lo + step]
+        failing.extend(a_set for a_set, ok in zip(block, invertible(block)) if not ok)
+    return failing
 
 
 # ---------------------------------------------------------------------------

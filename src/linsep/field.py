@@ -5,6 +5,18 @@ reduced into ``[0, q)``.  All reductions happen eagerly, so intermediate
 products never exceed ``(q-1)**2`` and stay inside 64-bit arithmetic; the
 field constructor rejects moduli too large for that to hold.
 
+The batched kernels (``_rank_batch``, ``_rref_batch``, ``_left_null_batch``)
+run one elimination over a ``(B, m, n)`` stack, with the scalar kernels'
+pivot rule applied per matrix.  They eliminate fraction-free: a row update
+is ``row * pivot - factor * pivot_row`` with both operands in ``[0, q)``, so
+each product is at most ``(q-1)**2`` and their difference lies strictly
+between ``-(q-1)**2`` and ``(q-1)**2``, inside int64 for every
+``q <= _MAX_MODULUS``; the result is reduced before the next column.  The
+RREF normalizes pivot rows once, at the end, with inverses from a vectorized
+Fermat power whose products are again below ``(q-1)**2``.  Stacks are cut
+into chunks of at most ``_BATCH_ELEMENTS`` entries, so temporaries stay a
+fixed size whatever B is.
+
 Convention: raw matrix row/column indices are 0-based (numpy style).
 Dataset and worker indices in the rest of the library are 1-based and are
 converted at the boundary.
@@ -401,6 +413,119 @@ def left_null_space(m: FMatrix) -> list[FVector]:
     """Canonical basis of {u : u M = 0}, one vector per free row of M^T."""
     cols = _null_space_columns(m.array.T, m.field.q)
     return [FVector(m.field, v) for v in cols]
+
+
+# ---------------------------------------------------------------------------
+# Batched kernels over (B, m, n) stacks
+# ---------------------------------------------------------------------------
+
+# Entries per chunk of a batched call; bounds every temporary of the kernels.
+_BATCH_ELEMENTS = 8192
+
+
+def _chunks(a: np.ndarray, q: int):
+    """Reduced copies of consecutive slices of the stack, each in budget."""
+    b, m, n = a.shape
+    step = max(1, _BATCH_ELEMENTS // max(1, m * n))
+    for lo in range(0, b, step):
+        yield a[lo : lo + step] % q
+
+
+def _eliminate(a: np.ndarray, q: int, full: bool) -> np.ndarray:
+    """Fraction-free elimination of a reduced stack in place; pivot columns.
+
+    Per matrix and column, the pivot is the first nonzero row at or below
+    the matrix's current row, swapped up as in ``_rank_raw``.  Rows below the
+    pivot (and above it too when ``full``) become ``row * pivot - factor *
+    pivot row``.  Returns the ``(B, m)`` pivot columns, -1 past each matrix's
+    rank.
+    """
+    b, m, n = a.shape
+    pivots = np.full((b, m), -1, dtype=np.intp)
+    r = np.zeros(b, dtype=np.intp)  # each matrix's current row
+    rows = np.arange(m)
+    for c in range(n):
+        cand = (a[:, :, c] != 0) & (rows >= r[:, None])
+        idx = np.flatnonzero(cand.any(axis=1))
+        if idx.size == 0:
+            continue
+        rr = r[idx]
+        p = cand[idx].argmax(axis=1)
+        sub = a[idx]
+        k = np.arange(idx.size)
+        prow = sub[k, p]
+        sub[k, p] = sub[k, rr]
+        sub[k, rr] = prow
+        hit = rows != rr[:, None] if full else rows > rr[:, None]
+        factor = np.where(hit, sub[:, :, c], 0)
+        scale = np.where(hit, prow[:, c, None], 1)
+        a[idx] = (sub * scale[:, :, None] - factor[:, :, None] * prow[:, None, :]) % q
+        pivots[idx, rr] = c
+        r[idx] += 1
+        if r.min() == m:
+            break
+    return pivots
+
+
+def _inv_vec(x: np.ndarray, q: int) -> np.ndarray:
+    """Elementwise inverse of nonzero reduced entries: x^(q-2) by squaring."""
+    out = np.ones_like(x)
+    base = x.copy()
+    e = q - 2
+    while e:
+        if e & 1:
+            out = out * base % q
+        base = base * base % q
+        e >>= 1
+    return out
+
+
+def _rank_batch(a: np.ndarray, q: int) -> np.ndarray:
+    """Ranks of every matrix of a ``(B, m, n)`` stack; batched ``_rank_raw``."""
+    return np.concatenate(
+        [(_eliminate(c, q, False) >= 0).sum(axis=1) for c in _chunks(a, q)]
+    )
+
+
+def _rref_chunk(c: np.ndarray, q: int) -> np.ndarray:
+    """RREF of a reduced chunk in place; its pivot columns, -1 padded."""
+    piv = _eliminate(c, q, True)
+    lead = np.ones(piv.shape, dtype=np.int64)
+    bb, ii = np.nonzero(piv >= 0)
+    lead[bb, ii] = c[bb, ii, piv[bb, ii]]
+    c *= _inv_vec(lead, q)[:, :, None]
+    c %= q
+    return piv
+
+
+def _rref_batch(a: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """RREF of every matrix of a ``(B, m, n)`` stack; batched ``_rref``.
+
+    Returns the reduced stack and its ``(B, m)`` pivot columns, padded with
+    -1 past each matrix's rank.
+    """
+    parts = [(c, _rref_chunk(c, q)) for c in _chunks(a, q)]
+    return np.concatenate([c for c, _ in parts]), np.concatenate([p for _, p in parts])
+
+
+def _left_null_batch(a: np.ndarray, q: int) -> list[np.ndarray]:
+    """Canonical left null space of every matrix of a ``(B, m, n)`` stack.
+
+    Entry b holds, as rows, exactly the vectors ``left_null_space`` returns
+    for matrix b: one per free column of the RREF of its transpose.
+    """
+    m = a.shape[1]
+    out = []
+    for red in _chunks(a.transpose(0, 2, 1), q):
+        piv = _rref_chunk(red, q)
+        b = red.shape[0]
+        basis = np.broadcast_to(np.eye(m, dtype=np.int64), (b, m, m)).copy()
+        bb, ii = np.nonzero(piv >= 0)
+        basis[bb, :, piv[bb, ii]] = (-red[bb, ii, :]) % q
+        free = np.ones((b, m), dtype=bool)
+        free[bb, piv[bb, ii]] = False
+        out.extend(basis[j][free[j]] for j in range(b))
+    return out
 
 
 def random_matrix(rows: int, cols: int, field: Field, seed: int) -> FMatrix:

@@ -139,13 +139,25 @@ def _rebuild_assignment(d: dict, params: SchemeParams):
     return a
 
 
-def _middle_from_entry(f: Field, entry: dict, demand: FMatrix):
-    """Padded demand and worker codes stored by ``_middle_entry``."""
+def _middle_from_entry(
+    f: Field, entry: dict, demand: FMatrix, n_workers: int, n_r: int, per: int
+):
+    """Padded demand and worker codes stored by ``_middle_entry``.
+
+    The shapes are those the cyclic construction gives: ``per * n_r`` padded
+    rows, and ``per`` task rows for each of workers 1..``n_workers``.
+    """
     padding = entry.get("padding")
     padded = fl.row_stack([demand, _unmat(f, padding)]) if padding else demand
+    if padded.rows != per * n_r:
+        raise MalformedScheme(f"padded demand has {padded.rows} rows, not {per * n_r}")
+    if [e["id"] for e in entry["workers"]] != list(range(1, n_workers + 1)):
+        raise MalformedScheme(f"worker ids are not 1..{n_workers} in order")
     workers = []
     for e in entry["workers"]:
         task = _unmat(f, e["rows"])
+        if task.rows != per:
+            raise MalformedScheme(f"worker {e['id']} has {task.rows} code rows, not {per}")
         workers.append(WorkerCode(e["id"], task, mat_mul(task, padded)))
     return padded, tuple(workers)
 
@@ -181,7 +193,10 @@ def scheme_from_dict(d: dict) -> Scheme:
 
     regime = d["regime"]
     if regime == MIDDLE:
-        padded, workers = _middle_from_entry(f, d, working_demand)
+        per = working_assignment.K // params.N
+        padded, workers = _middle_from_entry(
+            f, d, working_demand, params.N, params.N_r, per
+        )
         return Scheme(
             regime=MIDDLE,
             padded=padded,
@@ -200,7 +215,9 @@ def scheme_from_dict(d: dict) -> Scheme:
 
         eff_demand_obj = DemandMatrix(working_demand)
         for entry in d["subproblems"]:
-            padded, workers = _middle_from_entry(f, entry, ones.matrix)
+            padded, workers = _middle_from_entry(
+                f, entry, ones.matrix, n, params.N_r, 1
+            )
             subschemes.append(
                 Scheme(
                     regime=MIDDLE,
@@ -234,10 +251,15 @@ def scheme_from_dict(d: dict) -> Scheme:
             )
             for e in d["workers"]
         )
+        null_vectors = d["grouped"]["null_vectors"]
+        if len(null_vectors) != len(d["grouped"]["tags"]):
+            raise MalformedScheme("grouped code needs one null vector per tag")
+        if any(len(v) != demand.k_c for v in null_vectors):
+            raise MalformedScheme(f"grouped null vectors must have length {demand.k_c}")
         code = GroupedCode(
             tags=tuple(tuple(t) for t in d["grouped"]["tags"]),
             null_vectors=tuple(
-                FVector(f, [int(x) for x in v]) for v in d["grouped"]["null_vectors"]
+                FVector(f, [int(x) for x in v]) for v in null_vectors
             ),
             combined_rows=_unmat(f, d["grouped"]["combined"]),
             workers=workers,

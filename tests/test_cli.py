@@ -12,7 +12,7 @@ from linsep import cli
 from linsep import builder as bl
 from linsep import field as fl
 from linsep import serialize as sz
-from linsep.assignment import cyclic_assignment
+from linsep.assignment import cyclic_assignment, grouped_assignment
 
 FQ = fl.Field()
 
@@ -232,10 +232,29 @@ def test_simulate_runs_and_logs_at_the_requested_modulus(tmp_path, capsys):
     assert all(r["config"]["q"] == 101 for r in records)
 
 
-def _scheme_file(tmp_path, name, tamper):
-    data = sz.scheme_to_dict(bl.build_middle(
+def _middle_3():
+    return bl.build_middle(
         bl.demand_from_rows(FQ, [[1, 1, 1], [1, 2, 3]]), cyclic_assignment(3, 3, 2)
-    ))
+    )
+
+
+def _middle_6():
+    return bl.build_middle(
+        bl.demand_from_rows(FQ, [[1] * 6, [1, 2, 3, 4, 5, 6]]), cyclic_assignment(6, 3, 2)
+    )
+
+
+def _grouped_12():
+    return bl.build_grouped(
+        bl.demand_from_rows(
+            FQ, [[1] * 12, list(range(1, 13)), [1, 0, 3, 2, 8, 4, 1, 2, 9, 4, 5, 10]]
+        ),
+        grouped_assignment(12, 4, 3),
+    )
+
+
+def _scheme_file(tmp_path, name, tamper, build=_middle_3):
+    data = sz.scheme_to_dict(build())
     tamper(data)
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -250,6 +269,20 @@ def _unknown_format(data):
     data["format"] = "v9"
 
 
+def _short_worker(data):
+    data["workers"][1]["rows"].pop()
+
+
+def _short_null_vector(data):
+    data["grouped"]["null_vectors"][0].pop()
+
+
+def _pairless_grouped(data):
+    # N_r = 1 leaves no responder pair, so every stack is empty and fails.
+    data["params"].update(N=2, N_r=1)
+    data["assignment"]["Z"] = [list(z) for z in grouped_assignment(12, 2, 1).z]
+
+
 @pytest.mark.parametrize("argv,expected", [
     (["verify", "-K", "6", "-N", "3", "--nr", "2", "--kc", "2",
       "--mode", "sample:abc"], 2),
@@ -257,6 +290,15 @@ def _unknown_format(data):
       "--out", "{tmp}/s.json"], 2),
     (["verify", "--scheme", "{ragged}"], 3),
     (["verify", "--scheme", "{unknown_format}"], 3),
+    (["verify", "-K", "6", "-N", "3", "--nr", "2", "--kc", "2",
+      "--mode", "sample:-3"], 2),
+    (["verify", "-K", "6", "-N", "3", "--nr", "2", "--kc", "2",
+      "--mode", "sample:0"], 2),
+    (["simulate", "-K", "6", "-N", "3", "--nr", "2", "--kc", "2", "-q", "4",
+      "--trials", "0"], 2),
+    (["verify", "--scheme", "{short_worker}"], 3),
+    (["verify", "--scheme", "{short_null_vector}"], 3),
+    (["verify", "--scheme", "{pairless_grouped}"], 1),
 ])
 def test_bad_input_exits_with_documented_code_and_no_traceback(
     tmp_path, argv, expected
@@ -265,6 +307,13 @@ def test_bad_input_exits_with_documented_code_and_no_traceback(
         "tmp": str(tmp_path),
         "ragged": _scheme_file(tmp_path, "ragged.json", _ragged),
         "unknown_format": _scheme_file(tmp_path, "v9.json", _unknown_format),
+        "short_worker": _scheme_file(tmp_path, "short.json", _short_worker, _middle_6),
+        "short_null_vector": _scheme_file(
+            tmp_path, "short_null.json", _short_null_vector, _grouped_12
+        ),
+        "pairless_grouped": _scheme_file(
+            tmp_path, "pairless.json", _pairless_grouped, _grouped_12
+        ),
     }
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

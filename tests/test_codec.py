@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from conftest import ref_matmul
@@ -190,6 +191,127 @@ def test_verify_exhaustive_cap():
     s = bl.build_middle(f_mat, cyclic_assignment(8, 4, 3), padding_seed=2)
     with pytest.raises(ShapeMismatch):
         cd.verify_decodability(s, subset_cap=3)
+
+
+def test_responder_subsets_rejects_sample_counts_below_one():
+    for count in (0, -3):
+        with pytest.raises(ShapeMismatch):
+            cd.responder_subsets(3, 2, "sample", count)
+    assert len(cd.responder_subsets(3, 2, "sample")) == 1
+
+
+def _scalar_verify(scheme, mode="exhaustive", sample_count=None, seed=0,
+                   subproblem_cap=200):
+    """The per-subset loop verification ran before it was batched.
+
+    Every sub-problem's code rows are rebuilt with one scalar null-space call
+    per worker (and checked against the built ones), and every responder
+    stack is ranked on its own with ``_rank_raw``.
+    """
+    subsets = cd.responder_subsets(
+        scheme.params.N, scheme.params.N_r, mode, sample_count, seed
+    )
+    q = scheme.params.q
+    total = scheme.subproblem_count
+    indices = range(total)
+    if scheme.mds is not None and total > subproblem_cap:
+        stream = fl.ElementStream(fl.Field(q), fl.derive_seed(seed, "large-subproblems"))
+        indices = cd._sample_distinct(total, subproblem_cap, stream)
+    failing = set()
+    for i in indices:
+        (sub,) = scheme.subproblems([i])
+        a = sub.virtual.effective_assignment if sub.virtual else sub.assignment
+        per = a.K // a.N
+        rows_by_worker = []
+        for n, code in enumerate(sub.workers, start=1):
+            cols = [c - 1 for c in a.not_assigned(n)]
+            basis = fl.left_null_space(sub.padded.take_columns(cols))[:per]
+            assert [v.to_list() for v in basis] == code.task_rows.to_lists()
+            rows_by_worker.append(code.task_rows.array)
+        for a_set in subsets:
+            if a_set in failing:
+                continue
+            stack = np.concatenate([rows_by_worker[n - 1] for n in a_set])
+            if fl._rank_raw(stack, q) != stack.shape[0]:
+                failing.add(a_set)
+    return sorted(failing)
+
+
+# (K, N, N_r, K_c) at q = 7: small, middle and large, with and without
+# virtual slots, and N_r = 1, where a worker misses no dataset.
+Q7_POINTS = (
+    (9, 3, 2, 2), (12, 4, 3, 2), (6, 3, 2, 3), (7, 3, 2, 4), (8, 4, 3, 4),
+    (6, 3, 1, 2), (6, 3, 2, 5), (5, 3, 2, 5),
+)
+
+
+def test_batched_verify_matches_the_scalar_loop():
+    f7 = fl.Field(7)
+    failing_regimes = set()
+    for k, n, n_r, k_c in Q7_POINTS:
+        for seed in range(10):
+            demand = bl.random_demand(k_c, k, f7, seed)
+            scheme = bl.build_auto(demand, n, n_r, padding_seed=seed)
+            for kwargs in (
+                {},
+                {"subproblem_cap": 3, "seed": seed},
+                {"mode": "sample", "sample_count": 2, "seed": seed},
+            ):
+                got = cd.verify_decodability(scheme, **kwargs)
+                assert got == _scalar_verify(scheme, **kwargs), (k, n, n_r, k_c, seed)
+                if got:
+                    failing_regimes.add(scheme.regime)
+    assert failing_regimes == {"small", "middle", "large"}
+    # The acceptance-5 demand: only {1, 3} fails.
+    s = bl.build_middle(
+        bl.demand_from_rows(FQ, [[1, 1, 1], [2, 1, 1]]), cyclic_assignment(3, 3, 2)
+    )
+    assert cd.verify_decodability(s) == _scalar_verify(s) == [(1, 3)]
+    for count in (1, 2, 3):
+        kwargs = {"mode": "sample", "sample_count": count, "seed": 5}
+        assert cd.verify_decodability(s, **kwargs) == _scalar_verify(s, **kwargs)
+
+
+def test_verify_blocks_stay_within_the_chunk_budget(monkeypatch):
+    """A small chunk budget splits verification into many blocks of subsets.
+
+    Each batched rank call holds whole subsets, and more than one subset
+    only while they fit the budget; the failing subsets do not change.
+    """
+    f7 = fl.Field(7)
+    schemes = [
+        bl.build_auto(bl.random_demand(k_c, k, f7, seed), n, n_r, padding_seed=seed)
+        for k, n, n_r, k_c in ((8, 8, 4, 3), (12, 4, 3, 2), (8, 4, 2, 5))
+        for seed in range(4)
+    ]
+    schemes.append(bl.build_grouped(
+        bl.demand_from_rows(
+            FQ, [[1] * 12, list(range(1, 13)), [1, 0, 3, 2, 8, 4, 1, 2, 9, 4, 5, 10]]
+        ),
+        grouped_assignment(12, 4, 3),
+    ))
+    expected = [cd.verify_decodability(s) for s in schemes]
+    assert any(expected)
+    shapes = []
+    rank_batch = fl._rank_batch
+
+    def recording(a, q):
+        shapes.append(a.shape)
+        return rank_batch(a, q)
+
+    budget = 64
+    monkeypatch.setattr(fl, "_BATCH_ELEMENTS", budget)
+    monkeypatch.setattr(fl, "_rank_batch", recording)
+    for s, want in zip(schemes, expected):
+        shapes.clear()
+        assert cd.verify_decodability(s) == want
+        per_subset = 1 if s.grouped else s.subproblem_count
+        assert sum(b for b, _, _ in shapes) == per_subset * len(
+            cd.responder_subsets(s.params.N, s.params.N_r)
+        )
+        for b, rows, cols in shapes:
+            assert b % per_subset == 0
+            assert b == per_subset or b * rows * cols <= budget
 
 
 def test_unrank_combination_is_lexicographic():

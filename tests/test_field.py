@@ -198,3 +198,76 @@ def test_derive_seed_separates_streams():
     assert fl.derive_seed(s, "demand") != fl.derive_seed(s, "padding")
     assert fl.derive_seed(s, 1) != fl.derive_seed(s, 2)
     assert fl.derive_seed(s, "x", 1) == fl.derive_seed(s, "x", 1)
+
+
+# ---------------------------------------------------------------------------
+# Batched kernels against the scalar ones
+# ---------------------------------------------------------------------------
+
+# The largest prime the field accepts: (q-1)^2 only just fits in int64.
+Q_MAX = next(p for p in range(fl._MAX_MODULUS, 2, -1) if fl.is_prime(p))
+BATCH_MODULI = (7, 101, 2**31 - 1, Q_MAX)
+
+
+@st.composite
+def deficient_stacks(draw):
+    """(q, stack): a (B, m, n) stack, some of whose matrices lose rank.
+
+    Entries lean towards 0, 1 and q - 1 so that products reach (q-1)^2; a
+    drawn set of matrices gets a repeated (scaled) row or a zero column.
+    """
+    q = draw(st.sampled_from(BATCH_MODULI))
+    b, m, n = draw(st.integers(1, 5)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.one_of(st.sampled_from([0, 1, q - 1]), st.integers(0, q - 1))
+    flat = draw(st.lists(entry, min_size=b * m * n, max_size=b * m * n))
+    a = np.array(flat, dtype=np.int64).reshape(b, m, n)
+    for j in draw(st.lists(st.integers(0, b - 1), max_size=b)):
+        if m > 1 and draw(st.booleans()):
+            src, dst = draw(st.permutations(range(m)))[:2]
+            a[j, dst] = a[j, src] * draw(st.integers(0, q - 1)) % q
+        else:
+            a[j, :, draw(st.integers(0, n - 1))] = 0
+    return q, a
+
+
+def assert_batched_matches_scalar(q, a):
+    ranks = fl._rank_batch(a, q)
+    red, piv = fl._rref_batch(a, q)
+    nulls = fl._left_null_batch(a, q)
+    f = fl.Field(q)
+    assert len(ranks) == len(red) == len(piv) == len(nulls) == len(a)
+    for j, mat in enumerate(a):
+        assert ranks[j] == fl._rank_raw(mat, q) == ref_rank(mat.tolist(), q)
+        want_red, want_piv = fl._rref(mat, q)
+        assert red[j].tolist() == want_red.tolist()
+        assert piv[j][piv[j] >= 0].tolist() == want_piv
+        want = fl.left_null_space(fl.FMatrix(f, mat))
+        assert nulls[j].tolist() == [v.to_list() for v in want]
+
+
+@settings(max_examples=150, deadline=None)
+@given(deficient_stacks())
+def test_batched_kernels_match_scalar_kernels(case):
+    assert_batched_matches_scalar(*case)
+
+
+@pytest.mark.parametrize("q", BATCH_MODULI)
+def test_batched_kernels_single_matrix_stack(q):
+    a = fl.random_matrix(5, 7, fl.Field(q), seed=q).array
+    deficient = a.copy()
+    deficient[3] = deficient[1]
+    assert_batched_matches_scalar(q, a[None])
+    assert_batched_matches_scalar(q, deficient[None])
+    assert_batched_matches_scalar(q, np.zeros((1, 3, 4), dtype=np.int64))
+
+
+@pytest.mark.parametrize("q", (7, Q_MAX))
+def test_batched_kernels_across_chunks(q):
+    # More entries than one chunk holds, generic and deficient matrices
+    # interleaved, so that chunks split a mix of both.
+    b = 2 * fl._BATCH_ELEMENTS // 36 + 5
+    a = fl.random_matrix(b * 6, 6, fl.Field(q), seed=3).array.reshape(b, 6, 6).copy()
+    a[::3, 5] = a[::3, 0]
+    a[1::4, :, 2] = 0
+    assert_batched_matches_scalar(q, a)
+
