@@ -21,9 +21,8 @@ demand row, on that row's aggregates; a large scheme has one per coded
 symbol, on that symbol's block, built lazily.  ``_middle_schemes`` builds
 every middle scheme, a batch at a time: the small regime's sub-problems, the
 large regime's missing sub-problems of one ``subproblems`` call, or the one
-scheme of ``build_middle``; all worker null spaces of a batch come from one
-batched elimination.  ``build_cyclic_family`` is the one place that picks
-the regime.
+scheme of a middle build; all worker null spaces of a batch come from one
+batched elimination.
 
 When N does not divide K, the demand is embedded into N*ceil(K/N) effective
 slots (the extra slots carry all-zero messages) and the same machinery runs
@@ -31,6 +30,13 @@ on the effective problem.
 
 A non-cyclic "grouped" construction exists for the N=4, N_r=3, K_c=K/N=3
 family, where it halves the cyclic scheme's communication cost.
+
+``build_scheme`` is the one construction: the assignment's kind picks the
+construction and K_c the regime, and every public builder goes through it.
+A scheme is a deterministic function of its demand, its assignment and its
+random inputs (the padding rows of each middle sub-problem and the
+virtual-slot coefficients), which come from one ``_Draws`` source: drawn from
+seeds, or the ones a scheme file stores.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from . import field as fl
 from .assignment import (
     CYCLIC,
     GENERAL_VIRTUAL,
+    GROUPED,
     Assignment,
     GroupedAssignment,
     cyclic_assignment,
@@ -308,7 +315,8 @@ class Scheme:
                 DemandMatrix(source.take_rows([j - 1 for j in self.mds.subsets[i - 1]]))
                 for i in missing
             ]
-            built = _middle_schemes(demands, base, [0] * len(missing))
+            # A t-subset of the demand rows needs no padding.
+            built = _middle_schemes(demands, base, [None] * len(missing))
             self._large_cache.update(zip(missing, built))
         return [self._large_cache[i] for i in indices]
 
@@ -331,6 +339,121 @@ def expected_cost(scheme: Scheme) -> int:
     N_r answers of ``rows_sent`` rows, each row 1/m of a message long.
     """
     return scheme.rows_sent * scheme.params.N_r // scheme.split_count
+
+
+# ---------------------------------------------------------------------------
+# Random inputs and the one construction
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Draws:
+    """The random inputs of one construction.
+
+    ``padding(j, ...)`` gives the rows appended below the demand of middle
+    sub-problem j (0 for a middle scheme, 1..K_c for the small regime's), or
+    None when it needs none; ``virtual(...)`` gives the virtual-slot
+    coefficients.  Both are drawn from the seeds, as the public builders
+    always have, unless ``stored_padding`` (rows by j) and
+    ``stored_effective`` (the effective demand) hold those of a scheme file.
+    """
+
+    padding_seed: int = 0
+    virtual_seed: int = 0
+    stored_padding: dict[int, FMatrix | None] | None = None
+    stored_effective: FMatrix | None = None
+
+    def padding(self, j: int, rows: int, width: int, f: Field) -> FMatrix | None:
+        if self.stored_padding is not None:
+            return self.stored_padding[j]
+        if rows == 0:
+            return None
+        seed = derive_seed(self.padding_seed, "sub", j) if j else self.padding_seed
+        return random_matrix(rows, width, f, derive_seed(seed, "padding"))
+
+    def virtual(self, k_c: int, slots: Sequence[int], f: Field) -> FMatrix:
+        if self.stored_effective is not None:
+            return self.stored_effective.take_columns([s - 1 for s in slots])
+        return random_matrix(k_c, len(slots), f, derive_seed(self.virtual_seed, "virtual"))
+
+
+def build_scheme(
+    f_mat: DemandMatrix,
+    a: Assignment,
+    *,
+    l_symbols: int | None = None,
+    padding_seed: int = 0,
+    virtual_seed: int = 0,
+    _draws: _Draws | None = None,
+) -> Scheme:
+    """Build on any assignment: its kind picks the construction, K_c the regime.
+
+    A grouped assignment gets the grouped scheme; a general-virtual one runs
+    the cyclic construction on its effective slots.  The random inputs are
+    drawn from the two seeds, unless the scheme loader passes the ones a file
+    stores as ``_draws``.
+    """
+    if f_mat.k != a.K:
+        raise ShapeMismatch("demand width disagrees with the assignment")
+    draws = _draws or _Draws(padding_seed, virtual_seed)
+    if a.kind == GROUPED:
+        return build_grouped(f_mat, a)
+    if a.kind == GENERAL_VIRTUAL:
+        eff_assignment = cyclic_assignment(a.effective_k, a.N, a.N_r)
+        eff_demand = _effective_demand(f_mat, a, draws)
+        built = build_scheme(
+            DemandMatrix(eff_demand), eff_assignment, l_symbols=l_symbols, _draws=draws
+        )
+        layout = VirtualLayout(
+            effective_k=a.effective_k,
+            slot_of_dataset=a.slot_of_dataset,
+            effective_demand=eff_demand,
+            effective_assignment=eff_assignment,
+        )
+        return replace(
+            built,
+            params=replace(built.params, K=a.K),
+            assignment=a,
+            demand=f_mat,
+            virtual=layout,
+        )
+    per = a.K // a.N
+    regime = regime_for(f_mat.k_c, per, a.N_r)
+    if regime == SMALL:
+        return _small(f_mat, a, draws)
+    if regime == MIDDLE:
+        padding = draws.padding(0, per * a.N_r - f_mat.k_c, a.K, f_mat.field)
+        return _middle_schemes([f_mat], a, [padding])[0]
+    return build_large(f_mat, a, l_symbols)
+
+
+def _require_cyclic_regime(f_mat: DemandMatrix, a: Assignment, regime: str) -> None:
+    """Raise unless ``build_scheme`` builds ``regime`` for this demand on ``a``."""
+    if a.kind != CYCLIC:
+        raise ShapeMismatch(f"{regime} regime is built on a cyclic assignment")
+    per = a.K // a.N
+    if regime_for(f_mat.k_c, per, a.N_r) != regime:
+        raise ShapeMismatch(
+            f"K_c={f_mat.k_c} is outside the {regime} regime at K/N={per}, N_r={a.N_r}"
+        )
+
+
+def build_auto(
+    f_mat: DemandMatrix,
+    n_workers: int,
+    n_recover: int,
+    *,
+    l_symbols: int | None = None,
+    padding_seed: int = 0,
+    virtual_seed: int = 0,
+) -> Scheme:
+    """Pick the assignment and regime for the given demand.
+
+    The general assignment is the cyclic one whenever N divides K.
+    """
+    a = general_assignment(f_mat.k, n_workers, n_recover)
+    return build_scheme(f_mat, a, l_symbols=l_symbols, padding_seed=padding_seed,
+                        virtual_seed=virtual_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -378,16 +501,25 @@ def _null_code(
 
 
 def _middle_schemes(
-    demands: Sequence[DemandMatrix], a: Assignment, padding_seeds: Sequence[int]
+    demands: Sequence[DemandMatrix],
+    a: Assignment,
+    paddings: Sequence[FMatrix | None],
 ) -> list[Scheme]:
-    """Middle schemes of equal-shape demands on one cyclic assignment."""
+    """Middle schemes of equal-shape demands on one cyclic assignment.
+
+    ``paddings[i]`` holds the rows appended below demand i (None: none); each
+    padded demand must have ``per * N_r`` rows.
+    """
     per = a.K // a.N
     t = per * a.N_r
     f = demands[0].field
     padded = [
-        pad_demand(d, t, derive_seed(seed, "padding")).matrix
-        for d, seed in zip(demands, padding_seeds)
+        d.matrix if p is None else fl.row_stack([d.matrix, p])
+        for d, p in zip(demands, paddings)
     ]
+    for p in padded:
+        if p.rows != t:
+            raise ShapeMismatch(f"padded demand has {p.rows} rows, not {t}")
     zbar = tuple(a.not_assigned(n) for n in range(1, a.N + 1))
     codes = _null_code(np.stack([p.array for p in padded]), zbar, per, f)
     return [
@@ -409,17 +541,8 @@ def build_middle(
     f_mat: DemandMatrix, a: Assignment, *, padding_seed: int = 0
 ) -> Scheme:
     """Null-space scheme for per <= K_c <= per * N_r on a cyclic assignment."""
-    if a.kind != CYCLIC:
-        raise ShapeMismatch("middle regime is built on a cyclic assignment")
-    if f_mat.k != a.K:
-        raise ShapeMismatch("demand width disagrees with the assignment")
-    per = a.K // a.N
-    t = per * a.N_r
-    if not (per <= f_mat.k_c <= t):
-        raise ShapeMismatch(
-            f"middle regime needs {per} <= K_c <= {t}, got K_c={f_mat.k_c}"
-        )
-    return _middle_schemes([f_mat], a, [padding_seed])[0]
+    _require_cyclic_regime(f_mat, a, MIDDLE)
+    return build_scheme(f_mat, a, padding_seed=padding_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -446,11 +569,11 @@ def build_small(
     f_mat: DemandMatrix, a: Assignment, *, padding_seed: int = 0
 ) -> Scheme:
     """One-combination sub-problems over aggregated messages (K_c < K/N)."""
-    if a.kind != CYCLIC:
-        raise ShapeMismatch("small regime is built on a cyclic assignment")
-    per = a.K // a.N
-    if not (1 <= f_mat.k_c < per):
-        raise ShapeMismatch(f"small regime needs K_c < {per}, got {f_mat.k_c}")
+    _require_cyclic_regime(f_mat, a, SMALL)
+    return build_scheme(f_mat, a, padding_seed=padding_seed)
+
+
+def _small(f_mat: DemandMatrix, a: Assignment, draws: _Draws) -> Scheme:
     f = f_mat.field
     sub_assignment = cyclic_assignment(a.N, a.N, a.N_r)
     ones = demand_from_rows(f, [[1] * a.N])
@@ -458,7 +581,7 @@ def build_small(
     subschemes = _middle_schemes(
         [ones] * f_mat.k_c,
         sub_assignment,
-        [derive_seed(padding_seed, "sub", j) for j in rows],
+        [draws.padding(j, a.N_r - 1, a.N, f) for j in rows],
     )
     return Scheme(
         regime=SMALL,
@@ -481,12 +604,8 @@ def build_large(
     f_mat: DemandMatrix, a: Assignment, l_symbols: int | None = None
 ) -> Scheme:
     """Erasure-coded message splitting for K_c > (K/N) * N_r."""
-    if a.kind != CYCLIC:
-        raise ShapeMismatch("large regime is built on a cyclic assignment")
-    per = a.K // a.N
-    t = per * a.N_r
-    if not (t < f_mat.k_c <= f_mat.k):
-        raise ShapeMismatch(f"large regime needs K_c > {t}, got {f_mat.k_c}")
+    _require_cyclic_regime(f_mat, a, LARGE)
+    t = a.K // a.N * a.N_r
     m = comb(f_mat.k_c - 1, t - 1)
     code_length = comb(f_mat.k_c, t)
     if l_symbols is None:
@@ -514,7 +633,7 @@ def build_large(
 # ---------------------------------------------------------------------------
 
 
-def _effective_demand(f_mat: DemandMatrix, a: Assignment, virtual_seed: int) -> FMatrix:
+def _effective_demand(f_mat: DemandMatrix, a: Assignment, draws: _Draws) -> FMatrix:
     """Embed the demand into effective slots; virtual columns drawn uniformly.
 
     Virtual messages are all-zero, so the recovered combinations do not
@@ -526,12 +645,9 @@ def _effective_demand(f_mat: DemandMatrix, a: Assignment, virtual_seed: int) -> 
     for k, slot in enumerate(a.slot_of_dataset, start=1):
         arr[:, slot - 1] = f_mat.matrix.array[:, k - 1]
     virtual_slots = sorted(set(range(1, a.effective_k + 1)) - set(a.slot_of_dataset))
-    if virtual_slots:
-        fill = random_matrix(
-            f_mat.k_c, len(virtual_slots), f, derive_seed(virtual_seed, "virtual")
-        )
-        for i, slot in enumerate(virtual_slots):
-            arr[:, slot - 1] = fill.array[:, i]
+    fill = draws.virtual(f_mat.k_c, virtual_slots, f)
+    for i, slot in enumerate(virtual_slots):
+        arr[:, slot - 1] = fill.array[:, i]
     return FMatrix(f, arr)
 
 
@@ -546,64 +662,8 @@ def build_general(
     """Run the divisible-K construction on the effective (padded-slot) problem."""
     if a.kind != GENERAL_VIRTUAL:
         raise ShapeMismatch("build_general expects a general-virtual assignment")
-    if f_mat.k != a.K:
-        raise ShapeMismatch("demand width disagrees with the assignment")
-    eff_assignment = cyclic_assignment(a.effective_k, a.N, a.N_r)
-    eff_demand = DemandMatrix(_effective_demand(f_mat, a, virtual_seed))
-    built = build_cyclic_family(
-        eff_demand, eff_assignment, l_symbols=l_symbols, padding_seed=padding_seed
-    )
-    layout = VirtualLayout(
-        effective_k=a.effective_k,
-        slot_of_dataset=a.slot_of_dataset,
-        effective_demand=eff_demand.matrix,
-        effective_assignment=eff_assignment,
-    )
-    return replace(
-        built,
-        params=replace(built.params, K=a.K),
-        assignment=a,
-        demand=f_mat,
-        virtual=layout,
-    )
-
-
-def build_cyclic_family(
-    f_mat: DemandMatrix,
-    a: Assignment,
-    *,
-    l_symbols: int | None = None,
-    padding_seed: int = 0,
-    virtual_seed: int = 0,
-) -> Scheme:
-    """Build on a cyclic or general-virtual assignment; K_c picks the regime."""
-    if a.kind == GENERAL_VIRTUAL:
-        return build_general(f_mat, a, l_symbols=l_symbols, padding_seed=padding_seed,
-                             virtual_seed=virtual_seed)
-    regime = regime_for(f_mat.k_c, a.K // a.N, a.N_r)
-    if regime == SMALL:
-        return build_small(f_mat, a, padding_seed=padding_seed)
-    if regime == MIDDLE:
-        return build_middle(f_mat, a, padding_seed=padding_seed)
-    return build_large(f_mat, a, l_symbols)
-
-
-def build_auto(
-    f_mat: DemandMatrix,
-    n_workers: int,
-    n_recover: int,
-    *,
-    l_symbols: int | None = None,
-    padding_seed: int = 0,
-    virtual_seed: int = 0,
-) -> Scheme:
-    """Pick the assignment and regime for the given demand.
-
-    The general assignment is the cyclic one whenever N divides K.
-    """
-    a = general_assignment(f_mat.k, n_workers, n_recover)
-    return build_cyclic_family(f_mat, a, l_symbols=l_symbols, padding_seed=padding_seed,
-                               virtual_seed=virtual_seed)
+    return build_scheme(f_mat, a, l_symbols=l_symbols, padding_seed=padding_seed,
+                        virtual_seed=virtual_seed)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ scheme), ``simulate`` (end-to-end trials over a parameter grid, CSV out),
 and ``bounds`` (closed-form cost table over a grid, CSV out).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (including a
-bad flag value), 3 I/O error (including a malformed scheme file).
+bad flag value), 3 I/O error (including a malformed scheme file).  Failed
+trials are results, not errors: ``simulate`` exits 0 once its table is
+written, with the failures counted in the CSV and on the ``total failures:``
+line on stderr.
 Every run prints its effective seed on stderr, and every output is a pure
 function of the flags and that seed.
 """
@@ -21,20 +24,23 @@ import sys
 from . import bounds as bd
 from . import serialize
 from .assignment import cyclic_assignment, general_assignment, grouped_assignment
-from .builder import (
-    DemandMatrix,
-    Scheme,
-    build_cyclic_family,
-    build_general,
-    build_grouped,
-    random_demand,
-)
+from .builder import DemandMatrix, Scheme, build_scheme, random_demand
 from .codec import verify_decodability
 from .errors import LinsepError, MalformedScheme
 from .field import DEFAULT_MODULUS, Field, derive_seed, from_rows
 from .harness import SWEEP_COLUMNS, GridPoint, sweep
 
 USAGE_ERROR, VERIFY_FAIL, IO_ERROR = 2, 1, 3
+
+# Placement of each --assignment value.  "auto" and "general" agree: the
+# general assignment is the cyclic one when N divides K, which "cyclic"
+# alone requires.
+_PLACEMENTS = {
+    "auto": general_assignment,
+    "cyclic": cyclic_assignment,
+    "general": general_assignment,
+    "grouped": grouped_assignment,
+}
 
 
 def _add_point_flags(p: argparse.ArgumentParser, lists: bool = False) -> None:
@@ -52,7 +58,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--demand-file", default=None, help="JSON demand matrix")
     p.add_argument(
         "--assignment",
-        choices=["auto", "cyclic", "general", "grouped"],
+        choices=list(_PLACEMENTS),
         default="auto",
     )
 
@@ -118,15 +124,9 @@ def _build_scheme(args, f: Field, seed: int) -> Scheme:
             )
     else:
         demand = random_demand(args.kc, args.K, f, derive_seed(seed, "demand"))
-    if args.assignment == "grouped":
-        return build_grouped(demand, grouped_assignment(args.K, args.N, args.nr))
-    # "auto" places on the general assignment, which is the cyclic one when N
-    # divides K; "cyclic" and "general" each refuse the other's parameters.
-    place = cyclic_assignment if args.assignment == "cyclic" else general_assignment
-    build = build_general if args.assignment == "general" else build_cyclic_family
-    return build(
+    return build_scheme(
         demand,
-        place(args.K, args.N, args.nr),
+        _PLACEMENTS[args.assignment](args.K, args.N, args.nr),
         l_symbols=args.L,
         padding_seed=derive_seed(seed, "padding"),
         virtual_seed=derive_seed(seed, "virtual"),

@@ -334,7 +334,7 @@ def verify_decodability(
             return (ranks == n_r * per).all(axis=0)
 
         entries = s * n_r * per * t
-    step = max(1, fl._BATCH_ELEMENTS // max(1, entries))  # a pairless grouped file has 0
+    step = max(1, fl._BATCH_ELEMENTS // entries)
     failing = []
     for lo in range(0, len(subsets), step):
         block = subsets[lo : lo + step]

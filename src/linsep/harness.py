@@ -14,12 +14,11 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from . import bounds
-from .assignment import cyclic_assignment, grouped_assignment
+from .assignment import cyclic_assignment, general_assignment, grouped_assignment
 from .builder import (
     DemandMatrix,
     Scheme,
-    build_auto,
-    build_grouped,
+    build_scheme,
     expected_cost,
     random_demand,
 )
@@ -104,16 +103,17 @@ class TrialResult:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+_PLACEMENTS = {AUTO: general_assignment, GROUPED_KIND: grouped_assignment}
+
+
 def _build_for(cfg: TrialConfig, demand: DemandMatrix) -> Scheme:
-    if cfg.scheme_kind == AUTO:
-        return build_auto(
-            demand, cfg.n, cfg.n_r,
+    if cfg.scheme_kind in _PLACEMENTS:
+        return build_scheme(
+            demand, _PLACEMENTS[cfg.scheme_kind](cfg.k, cfg.n, cfg.n_r),
             l_symbols=cfg.l,
             padding_seed=cfg.padding_seed,
             virtual_seed=derive_seed(cfg.padding_seed, "virtual"),
         )
-    if cfg.scheme_kind == GROUPED_KIND:
-        return build_grouped(demand, grouped_assignment(cfg.k, cfg.n, cfg.n_r))
     if cfg.scheme_kind == FALLBACK:
         from .codec import fallback_full_recovery
 

@@ -2,7 +2,9 @@
 
 Field elements are serialized as decimal strings of their canonical
 representatives, and objects are dumped with sorted keys and fixed
-separators, so identical schemes produce byte-identical files.
+separators, so identical schemes produce byte-identical files.  Loading
+re-runs the construction on the random inputs a file stores, so the builder
+is the only code that assembles a scheme.
 """
 
 from __future__ import annotations
@@ -25,16 +27,12 @@ from .builder import (
     MIDDLE,
     SMALL,
     DemandMatrix,
-    GroupedCode,
-    GroupedWorker,
     Scheme,
-    SchemeParams,
-    VirtualLayout,
-    WorkerCode,
-    build_large,
+    _Draws,
+    build_scheme,
 )
 from .errors import LinsepError, MalformedScheme, ShapeMismatch
-from .field import Field, FMatrix, FVector, mat_mul
+from .field import Field, FMatrix
 
 FORMAT = "linsep-scheme-v1"
 
@@ -123,149 +121,58 @@ def dumps(scheme: Scheme) -> str:
     return json.dumps(scheme_to_dict(scheme), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _rebuild_assignment(d: dict, params: SchemeParams):
+_PLACEMENTS = {
+    CYCLIC: cyclic_assignment,
+    GENERAL_VIRTUAL: general_assignment,
+    GROUPED: grouped_assignment,
+}
+
+
+def _rebuild_assignment(d: dict):
     kind = d["assignment"]["kind"]
-    if kind == CYCLIC:
-        a = cyclic_assignment(params.K, params.N, params.N_r)
-    elif kind == GENERAL_VIRTUAL:
-        a = general_assignment(params.K, params.N, params.N_r)
-    elif kind == GROUPED:
-        a = grouped_assignment(params.K, params.N, params.N_r)
-    else:
+    if kind not in _PLACEMENTS:
         raise ShapeMismatch(f"unknown assignment kind {kind!r}")
+    pd = d["params"]
+    a = _PLACEMENTS[kind](pd["K"], pd["N"], pd["N_r"])
     stored = tuple(tuple(zn) for zn in d["assignment"]["Z"])
     if stored != a.z:
         raise ShapeMismatch("stored assignment disagrees with its parameters")
     return a
 
 
-def _middle_from_entry(
-    f: Field, entry: dict, demand: FMatrix, n_workers: int, n_r: int, per: int
-):
-    """Padded demand and worker codes stored by ``_middle_entry``.
-
-    The shapes are those the cyclic construction gives: ``per * n_r`` padded
-    rows, and ``per`` task rows for each of workers 1..``n_workers``.
-    """
-    padding = entry.get("padding")
-    padded = fl.row_stack([demand, _unmat(f, padding)]) if padding else demand
-    if padded.rows != per * n_r:
-        raise MalformedScheme(f"padded demand has {padded.rows} rows, not {per * n_r}")
-    if [e["id"] for e in entry["workers"]] != list(range(1, n_workers + 1)):
-        raise MalformedScheme(f"worker ids are not 1..{n_workers} in order")
-    workers = []
-    for e in entry["workers"]:
-        task = _unmat(f, e["rows"])
-        if task.rows != per:
-            raise MalformedScheme(f"worker {e['id']} has {task.rows} code rows, not {per}")
-        workers.append(WorkerCode(e["id"], task, mat_mul(task, padded)))
-    return padded, tuple(workers)
-
-
 def scheme_from_dict(d: dict) -> Scheme:
+    """Rebuild a scheme by re-running the construction on the stored draws.
+
+    The file's random inputs, the padding rows of each middle sub-problem
+    and the effective demand's virtual-slot columns, go back into
+    ``build_scheme``, which recomputes every derived row.  A file that is
+    not exactly the dump of the scheme it rebuilds is malformed.
+    """
     if d.get("format") != FORMAT:
         raise ShapeMismatch(f"unknown scheme format {d.get('format')!r}")
-    pd = d["params"]
-    f = Field(int(pd["q"]))
-    params = SchemeParams(
-        K=pd["K"], N=pd["N"], N_r=pd["N_r"], K_c=pd["K_c"], q=f.q, L=pd["L"]
+    f = Field(int(d["params"]["q"]))
+    # v1 keeps a small scheme's padding per sub-problem, any other at the top.
+    entries = enumerate(d["subproblems"], 1) if d["regime"] == SMALL else [(0, d)]
+    draws = _Draws(
+        stored_padding={
+            j: _unmat(f, e["padding"]) if e.get("padding") else None
+            for j, e in entries
+        },
+        stored_effective=(
+            _unmat(f, d["virtual"]["effective_demand"]) if "virtual" in d else None
+        ),
     )
-    a = _rebuild_assignment(d, params)
-    demand = DemandMatrix(_unmat(f, d["demand"]))
-
-    working_demand = demand.matrix
-    working_assignment = a
-    recombine = _unmat(f, d["recombine"]) if "recombine" in d else None
-    common = dict(params=params, assignment=a, demand=demand, recombine=recombine)
-    if "virtual" in d:
-        eff = _unmat(f, d["virtual"]["effective_demand"])
-        eff_assignment = cyclic_assignment(
-            d["virtual"]["effective_k"], params.N, params.N_r
-        )
-        common["virtual"] = VirtualLayout(
-            effective_k=d["virtual"]["effective_k"],
-            slot_of_dataset=tuple(d["virtual"]["slots"]),
-            effective_demand=eff,
-            effective_assignment=eff_assignment,
-        )
-        working_demand = eff
-        working_assignment = eff_assignment
-
-    regime = d["regime"]
-    if regime == MIDDLE:
-        per = working_assignment.K // params.N
-        padded, workers = _middle_from_entry(
-            f, d, working_demand, params.N, params.N_r, per
-        )
-        return Scheme(
-            regime=MIDDLE,
-            padded=padded,
-            padding_rows=d["padding_rows"],
-            workers=workers,
-            degenerate=d["degenerate"],
-            **common,
-        )
-    if regime == SMALL:
-        n = params.N
-        ones = DemandMatrix(fl.from_rows(f, [[1] * n]))
-        sub_assignment = cyclic_assignment(n, n, params.N_r)
-        subschemes = []
-        aggregators = []
-        from .builder import _aggregator  # deterministic from the demand
-
-        eff_demand_obj = DemandMatrix(working_demand)
-        for entry in d["subproblems"]:
-            padded, workers = _middle_from_entry(
-                f, entry, ones.matrix, n, params.N_r, 1
-            )
-            subschemes.append(
-                Scheme(
-                    regime=MIDDLE,
-                    params=SchemeParams(n, n, params.N_r, 1, f.q),
-                    assignment=sub_assignment,
-                    demand=ones,
-                    padded=padded,
-                    padding_rows=padded.rows - 1,
-                    workers=workers,
-                )
-            )
-            aggregators.append(_aggregator(eff_demand_obj, entry["index"], n))
-        return Scheme(
-            regime=SMALL,
-            subschemes=tuple(subschemes),
-            aggregators=tuple(aggregators),
-            degenerate=d["degenerate"],
-            **common,
-        )
-    if regime == LARGE:
-        # The large construction has no random inputs: rebuild it outright.
-        built = build_large(DemandMatrix(working_demand), working_assignment, params.L)
-        return replace(built, **common)
-    if regime == GROUPED_REGIME:
-        workers = tuple(
-            GroupedWorker(
-                worker=e["id"],
-                pair_tags=tuple(tuple(t) for t in e["tags"]),
-                rows=_unmat(f, e["rows"]),
-                relation=tuple(int(c) for c in e["relation"]),
-            )
-            for e in d["workers"]
-        )
-        null_vectors = d["grouped"]["null_vectors"]
-        if len(null_vectors) != len(d["grouped"]["tags"]):
-            raise MalformedScheme("grouped code needs one null vector per tag")
-        if any(len(v) != demand.k_c for v in null_vectors):
-            raise MalformedScheme(f"grouped null vectors must have length {demand.k_c}")
-        code = GroupedCode(
-            tags=tuple(tuple(t) for t in d["grouped"]["tags"]),
-            null_vectors=tuple(
-                FVector(f, [int(x) for x in v]) for v in null_vectors
-            ),
-            combined_rows=_unmat(f, d["grouped"]["combined"]),
-            workers=workers,
-        )
-        return Scheme(regime=GROUPED_REGIME, grouped=code, **common)
-    raise ShapeMismatch(f"unknown regime {regime!r}")
+    scheme = build_scheme(
+        DemandMatrix(_unmat(f, d["demand"])),
+        _rebuild_assignment(d),
+        l_symbols=d["params"]["L"],
+        _draws=draws,
+    )
+    if "recombine" in d:
+        scheme = replace(scheme, recombine=_unmat(f, d["recombine"]))
+    if json.loads(dumps(scheme)) != d:
+        raise MalformedScheme("file is not the scheme its demand and draws build")
+    return scheme
 
 
 def loads(text: str | bytes) -> Scheme:

@@ -13,6 +13,7 @@ from linsep import builder as bl
 from linsep import field as fl
 from linsep import serialize as sz
 from linsep.assignment import cyclic_assignment, grouped_assignment
+from linsep.errors import MalformedScheme
 
 FQ = fl.Field()
 
@@ -278,7 +279,7 @@ def _short_null_vector(data):
 
 
 def _pairless_grouped(data):
-    # N_r = 1 leaves no responder pair, so every stack is empty and fails.
+    # The grouped construction is only built for N = 4, N_r = 3.
     data["params"].update(N=2, N_r=1)
     data["assignment"]["Z"] = [list(z) for z in grouped_assignment(12, 2, 1).z]
 
@@ -298,7 +299,9 @@ def _pairless_grouped(data):
       "--trials", "0"], 2),
     (["verify", "--scheme", "{short_worker}"], 3),
     (["verify", "--scheme", "{short_null_vector}"], 3),
-    (["verify", "--scheme", "{pairless_grouped}"], 1),
+    (["verify", "--scheme", "{pairless_grouped}"], 3),
+    (["build", "-K", "6", "-N", "3", "--nr", "2", "--kc", "2",
+      "--assignment", "general", "--out", "{tmp}/g.json"], 0),
 ])
 def test_bad_input_exits_with_documented_code_and_no_traceback(
     tmp_path, argv, expected
@@ -326,3 +329,77 @@ def test_bad_input_exits_with_documented_code_and_no_traceback(
     assert "Traceback" not in proc.stderr
     if expected == 3:
         assert "error: malformed scheme file" in proc.stderr
+
+
+@pytest.mark.parametrize("k", [6, 7])
+def test_general_assignment_builds_the_auto_scheme(tmp_path, capsys, k):
+    paths = {kind: tmp_path / f"{kind}.json" for kind in ("auto", "general")}
+    for kind, path in paths.items():
+        code, _, _ = run(
+            capsys, "build", "-K", str(k), "-N", "3", "--nr", "2", "--kc", "2",
+            "--assignment", kind, "--out", str(path),
+        )
+        assert code == 0
+    assert paths["auto"].read_bytes() == paths["general"].read_bytes()
+
+
+def _small_9():
+    return bl.build_small(
+        bl.demand_from_rows(FQ, [[1] * 9, list(range(1, 10))]), cyclic_assignment(9, 3, 2)
+    )
+
+
+def _general_7():
+    return bl.build_auto(
+        bl.random_demand(5, 7, FQ, 42), 3, 2, padding_seed=9, virtual_seed=8
+    )
+
+
+def _bump(row, i):
+    row[i] = str((int(row[i]) + 1) % FQ.q)
+
+
+def _real_slot_edited(data):
+    _bump(data["virtual"]["effective_demand"][0], data["virtual"]["slots"][0] - 1)
+
+
+def _worker_entry_edited(data):
+    _bump(data["workers"][0]["rows"][0], 0)
+
+
+def _degenerate_flipped(data):
+    data["degenerate"] = not data["degenerate"]
+
+
+def _subproblem_index_edited(data):
+    data["subproblems"][0]["index"] = 2
+
+
+@pytest.mark.parametrize("tamper,build", [
+    (_real_slot_edited, _general_7),
+    (_worker_entry_edited, _middle_6),
+    (_degenerate_flipped, _middle_6),
+    (_subproblem_index_edited, _small_9),
+], ids=["real_slot", "worker_entry", "degenerate", "subproblem_index"])
+def test_scheme_file_that_is_not_its_own_construction_is_malformed(
+    tmp_path, capsys, tamper, build
+):
+    path = _scheme_file(tmp_path, "s.json", tamper, build)
+    with pytest.raises(MalformedScheme):
+        sz.loads(Path(path).read_text())
+    code, _, err = run(capsys, "verify", "--scheme", path)
+    assert code == 3 and "error: malformed scheme file" in err
+
+
+def test_simulate_exits_0_once_the_table_is_written(tmp_path, capsys):
+    # Failed trials are results: they are counted in the table and on stderr,
+    # and do not change the exit code.
+    out = tmp_path / "r.csv"
+    code, _, err = run(
+        capsys, "simulate", "-K", "6", "-N", "3", "--nr", "2", "--kc", "3",
+        "-q", "7", "--trials", "10", "--seed", "1", "--out", str(out),
+    )
+    assert code == 0
+    assert "total failures: 6" in err
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [r["failures"] for r in rows] == ["6"]
