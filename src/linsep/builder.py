@@ -74,7 +74,6 @@ from .field import (
     left_null_space,
     mat_mul,
     random_matrix,
-    vectors_as_matrix,
 )
 
 SMALL, MIDDLE, LARGE, GROUPED_REGIME = "small", "middle", "large", "grouped"
@@ -165,13 +164,28 @@ class MDSDescriptor:
     code_length: int  # number of coded symbols / sub-problems
     subsets: tuple[tuple[int, ...], ...]  # lex-ordered t-subsets of [1..K_c]
 
+    def generator_rows(
+        self, indices, f: Field, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Generator vectors of an array of 1-based lex indices, as one array.
+
+        Entry ``e`` of index x's row is x^e mod q, built column by column as
+        running products, each below (q-1)^2.  The rows are written into
+        ``out`` (shape ``indices.shape + (m,)``) when it is given.
+        """
+        x = np.asarray(indices, dtype=np.int64) % f.q
+        if not x.all():
+            raise ShapeMismatch("code length must stay below the field modulus")
+        if out is None:
+            out = np.empty(x.shape + (self.split_count,), dtype=np.int64)
+        out[..., 0] = 1
+        for e in range(1, self.split_count):
+            out[..., e] = out[..., e - 1] * x % f.q
+        return out
+
     def vector(self, index: int, f: Field) -> FVector:
         """Generator vector for the 1-based lex index of a subset."""
-        x = index % f.q
-        if x == 0:
-            raise ShapeMismatch("code length must stay below the field modulus")
-        row = [pow(x, e, f.q) for e in range(self.split_count)]
-        return FVector(f, row)
+        return FVector(f, self.generator_rows(index, f))
 
     def indices_containing(self, j: int) -> tuple[int, ...]:
         return tuple(
@@ -180,8 +194,7 @@ class MDSDescriptor:
 
     def reconstruction_stack(self, j: int, f: Field) -> FMatrix:
         """m x m stack of generator vectors of all subsets containing j."""
-        vecs = [self.vector(i, f) for i in self.indices_containing(j)]
-        return vectors_as_matrix(vecs, f, self.split_count)
+        return FMatrix(f, self.generator_rows(self.indices_containing(j), f))
 
     def symbols(self, w: FMatrix, index: int) -> FMatrix:
         """Coded symbol block W_{., S} of a 1-based subset index.
@@ -195,8 +208,8 @@ class MDSDescriptor:
         lm = w.cols // m
         subs = w.array.reshape(w.rows, m, lm)
         flat = FMatrix(w.field, subs.transpose(1, 0, 2).reshape(m, w.rows * lm))
-        vec = self.vector(index, w.field)
-        mixed = mat_mul(FMatrix(w.field, vec.array.reshape(1, -1)), flat)
+        vec = self.generator_rows([index], w.field)
+        mixed = mat_mul(FMatrix(w.field, vec), flat)
         return FMatrix(w.field, mixed.array.reshape(w.rows, lm))
 
 

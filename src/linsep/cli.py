@@ -52,7 +52,10 @@ def _add_point_flags(p: argparse.ArgumentParser, lists: bool = False) -> None:
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-L", type=int, default=None, help="symbols per message")
+    p.add_argument(
+        "-L", type=int, default=None,
+        help="symbols per message (build/verify: large regime only)",
+    )
     p.add_argument("-q", type=int, default=DEFAULT_MODULUS, help="field modulus")
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--demand-file", default=None, help="JSON demand matrix")
@@ -124,13 +127,19 @@ def _build_scheme(args, f: Field, seed: int) -> Scheme:
             )
     else:
         demand = random_demand(args.kc, args.K, f, derive_seed(seed, "demand"))
-    return build_scheme(
+    scheme = build_scheme(
         demand,
         _PLACEMENTS[args.assignment](args.K, args.N, args.nr),
         l_symbols=args.L,
         padding_seed=derive_seed(seed, "padding"),
         virtual_seed=derive_seed(seed, "virtual"),
     )
+    if args.L is not None and scheme.params.L is None:
+        raise LinsepError(
+            f"-L applies only to schemes that split messages; this one is "
+            f"{scheme.regime}"
+        )
+    return scheme
 
 
 def cmd_plan(args) -> int:

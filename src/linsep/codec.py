@@ -4,13 +4,16 @@ Every cyclic-family scheme is handled as the ordered list of middle
 sub-problems that ``Scheme.subproblems`` exposes.  A worker's answer stacks,
 sub-problem by sub-problem, its code rows times that sub-problem's message
 input, so sub-problem i owns answer rows [off_i, off_i + rows_i).  Decoding
-works in task-coefficient space: per sub-problem the master stacks the
-responders' code rows, inverts the stack, and keeps the first K_c rows of
-that sub-problem's demand (dropping padding).  Only the large regime adds a
-step, rebuilding every demand row from the MDS-coded symbols; the grouped
-scheme has its own pairwise decoder.  The simulation harness cross-checks
-the result against a direct message-space multiplication, so the two paths
-stay independent.
+works in task-coefficient space: per sub-problem the master sets the
+responders' code rows beside their answer rows, solves that system, and
+keeps the first K_c rows of that sub-problem's demand (dropping padding).
+All sub-problems go through one batched solve, ``field._solve_batch``, fed
+from the same code-row array (``_code_rows``) that verification ranks.  Only
+the large regime adds a step, rebuilding every demand row from the MDS-coded
+symbols with one more batched solve; the grouped scheme has its own pairwise
+decoder, again one solve.  The simulation harness cross-checks the result
+against a direct message-space multiplication, so the two paths stay
+independent.
 """
 
 from __future__ import annotations
@@ -132,72 +135,79 @@ def _check_answers(scheme: Scheme, answers) -> list[WorkerAnswer]:
     return sorted(answers, key=lambda a: a.worker)
 
 
+def _code_rows(subs: list[Scheme]) -> np.ndarray:
+    """rows[s, n]: worker n + 1's code rows in sub-problem s; (S, N, per, t)."""
+    return np.array([[w.task_rows.array for w in sub.workers] for sub in subs])
+
+
 def _decode_subproblems(scheme: Scheme, answers, f: Field) -> FMatrix:
-    """Recovered rows of every middle sub-problem, in sub-problem order."""
-    parts = []
-    offset = 0
-    for i, sub in enumerate(scheme.subproblems(range(scheme.subproblem_count))):
-        rows = sub.rows_per_worker
-        stack = row_stack([sub.workers[a.worker - 1].task_rows for a in answers])
-        try:
-            inv = inverse(stack)
-        except SingularMatrix:
-            raise SingularMatrix(
-                f"sub-problem {i + 1}: stacked code rows are singular"
-            ) from None
-        x = FMatrix(f, np.vstack([a.x.array[offset : offset + rows] for a in answers]))
-        parts.append(mat_mul(inv, x).array[: sub.demand.k_c])
-        offset += rows
+    """Recovered rows of every middle sub-problem, in sub-problem order.
+
+    Sub-problem s solves ``[responders' code rows | their answer rows]`` for
+    the first ``k_c`` rows of its demand; all of them in one batched solve.
+    """
+    subs = scheme.subproblems(range(scheme.subproblem_count))
+    rows = _code_rows(subs)[:, [a.worker - 1 for a in answers]]
+    s, n_r, per, t = rows.shape
+    aug = np.empty((s, n_r * per, t + answers[0].x.cols), dtype=np.int64)
+    aug[:, :, :t] = rows.reshape(s, n_r * per, t)
+    for r, a in enumerate(answers):
+        aug[:, r * per : (r + 1) * per, t:] = a.x.array.reshape(s, per, -1)
+    x, ok = fl._solve_batch(aug, f.q)
+    if not ok.all():
+        raise SingularMatrix(
+            f"sub-problem {ok.argmin() + 1}: stacked code rows are singular"
+        )
+    parts = x[:, : subs[0].demand.k_c]
     if scheme.mds is None:
-        return FMatrix(f, np.vstack(parts))
+        return FMatrix(f, parts.reshape(-1, parts.shape[2]))
     return _mds_reconstruct(scheme.mds, parts, scheme.params.K_c, f)
 
 
 def _mds_reconstruct(mds: MDSDescriptor, parts, k_c: int, f: Field) -> FMatrix:
     """Large regime: rebuild demand row j from the coded symbols containing j.
 
-    ``parts[i]`` holds the demand rows of subset i + 1, in subset order.
+    ``parts[i]`` holds the demand rows of subset i + 1, in subset order.  Row
+    j's m symbols and the Vandermonde rows of their subsets make one square
+    system; all K_c of them go through one batched solve.
     """
-    out_rows = []
-    for j in range(1, k_c + 1):
-        idxs = mds.indices_containing(j)
-        h_j = FMatrix(f, [parts[i - 1][mds.subsets[i - 1].index(j)] for i in idxs])
-        try:
-            segments = mat_mul(inverse(mds.reconstruction_stack(j, f)), h_j)
-        except SingularMatrix:
-            raise SingularMatrix(
-                f"component {j}: reconstruction stack is singular"
-            ) from None
-        out_rows.append(FMatrix(f, segments.array.reshape(1, -1)))
-    return row_stack(out_rows)
+    holders = [[] for _ in range(k_c)]  # row j: (subset, position of j)
+    for i, subset in enumerate(mds.subsets):
+        for pos, j in enumerate(subset):
+            holders[j - 1].append((i, pos))
+    at = np.array(holders)
+    m = mds.split_count
+    aug = np.empty((k_c, m, m + parts.shape[2]), dtype=np.int64)
+    mds.generator_rows(at[:, :, 0] + 1, f, out=aug[:, :, :m])
+    aug[:, :, m:] = parts[at[:, :, 0], at[:, :, 1]]
+    x, ok = fl._solve_batch(aug, f.q)
+    if not ok.all():
+        raise SingularMatrix(
+            f"component {ok.argmin() + 1}: reconstruction stack is singular"
+        )
+    return FMatrix(f, x.reshape(k_c, -1))
 
 
 def _decode_grouped(scheme: Scheme, answers, f: Field) -> FMatrix:
-    """Each responder pair jointly sends the combination of its complement pair."""
+    """Each responder pair jointly sends the combination of its complement pair.
+
+    The pairs' null vectors and combinations make one square system.
+    """
     code = scheme.grouped
     n_all = range(1, scheme.params.N + 1)
-    combo_rows = []
-    null_stack = []
-    for pair in combinations([a.worker for a in answers], 2):
-        tag = tuple(x for x in n_all if x not in pair)
-        acc = None
-        for n in pair:
-            gw = code.workers[n - 1]
-            e1, e2 = gw.expansion(tag)
-            x_n = next(a.x for a in answers if a.worker == n)
-            coeffs = fl.from_rows(x_n.field, [[e1, e2]])
-            part = mat_mul(coeffs, x_n)
-            acc = part if acc is None else FMatrix(
-                x_n.field, (acc.array + part.array) % x_n.field.q
-            )
-        combo_rows.append(acc)
-        null_stack.append(code.null_vector(tag))
-    v = fl.vectors_as_matrix(null_stack, f, scheme.demand.k_c)
-    try:
-        inv = inverse(v)
-    except SingularMatrix:
-        raise SingularMatrix("pair combinations are linearly dependent") from None
-    return mat_mul(inv, row_stack(combo_rows))
+    rows = []
+    for pair in combinations(answers, 2):
+        tag = tuple(x for x in n_all if x not in {a.worker for a in pair})
+        shares = [
+            mat_mul(fl.from_rows(f, [code.workers[a.worker - 1].expansion(tag)]), a.x)
+            for a in pair
+        ]
+        combo = (shares[0].array + shares[1].array) % f.q
+        rows.append(np.concatenate([code.null_vector(tag).array, combo[0]]))
+    x, ok = fl._solve_batch(np.array(rows)[None], f.q)
+    if not ok[0]:
+        raise SingularMatrix("pair combinations are linearly dependent")
+    return FMatrix(f, x[0])
 
 
 def decode(
@@ -320,11 +330,7 @@ def verify_decodability(
         if scheme.mds is not None and total > subproblem_cap:
             stream = ElementStream(fl.Field(q), derive_seed(seed, "large-subproblems"))
             indices = _sample_distinct(total, subproblem_cap, stream)
-        # tasks[s, n]: worker n + 1's code rows in sampled sub-problem s.
-        tasks = np.array([
-            [w.task_rows.array for w in sub.workers]
-            for sub in scheme.subproblems(indices)
-        ])
+        tasks = _code_rows(scheme.subproblems(indices))
         s, _, per, t = tasks.shape
         n_r = scheme.params.N_r
 

@@ -5,17 +5,20 @@ reduced into ``[0, q)``.  All reductions happen eagerly, so intermediate
 products never exceed ``(q-1)**2`` and stay inside 64-bit arithmetic; the
 field constructor rejects moduli too large for that to hold.
 
-The batched kernels (``_rank_batch``, ``_rref_batch``, ``_left_null_batch``)
-run one elimination over a ``(B, m, n)`` stack, with the scalar kernels'
-pivot rule applied per matrix.  They eliminate fraction-free: a row update
-is ``row * pivot - factor * pivot_row`` with both operands in ``[0, q)``, so
-each product is at most ``(q-1)**2`` and their difference lies strictly
-between ``-(q-1)**2`` and ``(q-1)**2``, inside int64 for every
-``q <= _MAX_MODULUS``; the result is reduced before the next column.  The
-RREF normalizes pivot rows once, at the end, with inverses from a vectorized
-Fermat power whose products are again below ``(q-1)**2``.  Stacks are cut
-into chunks of at most ``_BATCH_ELEMENTS`` entries, so temporaries stay a
-fixed size whatever B is.
+One elimination, ``_eliminate``, serves every rank, RREF, null space and
+solve.  It runs over a ``(B, m, n)`` stack, and picks pivots per matrix:
+the first nonzero row at or below that matrix's current row.  It eliminates
+fraction-free: a row update is ``row * pivot - factor * pivot_row`` with
+both operands in ``[0, q)``, so each product is at most ``(q-1)**2`` and
+their difference lies strictly between ``-(q-1)**2`` and ``(q-1)**2``,
+inside int64 for every ``q <= _MAX_MODULUS``; the result is reduced before
+the next column.  The RREF normalizes pivot rows once, at the end, with
+inverses from a vectorized Fermat power whose products are again below
+``(q-1)**2``.  Stacks are cut into chunks of at most ``_BATCH_ELEMENTS``
+entries, so temporaries stay a fixed size whatever B is.  ``rank``,
+``inverse`` and ``left_null_space`` are one-matrix calls of the batched
+kernels; the scalar kernels they replaced are kept in ``tests/conftest.py``
+as the reference the batched ones are tested against.
 
 Convention: raw matrix row/column indices are 0-based (numpy style).
 Dataset and worker indices in the rest of the library are 1-based and are
@@ -306,72 +309,11 @@ def mat_mul(a: FMatrix, b: FMatrix) -> FMatrix:
     return FMatrix(a.field, prod % q)
 
 
-def _rref(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form in-place on a copy; returns (rref, pivot cols).
-
-    Pivots are chosen left to right, first nonzero row from the top, pivot
-    entries normalized to 1 and eliminated above and below, so the result is
-    the unique RREF of the row space.
-    """
-    a = a % q
-    m, n = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        p = r + int(nz[0])
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-        inv = pow(int(a[r, c]), -1, q)
-        a[r] = (a[r] * inv) % q
-        others = np.nonzero(a[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            a[others] = (a[others] - np.outer(a[others, c], a[r])) % q
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
-
-def _rank_raw(a: np.ndarray, q: int) -> int:
-    """Rank by forward elimination only; multiplies by the pivot instead of
-    normalizing, so no modular inverses are needed."""
-    a = a % q
-    m, n = a.shape
-    r = 0
-    for c in range(n):
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        p = r + int(nz[0])
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-        below = a[r + 1 :, c]
-        rows_nz = np.nonzero(below)[0]
-        if rows_nz.size:
-            piv = int(a[r, c])
-            block = a[r + 1 :][rows_nz]
-            a[r + 1 :][rows_nz] = (block * piv - np.outer(below[rows_nz], a[r])) % q
-        r += 1
-        if r == m:
-            break
-    return r
-
-
 def rank(m: FMatrix) -> int:
     """Row rank over F_q."""
     if m.rows == 0 or m.cols == 0:
         return 0
-    return _rank_raw(m.array, m.field.q)
-
-
-def rref(m: FMatrix) -> tuple[FMatrix, tuple[int, ...]]:
-    a, pivots = _rref(m.array, m.field.q)
-    return FMatrix(m.field, a), tuple(pivots)
+    return int(_rank_batch(m.array[None], m.field.q)[0])
 
 
 def inverse(m: FMatrix) -> FMatrix:
@@ -379,40 +321,21 @@ def inverse(m: FMatrix) -> FMatrix:
     if m.rows != m.cols:
         raise ShapeMismatch("only square matrices have inverses")
     n = m.rows
-    q = m.field.q
-    aug = np.hstack([m.array, np.eye(n, dtype=np.int64)])
-    red, pivots = _rref(aug, q)
-    if pivots[:n] != list(range(n)) or len(pivots) < n:
-        raise SingularMatrix(f"{n}x{n} matrix has rank {len([p for p in pivots if p < n])}")
-    return FMatrix(m.field, red[:, n:])
-
-
-def _null_space_columns(a: np.ndarray, q: int) -> list[np.ndarray]:
-    """Canonical basis of the right null space {x : a x = 0}.
-
-    One basis vector per free column, in increasing column order, with the
-    free coordinate set to 1 (one-hot) and pivot coordinates solved from the
-    RREF.  This is a deterministic function of the matrix.
-    """
-    m, n = a.shape
-    red, pivots = _rref(a, q)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(n):
-        if f in pivot_set:
-            continue
-        v = np.zeros(n, dtype=np.int64)
-        v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-int(red[i, f])) % q
-        basis.append(v)
-    return basis
+    aug = np.concatenate([m.array, np.eye(n, dtype=np.int64)], axis=1)
+    x, ok = _solve_batch(aug[None], m.field.q)
+    if not ok[0]:
+        raise SingularMatrix(f"{n}x{n} matrix has rank {rank(m)}")
+    return FMatrix(m.field, x[0])
 
 
 def left_null_space(m: FMatrix) -> list[FVector]:
-    """Canonical basis of {u : u M = 0}, one vector per free row of M^T."""
-    cols = _null_space_columns(m.array.T, m.field.q)
-    return [FVector(m.field, v) for v in cols]
+    """Canonical basis of {u : u M = 0}, one vector per free row of M^T.
+
+    One basis vector per free column of the RREF of M^T, in increasing
+    order, with that coordinate 1, the other free ones 0 and the pivot
+    coordinates solved from the RREF: a deterministic function of M.
+    """
+    return [FVector(m.field, v) for v in _left_null_batch(m.array[None], m.field.q)[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +358,7 @@ def _eliminate(a: np.ndarray, q: int, full: bool) -> np.ndarray:
     """Fraction-free elimination of a reduced stack in place; pivot columns.
 
     Per matrix and column, the pivot is the first nonzero row at or below
-    the matrix's current row, swapped up as in ``_rank_raw``.  Rows below the
+    the matrix's current row, swapped up to it.  Rows below the
     pivot (and above it too when ``full``) become ``row * pivot - factor *
     pivot row``.  Returns the ``(B, m)`` pivot columns, -1 past each matrix's
     rank.
@@ -481,7 +404,7 @@ def _inv_vec(x: np.ndarray, q: int) -> np.ndarray:
 
 
 def _rank_batch(a: np.ndarray, q: int) -> np.ndarray:
-    """Ranks of every matrix of a ``(B, m, n)`` stack; batched ``_rank_raw``."""
+    """Ranks of every matrix of a ``(B, m, n)`` stack."""
     return np.concatenate(
         [(_eliminate(c, q, False) >= 0).sum(axis=1) for c in _chunks(a, q)]
     )
@@ -499,13 +422,33 @@ def _rref_chunk(c: np.ndarray, q: int) -> np.ndarray:
 
 
 def _rref_batch(a: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """RREF of every matrix of a ``(B, m, n)`` stack; batched ``_rref``.
+    """RREF of every matrix of a ``(B, m, n)`` stack.
 
     Returns the reduced stack and its ``(B, m)`` pivot columns, padded with
     -1 past each matrix's rank.
     """
     parts = [(c, _rref_chunk(c, q)) for c in _chunks(a, q)]
     return np.concatenate([c for c, _ in parts]), np.concatenate([p for _, p in parts])
+
+
+def _solve_batch(a: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Solve every square system ``[A | b]`` of a ``(B, n, n + c)`` stack.
+
+    Returns the ``(B, n, c)`` solutions of ``A x = b`` and the ``(B,)`` flags
+    of which ``A`` are invertible; a solution is meaningless where its flag
+    is False.  Each chunk goes to RREF: ``A`` is invertible exactly when the
+    pivots are ``0..n-1``, and then the last ``c`` columns are ``x``.
+    """
+    b, n, width = a.shape
+    x = np.empty((b, n, width - n), dtype=np.int64)
+    ok = np.empty(b, dtype=bool)
+    lo = 0
+    for c in _chunks(a, q):
+        hi = lo + len(c)
+        ok[lo:hi] = (_rref_chunk(c, q) == np.arange(n)).all(axis=1)
+        x[lo:hi] = c[:, :, n:]
+        lo = hi
+    return x, ok
 
 
 def _left_null_batch(a: np.ndarray, q: int) -> list[np.ndarray]:

@@ -1,4 +1,9 @@
-"""Shared test helpers: slow pure-Python oracles kept independent of the library."""
+"""Shared test helpers: slow pure-Python oracles kept independent of the library.
+
+``_rref``, ``_rank_raw`` and ``_null_space_columns`` are the scalar numpy
+kernels the library ran before its one batched elimination; the batched
+kernels are tested against them.
+"""
 
 import numpy as np
 
@@ -49,3 +54,81 @@ def in_row_span(vec, rows, q):
 
 def as_array(m):
     return np.asarray(m.array if hasattr(m, "array") else m)
+
+
+def _rref(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form in-place on a copy; returns (rref, pivot cols).
+
+    Pivots are chosen left to right, first nonzero row from the top, pivot
+    entries normalized to 1 and eliminated above and below, so the result is
+    the unique RREF of the row space.
+    """
+    a = a % q
+    m, n = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        p = r + int(nz[0])
+        if p != r:
+            a[[r, p]] = a[[p, r]]
+        inv = pow(int(a[r, c]), -1, q)
+        a[r] = (a[r] * inv) % q
+        others = np.nonzero(a[:, c])[0]
+        others = others[others != r]
+        if others.size:
+            a[others] = (a[others] - np.outer(a[others, c], a[r])) % q
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def _rank_raw(a: np.ndarray, q: int) -> int:
+    """Rank by forward elimination only; multiplies by the pivot instead of
+    normalizing, so no modular inverses are needed."""
+    a = a % q
+    m, n = a.shape
+    r = 0
+    for c in range(n):
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        p = r + int(nz[0])
+        if p != r:
+            a[[r, p]] = a[[p, r]]
+        below = a[r + 1 :, c]
+        rows_nz = np.nonzero(below)[0]
+        if rows_nz.size:
+            piv = int(a[r, c])
+            block = a[r + 1 :][rows_nz]
+            a[r + 1 :][rows_nz] = (block * piv - np.outer(below[rows_nz], a[r])) % q
+        r += 1
+        if r == m:
+            break
+    return r
+
+
+def _null_space_columns(a: np.ndarray, q: int) -> list[np.ndarray]:
+    """Canonical basis of the right null space {x : a x = 0}.
+
+    One basis vector per free column, in increasing column order, with the
+    free coordinate set to 1 (one-hot) and pivot coordinates solved from the
+    RREF.  This is a deterministic function of the matrix.
+    """
+    m, n = a.shape
+    red, pivots = _rref(a, q)
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(n):
+        if f in pivot_set:
+            continue
+        v = np.zeros(n, dtype=np.int64)
+        v[f] = 1
+        for i, c in enumerate(pivots):
+            v[c] = (-int(red[i, f])) % q
+        basis.append(v)
+    return basis

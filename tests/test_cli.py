@@ -302,6 +302,10 @@ def _pairless_grouped(data):
     (["verify", "--scheme", "{pairless_grouped}"], 3),
     (["build", "-K", "6", "-N", "3", "--nr", "2", "--kc", "2",
       "--assignment", "general", "--out", "{tmp}/g.json"], 0),
+    (["build", "-K", "6", "-N", "3", "--nr", "2", "--kc", "4", "-L", "5",
+      "--out", "{tmp}/m.json"], 2),
+    (["build", "-K", "12", "-N", "4", "--nr", "3", "--kc", "3",
+      "--assignment", "grouped", "-L", "5", "--out", "{tmp}/gr.json"], 2),
 ])
 def test_bad_input_exits_with_documented_code_and_no_traceback(
     tmp_path, argv, expected

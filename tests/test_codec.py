@@ -4,14 +4,16 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import ref_matmul
+from conftest import _null_space_columns, _rank_raw, _rref, ref_matmul
 from linsep import builder as bl
 from linsep import codec as cd
 from linsep import field as fl
 from linsep.assignment import cyclic_assignment, grouped_assignment
 from linsep.errors import (
+    GroupedSolveFailed,
     RankDeficientDemand,
     ShapeMismatch,
+    SingularMatrix,
     WrongResponderCount,
 )
 from test_builder import DEMAND_3x12, DEMAND_4x6
@@ -206,7 +208,8 @@ def _scalar_verify(scheme, mode="exhaustive", sample_count=None, seed=0,
 
     Every sub-problem's code rows are rebuilt with one scalar null-space call
     per worker (and checked against the built ones), and every responder
-    stack is ranked on its own with ``_rank_raw``.
+    stack is ranked on its own with ``_rank_raw``; both are the scalar
+    reference kernels of ``conftest``.
     """
     subsets = cd.responder_subsets(
         scheme.params.N, scheme.params.N_r, mode, sample_count, seed
@@ -225,14 +228,14 @@ def _scalar_verify(scheme, mode="exhaustive", sample_count=None, seed=0,
         rows_by_worker = []
         for n, code in enumerate(sub.workers, start=1):
             cols = [c - 1 for c in a.not_assigned(n)]
-            basis = fl.left_null_space(sub.padded.take_columns(cols))[:per]
-            assert [v.to_list() for v in basis] == code.task_rows.to_lists()
+            basis = _null_space_columns(sub.padded.take_columns(cols).array.T, q)[:per]
+            assert [v.tolist() for v in basis] == code.task_rows.to_lists()
             rows_by_worker.append(code.task_rows.array)
         for a_set in subsets:
             if a_set in failing:
                 continue
             stack = np.concatenate([rows_by_worker[n - 1] for n in a_set])
-            if fl._rank_raw(stack, q) != stack.shape[0]:
+            if _rank_raw(stack, q) != stack.shape[0]:
                 failing.add(a_set)
     return sorted(failing)
 
@@ -312,6 +315,118 @@ def test_verify_blocks_stay_within_the_chunk_budget(monkeypatch):
         for b, rows, cols in shapes:
             assert b % per_subset == 0
             assert b == per_subset or b * rows * cols <= budget
+
+
+def _ref_inverse(a, q):
+    """Inverse of a square array by the scalar reference RREF."""
+    n = a.shape[0]
+    red, pivots = _rref(np.hstack([a, np.eye(n, dtype=np.int64)]), q)
+    if pivots[:n] != list(range(n)) or len(pivots) < n:
+        raise SingularMatrix(f"{n}x{n} matrix is singular")
+    return red[:, n:].tolist()
+
+
+def _scalar_subproblems(scheme, answers, q):
+    """One inverse per sub-problem, then one per MDS component."""
+    parts = []
+    offset = 0
+    for i, sub in enumerate(scheme.subproblems(range(scheme.subproblem_count))):
+        rows = sub.rows_per_worker
+        stack = np.vstack([sub.workers[a.worker - 1].task_rows.array for a in answers])
+        try:
+            inv = _ref_inverse(stack, q)
+        except SingularMatrix:
+            raise SingularMatrix(
+                f"sub-problem {i + 1}: stacked code rows are singular"
+            ) from None
+        x = np.vstack([a.x.array[offset : offset + rows] for a in answers])
+        parts.append(ref_matmul(inv, x.tolist(), q)[: sub.demand.k_c])
+        offset += rows
+    if scheme.mds is None:
+        return [row for part in parts for row in part]
+    mds = scheme.mds
+    out = []
+    for j in range(1, scheme.params.K_c + 1):
+        idxs = mds.indices_containing(j)
+        h_j = [parts[i - 1][mds.subsets[i - 1].index(j)] for i in idxs]
+        stack = np.array([[pow(i, e, q) for e in range(mds.split_count)] for i in idxs])
+        try:
+            inv = _ref_inverse(stack, q)
+        except SingularMatrix:
+            raise SingularMatrix(
+                f"component {j}: reconstruction stack is singular"
+            ) from None
+        out.append([x for row in ref_matmul(inv, h_j, q) for x in row])
+    return out
+
+
+def _scalar_grouped(scheme, answers, q):
+    """One inverse of the stacked null vectors of the responder pairs."""
+    code = scheme.grouped
+    n_all = range(1, scheme.params.N + 1)
+    combos, nulls = [], []
+    for pair in combinations([a.worker for a in answers], 2):
+        tag = tuple(x for x in n_all if x not in pair)
+        acc = [0] * answers[0].x.cols
+        for n in pair:
+            x_n = next(a.x for a in answers if a.worker == n).to_lists()
+            part = ref_matmul([list(code.workers[n - 1].expansion(tag))], x_n, q)[0]
+            acc = [(u + v) % q for u, v in zip(acc, part)]
+        combos.append(acc)
+        nulls.append(code.null_vector(tag).array)
+    try:
+        inv = _ref_inverse(np.array(nulls), q)
+    except SingularMatrix:
+        raise SingularMatrix("pair combinations are linearly dependent") from None
+    return ref_matmul(inv, combos, q)
+
+
+def _scalar_decode(scheme, answers):
+    """(success, recovered rows, detail) of decode as a loop of scalar solves.
+
+    The loop decode ran before its solves were batched, on the scalar
+    reference RREF of ``conftest``.
+    """
+    answers = sorted(answers, key=lambda a: a.worker)
+    solve = _scalar_grouped if scheme.grouped is not None else _scalar_subproblems
+    try:
+        return True, solve(scheme, answers, scheme.params.q), None
+    except SingularMatrix as exc:
+        return False, None, str(exc)
+
+
+def test_batched_decode_matches_the_scalar_loop(monkeypatch):
+    f7 = fl.Field(7)
+    cases = []
+    for k, n, n_r, k_c in Q7_POINTS:
+        for seed in range(8):
+            demand = bl.random_demand(k_c, k, f7, seed)
+            cases.append(bl.build_auto(demand, n, n_r, padding_seed=seed))
+    cases.append(bl.build_grouped(
+        bl.demand_from_rows(FQ, DEMAND_3x12), grouped_assignment(12, 4, 3)
+    ))
+    for seed in range(20):
+        try:
+            cases.append(bl.build_grouped(
+                bl.random_demand(3, 12, f7, seed), grouped_assignment(12, 4, 3)
+            ))
+        except GroupedSolveFailed:
+            pass
+    # Either budget: one chunk per batched solve, or many across each one.
+    for budget in (fl._BATCH_ELEMENTS, 64):
+        monkeypatch.setattr(fl, "_BATCH_ELEMENTS", budget)
+        details = set()
+        for i, scheme in enumerate(cases):
+            k, q = scheme.params.K, scheme.params.q
+            w = cd.random_messages(k, scheme.params.L or 2, fl.Field(q), i)
+            for a_set in all_subsets(scheme):
+                answers = [cd.encode_worker(scheme, n, w) for n in a_set]
+                rep = cd.decode(scheme, answers)
+                got = (rep.success, rep.recovered and rep.recovered.to_lists(), rep.detail)
+                assert got == _scalar_decode(scheme, answers), (scheme.params, a_set)
+                details.add(rep.detail)
+        assert "sub-problem 2: stacked code rows are singular" in details
+        assert "pair combinations are linearly dependent" in details
 
 
 def test_unrank_combination_is_lexicographic():

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import in_row_span, ref_matmul, ref_rank
+from conftest import (
+    _null_space_columns,
+    _rank_raw,
+    _rref,
+    in_row_span,
+    ref_matmul,
+    ref_rank,
+)
 from linsep import field as fl
 from linsep.errors import InversionOfZero, ShapeMismatch, SingularMatrix
 
@@ -234,15 +241,24 @@ def assert_batched_matches_scalar(q, a):
     ranks = fl._rank_batch(a, q)
     red, piv = fl._rref_batch(a, q)
     nulls = fl._left_null_batch(a, q)
+    # The leading square slice of every matrix, beside a drawn right-hand side.
+    k = min(a.shape[1:])
     f = fl.Field(q)
-    assert len(ranks) == len(red) == len(piv) == len(nulls) == len(a)
+    rhs = fl.random_matrix(len(a) * k, 2, f, fl.derive_seed(int(a.sum()), "rhs"))
+    rhs = rhs.array.reshape(len(a), k, 2)
+    x, ok = fl._solve_batch(np.concatenate([a[:, :k, :k], rhs], axis=2), q)
+    assert len(ranks) == len(red) == len(piv) == len(nulls) == len(ok) == len(a)
     for j, mat in enumerate(a):
-        assert ranks[j] == fl._rank_raw(mat, q) == ref_rank(mat.tolist(), q)
-        want_red, want_piv = fl._rref(mat, q)
+        assert ranks[j] == _rank_raw(mat, q) == ref_rank(mat.tolist(), q)
+        want_red, want_piv = _rref(mat, q)
         assert red[j].tolist() == want_red.tolist()
         assert piv[j][piv[j] >= 0].tolist() == want_piv
-        want = fl.left_null_space(fl.FMatrix(f, mat))
-        assert nulls[j].tolist() == [v.to_list() for v in want]
+        want = _null_space_columns(mat.T, q)
+        assert nulls[j].tolist() == [v.tolist() for v in want]
+        square = mat[:k, :k].tolist()
+        assert ok[j] == (ref_rank(square, q) == k)
+        if ok[j]:
+            assert ref_matmul(square, x[j].tolist(), q) == rhs[j].tolist()
 
 
 @settings(max_examples=150, deadline=None)
