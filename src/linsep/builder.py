@@ -9,9 +9,11 @@ combinations:
 * ``middle`` (per <= K_c <= t): the demand is padded with uniform rows up to
   t, and each worker sends the canonical left-null-space rows of the demand
   columns it cannot compute.
-* ``large``  (K_c > t): every message is split into m sub-messages, expanded
-  into C(K_c, t) erasure-coded symbols, and one middle sub-problem is solved
-  per symbol index.
+* ``large``  (K_c > t): every message is split into m sub-messages and
+  expanded into erasure-coded symbols, one per window of the design: the
+  K_c/g cyclic windows of t consecutive demand rows, g = gcd(K_c, t), so
+  every row lies in m = t/g windows.  One middle sub-problem is solved per
+  window.
 
 All three are ordered lists of middle sub-problems, which ``Scheme`` exposes
 as one view: ``subproblems(indices)`` and the message block that the code
@@ -36,14 +38,16 @@ construction and K_c the regime, and every public builder goes through it.
 A scheme is a deterministic function of its demand, its assignment and its
 random inputs (the padding rows of each middle sub-problem and the
 virtual-slot coefficients), which come from one ``_Draws`` source: drawn from
-seeds, or the ones a scheme file stores.
+seeds, or the ones a scheme file stores.  A scheme file written when the
+large regime coded over all C(K_c, t) subsets stores that design the same
+way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -156,13 +160,19 @@ class MDSDescriptor:
     """Erasure code used to split messages in the large regime.
 
     Generator vectors are rows of the Vandermonde matrix on points 1..code
-    length, so any ``split_count`` of them are linearly independent; they are
-    generated on demand because the code length grows combinatorially.
+    length, so any ``split_count`` of them are linearly independent, and are
+    generated on demand.  Every demand row lies in exactly ``split_count`` of
+    the ``subsets``, which is all that rebuilding the row from its symbols
+    needs.
     """
 
     split_count: int  # m: sub-messages per message
-    code_length: int  # number of coded symbols / sub-problems
     subsets: tuple[tuple[int, ...], ...]  # lex-ordered t-subsets of [1..K_c]
+
+    @property
+    def code_length(self) -> int:
+        """Number of coded symbols, one sub-problem each."""
+        return len(self.subsets)
 
     def generator_rows(
         self, indices, f: Field, out: np.ndarray | None = None
@@ -369,12 +379,15 @@ class _Draws:
     coefficients.  Both are drawn from the seeds, as the public builders
     always have, unless ``stored_padding`` (rows by j) and
     ``stored_effective`` (the effective demand) hold those of a scheme file.
+    The large regime codes over the cyclic windows of ``cyclic_design``,
+    unless ``stored_design`` holds the complete design of an older file.
     """
 
     padding_seed: int = 0
     virtual_seed: int = 0
     stored_padding: dict[int, FMatrix | None] | None = None
     stored_effective: FMatrix | None = None
+    stored_design: tuple[tuple[int, ...], ...] | None = None
 
     def padding(self, j: int, rows: int, width: int, f: Field) -> FMatrix | None:
         if self.stored_padding is not None:
@@ -437,7 +450,7 @@ def build_scheme(
     if regime == MIDDLE:
         padding = draws.padding(0, per * a.N_r - f_mat.k_c, a.K, f_mat.field)
         return _middle_schemes([f_mat], a, [padding])[0]
-    return build_large(f_mat, a, l_symbols)
+    return _large(f_mat, a, l_symbols, draws)
 
 
 def _require_cyclic_regime(f_mat: DemandMatrix, a: Assignment, regime: str) -> None:
@@ -613,25 +626,40 @@ def _small(f_mat: DemandMatrix, a: Assignment, draws: _Draws) -> Scheme:
 # ---------------------------------------------------------------------------
 
 
+def cyclic_design(k_c: int, t: int) -> tuple[tuple[int, ...], ...]:
+    """The K_c/g cyclic windows of t consecutive rows of [1..K_c], g = gcd(K_c, t).
+
+    Window s holds rows s+1, ..., s+t (mod K_c), for s = 0, g, 2g, ...; each
+    row lies in t/g of them.  Windows are sorted and listed in lex order, so
+    at K_c = t + 1 they are every t-subset, in ``combinations`` order.
+    """
+    return tuple(sorted(
+        tuple(sorted((s + i) % k_c + 1 for i in range(t)))
+        for s in range(0, k_c, gcd(k_c, t))
+    ))
+
+
 def build_large(
     f_mat: DemandMatrix, a: Assignment, l_symbols: int | None = None
 ) -> Scheme:
     """Erasure-coded message splitting for K_c > (K/N) * N_r."""
     _require_cyclic_regime(f_mat, a, LARGE)
+    return build_scheme(f_mat, a, l_symbols=l_symbols)
+
+
+def _large(
+    f_mat: DemandMatrix, a: Assignment, l_symbols: int | None, draws: _Draws
+) -> Scheme:
     t = a.K // a.N * a.N_r
-    m = comb(f_mat.k_c - 1, t - 1)
-    code_length = comb(f_mat.k_c, t)
+    design = draws.stored_design or cyclic_design(f_mat.k_c, t)
+    m = t * len(design) // f_mat.k_c  # rows per subset times subsets, per row
     if l_symbols is None:
         l_symbols = m
     if l_symbols % m != 0:
         raise BadMessageLength(f"L={l_symbols} not divisible by split count {m}")
-    if code_length >= f_mat.field.q:
+    if len(design) >= f_mat.field.q:
         raise ShapeMismatch("code length must stay below the field modulus")
-    mds = MDSDescriptor(
-        split_count=m,
-        code_length=code_length,
-        subsets=tuple(combinations(range(1, f_mat.k_c + 1), t)),
-    )
+    mds = MDSDescriptor(split_count=m, subsets=design)
     return Scheme(
         regime=LARGE,
         params=SchemeParams(a.K, a.N, a.N_r, f_mat.k_c, f_mat.field.q, L=l_symbols),

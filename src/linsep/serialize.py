@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from itertools import combinations
+from math import comb, gcd
 
 from . import field as fl
 from .assignment import (
@@ -35,6 +37,7 @@ from .errors import LinsepError, MalformedScheme, ShapeMismatch
 from .field import Field, FMatrix
 
 FORMAT = "linsep-scheme-v1"
+MAX_CODE_LENGTH = 10_000  # coded sub-problems a large scheme file may have
 
 
 def _mat(m: FMatrix) -> list[list[str]]:
@@ -88,7 +91,7 @@ def scheme_to_dict(scheme: Scheme) -> dict:
             for j, sub in enumerate(scheme.subschemes)
         ]
     elif scheme.regime == LARGE:
-        if scheme.mds.code_length > 10_000:
+        if scheme.mds.code_length > MAX_CODE_LENGTH:
             raise ShapeMismatch(
                 "scheme too large to serialize: "
                 f"{scheme.mds.code_length} coded sub-problems"
@@ -140,17 +143,36 @@ def _rebuild_assignment(d: dict):
     return a
 
 
+def _stored_design(d: dict, a) -> tuple[tuple[int, ...], ...] | None:
+    """The complete design of a large file coded over all C(K_c, t) subsets.
+
+    Files written before the large regime used its K_c/gcd(K_c, t) cyclic
+    windows store that code length; any other file gets the builder's design.
+    """
+    if d["regime"] != LARGE:
+        return None
+    k_c = d["params"]["K_c"]
+    t = (a.effective_k or a.K) // a.N * a.N_r
+    stored = d["mds"]["code_length"]
+    if (stored != k_c // gcd(k_c, t) and stored <= MAX_CODE_LENGTH
+            and stored == comb(k_c, t)):
+        return tuple(combinations(range(1, k_c + 1), t))
+    return None
+
+
 def scheme_from_dict(d: dict) -> Scheme:
     """Rebuild a scheme by re-running the construction on the stored draws.
 
     The file's random inputs, the padding rows of each middle sub-problem
     and the effective demand's virtual-slot columns, go back into
-    ``build_scheme``, which recomputes every derived row.  A file that is
-    not exactly the dump of the scheme it rebuilds is malformed.
+    ``build_scheme``, which recomputes every derived row; so does a large
+    file's complete design, where it has one.  A file that is not exactly
+    the dump of the scheme it rebuilds is malformed.
     """
     if d.get("format") != FORMAT:
         raise ShapeMismatch(f"unknown scheme format {d.get('format')!r}")
     f = Field(int(d["params"]["q"]))
+    a = _rebuild_assignment(d)
     # v1 keeps a small scheme's padding per sub-problem, any other at the top.
     entries = enumerate(d["subproblems"], 1) if d["regime"] == SMALL else [(0, d)]
     draws = _Draws(
@@ -161,12 +183,10 @@ def scheme_from_dict(d: dict) -> Scheme:
         stored_effective=(
             _unmat(f, d["virtual"]["effective_demand"]) if "virtual" in d else None
         ),
+        stored_design=_stored_design(d, a),
     )
     scheme = build_scheme(
-        DemandMatrix(_unmat(f, d["demand"])),
-        _rebuild_assignment(d),
-        l_symbols=d["params"]["L"],
-        _draws=draws,
+        DemandMatrix(_unmat(f, d["demand"])), a, l_symbols=d["params"]["L"], _draws=draws
     )
     if "recombine" in d:
         scheme = replace(scheme, recombine=_unmat(f, d["recombine"]))

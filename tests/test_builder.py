@@ -1,7 +1,10 @@
+from collections import Counter
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import in_row_span, ref_rank
 from linsep import builder as bl
@@ -226,6 +229,39 @@ def test_any_m_generator_vectors_independent():
     vectors = [s.mds.vector(i, FQ) for i in range(1, s.mds.code_length + 1)]
     for chosen in combinations(vectors, m):
         assert fl.rank(fl.vectors_as_matrix(chosen, FQ, m)) == m
+
+
+@st.composite
+def _large_points(draw):
+    """(K, N, N_r, K_c) with 1 <= t < K_c <= 40, t = (K/N) N_r."""
+    k_c = draw(st.integers(2, 40))
+    t = draw(st.integers(1, k_c - 1))
+    n_r = draw(st.sampled_from([d for d in range(1, t + 1) if t % d == 0]))
+    per = t // n_r
+    n = max(n_r, -(-k_c // per))
+    return per * n, n, n_r, k_c
+
+
+@settings(max_examples=150, deadline=None)
+@given(_large_points())
+def test_cyclic_design_is_regular_at_cost_k_c(point):
+    k, n, n_r, k_c = point
+    s = bl.build_auto(bl.random_demand(k_c, k, FQ, k_c), n, n_r)
+    t, m, design = k // n * n_r, s.mds.split_count, s.mds.subsets
+    g = gcd(k_c, t)
+    assert s.regime == "large" and design == bl.cyclic_design(k_c, t)
+    assert len(design) == k_c // g and len(set(design)) == len(design)
+    assert all(len(w) == t and set(w) <= set(range(1, k_c + 1)) for w in design)
+    assert Counter(j for w in design for j in w) == {j: t // g for j in range(1, k_c + 1)}
+    assert len(design) * t == k_c * m and m == t // g
+    assert bl.expected_cost(s) == k_c
+    assert comb(k_c - 1, t - 1) % (t // g) == 0  # every old -L stays valid
+
+
+def test_cyclic_design_is_the_complete_design_at_k_c_t_plus_1():
+    for t in range(1, 9):
+        assert bl.cyclic_design(t + 1, t) == tuple(combinations(range(1, t + 2), t))
+    assert bl.cyclic_design(6, 4) == ((1, 2, 3, 4), (1, 2, 5, 6), (3, 4, 5, 6))
 
 
 def test_explicit_three_symbol_code_is_valid():

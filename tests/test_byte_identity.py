@@ -23,6 +23,8 @@ SCHEME_DIGESTS = {
     "grouped": "11b38ce0d4f2fdce492112837cf1df534711892c530606ef7c116557a63fe0d0",
     "general": "e18bfdeeb15491334895bf364f5b5c8e35345f443ac370ae3e6f2f5dcf338f16",
     "fallback": "cda60f201fb386d9bbd47865c59bdc51e36fb2e56a47f0f8805297e4423f7068",
+    # K_c = t + 2: coded over 3 cyclic windows, not all 15 4-subsets
+    "large_wide": "263dab081a952c942a345e37229f634c0327e0fb94488b9bd746840654468183",
 }
 
 SIMULATE_RUNS = {
@@ -33,6 +35,9 @@ SIMULATE_RUNS = {
                 "--assignment", "grouped", "--trials", "2", "--seed", "12"],
     "demand": ["-K", "6", "-N", "3", "--nr", "2", "--kc", "3", "-q", "101",
                "--trials", "3", "--seed", "13"],
+    # large at K_c = t + 2, where the design is not every t-subset
+    "large_wide": ["-K", "6", "-N", "3", "--nr", "2", "--kc", "6",
+                   "--trials", "2", "--seed", "14"],
 }
 DEMAND_ROWS = [[1, 2, 3, 4, 5, 6], [1, 1, 1, 1, 1, 1], [2, 3, 5, 7, 11, 13]]
 
@@ -48,6 +53,10 @@ SIMULATE_DIGESTS = {
     "demand": (
         "170bde2d3795a44efe0407c17899646bc30f32e1a54fa64b23e148ea28edff8a",
         "7ad8f6a6920dbae84ca5349642f4d5c1b193868897efa843df35140e7c38c9ef",
+    ),
+    "large_wide": (
+        "790357516d6fd781333ce64f890d7ea6f4f4d0259ab5aed4537aeb24ebc7d40b",
+        "788494bdcb4c0d3547886f2e87cf6e43465916e9205924c206d3db7e45d1e4a9",
     ),
 }
 

@@ -429,6 +429,39 @@ def test_batched_decode_matches_the_scalar_loop(monkeypatch):
         assert "pair combinations are linearly dependent" in details
 
 
+# Large points with K_c >= t + 2, where the coded design is not every t-subset.
+WIDE_LARGE_POINTS = ((6, 3, 1, 4), (6, 3, 2, 6), (8, 4, 2, 7))
+
+
+@pytest.mark.parametrize("q", [7, 11, 101])
+def test_small_moduli_never_return_a_wrong_value(q):
+    """At small q a build either fails typed or decodes exactly where verified.
+
+    Every responder subset decodes exactly when ``verify_decodability`` does
+    not list it, and a successful decode is the demand times the messages.
+    """
+    f = fl.Field(q)
+    built = 0
+    for k, n, n_r, k_c in Q7_POINTS + WIDE_LARGE_POINTS:
+        for seed in range(4):
+            demand = bl.random_demand(k_c, k, f, fl.derive_seed(seed, "small-q", q))
+            try:
+                scheme = bl.build_auto(demand, n, n_r, padding_seed=seed, virtual_seed=seed)
+            except ShapeMismatch:
+                continue
+            built += 1
+            failing = set(cd.verify_decodability(scheme))
+            w = cd.random_messages(k, scheme.params.L or 2, f, seed)
+            want = ref_matmul(demand.matrix.to_lists(), w.w.to_lists(), q)
+            answers = {m: cd.encode_worker(scheme, m, w) for m in range(1, n + 1)}
+            for a_set in all_subsets(scheme):
+                rep = cd.decode(scheme, [answers[m] for m in a_set])
+                assert rep.success == (a_set not in failing), (k, n, n_r, k_c, seed, a_set)
+                if rep.success:
+                    assert rep.recovered.to_lists() == want, (k, n, n_r, k_c, seed, a_set)
+    assert built
+
+
 def test_unrank_combination_is_lexicographic():
     from math import comb
 

@@ -1,9 +1,13 @@
 import dataclasses
 import json
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+from conftest import ref_matmul
 from linsep import builder as bl
+from linsep import cli
 from linsep import codec as cd
 from linsep import field as fl
 from linsep import serialize as sz
@@ -38,6 +42,9 @@ def sample_schemes():
         cyclic_assignment(3, 3, 2),
         2,
         seed=4,
+    )
+    yield "large_wide", bl.build_large(  # K_c = t + 2
+        bl.random_demand(6, 6, FQ, 14), cyclic_assignment(6, 3, 2)
     )
 
 
@@ -85,9 +92,14 @@ def test_tampered_assignment_rejected():
 
 
 def test_oversized_scheme_refuses_serialization():
+    # The complete design of (18, 6, 2, 18), as the loader passes an older
+    # file's; the builder's own design has 3 windows.
     f_mat = bl.random_demand(18, 18, FQ, 5)
-    scheme = bl.build_auto(f_mat, 6, 2)
-    assert scheme.mds.code_length > 10_000
+    complete = tuple(combinations(range(1, 19), 6))
+    scheme = bl.build_scheme(
+        f_mat, cyclic_assignment(18, 6, 2), _draws=bl._Draws(stored_design=complete)
+    )
+    assert scheme.mds.code_length > sz.MAX_CODE_LENGTH
     with pytest.raises(ShapeMismatch):
         sz.dumps(scheme)
 
@@ -98,3 +110,30 @@ def test_built_and_loaded_schemes_are_frozen(name, scheme):
         for fld in dataclasses.fields(frozen):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(frozen, fld.name, getattr(frozen, fld.name))
+
+
+LEGACY_LARGE = Path(__file__).parent / "data" / "legacy_large_complete.json"
+
+
+def test_legacy_complete_design_file_loads_verifies_and_decodes(tmp_path, capsys):
+    """A (6,3,2,6) file coded over all 15 4-subsets of the demand rows.
+
+    ``linsep build -K 6 -N 3 --nr 2 --kc 6 --seed 3`` wrote it when the large
+    regime used the complete design; it must keep loading and decoding.
+    """
+    text = LEGACY_LARGE.read_text()
+    scheme = sz.loads(text)
+    assert sz.dumps(scheme) == text
+    assert scheme.mds.code_length == 15 and scheme.mds.split_count == 10
+    assert cli.main(["verify", "--scheme", str(LEGACY_LARGE)]) == 0
+    w = cd.random_messages(6, scheme.params.L, FQ, 8)
+    want = ref_matmul(scheme.demand.matrix.to_lists(), w.w.to_lists(), FQ.q)
+    for a_set in combinations(range(1, 4), 2):
+        rep = cd.decode(scheme, [cd.encode_worker(scheme, n, w) for n in a_set])
+        assert rep.success and rep.recovered.to_lists() == want, a_set
+    data = json.loads(text)
+    data["mds"]["code_length"] = 14
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(data))
+    assert cli.main(["verify", "--scheme", str(edited)]) == 3
+    capsys.readouterr()
