@@ -19,12 +19,11 @@ All three are ordered lists of middle sub-problems, which ``Scheme`` exposes
 as one view: ``subproblems(indices)`` and the message block that the code
 rows of sub-problem i multiply, ``subproblem_input(i, w)``.  A middle scheme
 is its own single sub-problem on the messages; a small scheme has one per
-demand row, on that row's aggregates; a large scheme has one per coded
-symbol, on that symbol's block, built lazily.  ``_middle_schemes`` builds
-every middle scheme, a batch at a time: the small regime's sub-problems, the
-large regime's missing sub-problems of one ``subproblems`` call, or the one
-scheme of a middle build; all worker null spaces of a batch come from one
-batched elimination.
+demand row, on that row's aggregates; a large scheme has one per window,
+on that window's coded symbol block.  ``_middle_schemes`` builds every middle
+scheme, a batch at a time: the small regime's rows, the large regime's
+windows, or the one scheme of a middle build; all worker null spaces of a
+batch come from one batched elimination.
 
 When N does not divide K, the demand is embedded into N*ceil(K/N) effective
 slots (the extra slots carry all-zero messages) and the same machinery runs
@@ -38,14 +37,13 @@ construction and K_c the regime, and every public builder goes through it.
 A scheme is a deterministic function of its demand, its assignment and its
 random inputs (the padding rows of each middle sub-problem and the
 virtual-slot coefficients), which come from one ``_Draws`` source: drawn from
-seeds, or the ones a scheme file stores.  A scheme file written when the
-large regime coded over all C(K_c, t) subsets stores that design the same
-way.
+seeds, or the ones a scheme file stores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+import operator
+from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb, gcd
 from typing import Iterable, Sequence
@@ -253,11 +251,7 @@ class GroupedCode:
 
 @dataclass(frozen=True)
 class Scheme:
-    """A built coding scheme; frozen once constructed.
-
-    ``_large_cache`` memoizes the large regime's lazily built sub-problems;
-    ``subschemes_at`` fills it, a batch of subset indices at a time.
-    """
+    """A built coding scheme; frozen once constructed, with every sub-problem."""
 
     regime: str
     params: SchemeParams
@@ -266,16 +260,13 @@ class Scheme:
     padded: FMatrix | None = None  # middle: [demand; padding] (t x width)
     padding_rows: int = 0
     workers: tuple[WorkerCode, ...] = ()
-    subschemes: tuple["Scheme", ...] = ()  # small: one middle scheme per row
+    subschemes: tuple["Scheme", ...] = ()  # small: one per row; large: per window
     aggregators: tuple[FMatrix, ...] = ()  # small: per-row N x width weights
     mds: MDSDescriptor | None = None
     grouped: GroupedCode | None = None
     virtual: VirtualLayout | None = None
     recombine: FMatrix | None = None  # fallback: rows -> original demand
     degenerate: bool = False
-    _large_cache: dict = dc_field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     @property
     def message_width(self) -> int:
@@ -294,14 +285,10 @@ class Scheme:
     @property
     def subproblem_count(self) -> int:
         """Number of middle sub-problems; a middle scheme is its own one."""
-        if self.mds is not None:
-            return self.mds.code_length
         return len(self.subschemes) or 1
 
     def subproblems(self, indices: Iterable[int]) -> list["Scheme"]:
         """Middle sub-problems at the 0-based indices, in that order."""
-        if self.mds is not None:
-            return self.subschemes_at([i + 1 for i in indices])
         return [self.subschemes[i] if self.subschemes else self for i in indices]
 
     def subproblem_input(self, i: int, w_eff: FMatrix) -> FMatrix:
@@ -314,38 +301,12 @@ class Scheme:
     def rows_sent(self) -> int:
         """Rows one worker sends per message block, over all sub-problems.
 
-        Derived from the parameters alone, so no sub-problem is built.  A
-        small-regime sub-problem runs on N aggregates: one row per worker.
+        Sub-problems share a shape; a small-regime one runs on N aggregates,
+        one row per worker.
         """
         if self.grouped is not None:
             return self.grouped.workers[0].sent_rows.rows
-        return self.subproblem_count * (1 if self.subschemes else self.rows_per_worker)
-
-    def subschemes_at(self, indices: Sequence[int]) -> list["Scheme"]:
-        """Large regime: the middle schemes of the 1-based subset indices.
-
-        Those not yet in ``_large_cache`` are built together, in one batch.
-        """
-        if self.regime != LARGE:
-            raise ShapeMismatch("subscheme() applies to the large regime only")
-        missing = [i for i in indices if i not in self._large_cache]
-        if missing:
-            source = self.virtual.effective_demand if self.virtual else self.demand.matrix
-            base = (
-                self.virtual.effective_assignment if self.virtual else self.assignment
-            )
-            demands = [
-                DemandMatrix(source.take_rows([j - 1 for j in self.mds.subsets[i - 1]]))
-                for i in missing
-            ]
-            # A t-subset of the demand rows needs no padding.
-            built = _middle_schemes(demands, base, [None] * len(missing))
-            self._large_cache.update(zip(missing, built))
-        return [self._large_cache[i] for i in indices]
-
-    def subscheme(self, index: int) -> "Scheme":
-        """Large regime: the middle scheme of the 1-based subset index."""
-        return self.subschemes_at([index])[0]
+        return self.subproblem_count * self.subproblems([0])[0].rows_per_worker
 
 
 def regime_for(k_c: int, per: int, n_r: int) -> str:
@@ -379,15 +340,12 @@ class _Draws:
     coefficients.  Both are drawn from the seeds, as the public builders
     always have, unless ``stored_padding`` (rows by j) and
     ``stored_effective`` (the effective demand) hold those of a scheme file.
-    The large regime codes over the cyclic windows of ``cyclic_design``,
-    unless ``stored_design`` holds the complete design of an older file.
     """
 
     padding_seed: int = 0
     virtual_seed: int = 0
     stored_padding: dict[int, FMatrix | None] | None = None
     stored_effective: FMatrix | None = None
-    stored_design: tuple[tuple[int, ...], ...] | None = None
 
     def padding(self, j: int, rows: int, width: int, f: Field) -> FMatrix | None:
         if self.stored_padding is not None:
@@ -450,7 +408,7 @@ def build_scheme(
     if regime == MIDDLE:
         padding = draws.padding(0, per * a.N_r - f_mat.k_c, a.K, f_mat.field)
         return _middle_schemes([f_mat], a, [padding])[0]
-    return _large(f_mat, a, l_symbols, draws)
+    return _large(f_mat, a, l_symbols)
 
 
 def _require_cyclic_regime(f_mat: DemandMatrix, a: Assignment, regime: str) -> None:
@@ -498,7 +456,8 @@ def _null_code(
     Worker n's task rows are the first ``rows_per_worker`` canonical left
     null vectors of the demand columns it misses; every worker misses the
     same number under the cyclic assignment, so all null spaces of the
-    ``(S, t, width)`` stack come from one batched elimination.
+    ``(S, t, width)`` stack come from one batched elimination, and all sent
+    rows from one batched product.
     """
     s, t, _ = padded.shape
     n_workers = len(zbar)
@@ -508,22 +467,19 @@ def _null_code(
     )
     bases = fl._left_null_batch(blocks, f.q)
     per = rows_per_worker
-    out = []
-    for i in range(s):
-        mine = bases[i * n_workers : (i + 1) * n_workers]
-        assert all(len(b) >= per for b in mine), "null space smaller than guaranteed"
-        tasks = np.concatenate([b[:per] for b in mine])
-        sent = mat_mul(FMatrix(f, tasks), FMatrix(f, padded[i])).array
-        workers = tuple(
-            WorkerCode(
-                n + 1,
-                FMatrix(f, tasks[n * per : (n + 1) * per]),
-                FMatrix(f, sent[n * per : (n + 1) * per]),
-            )
-            for n in range(n_workers)
+    assert all(len(b) >= per for b in bases), "null space smaller than guaranteed"
+    tasks = np.stack([b[:per] for b in bases]).reshape(s, n_workers, per, t)
+    sent = fl._mul_batch(tasks, padded[:, None], f.q)
+    return [
+        (
+            tuple(
+                WorkerCode(n + 1, FMatrix(f, tasks[i, n]), FMatrix(f, sent[i, n]))
+                for n in range(n_workers)
+            ),
+            any(len(b) != per for b in bases[i * n_workers : (i + 1) * n_workers]),
         )
-        out.append((workers, any(len(b) != per for b in mine)))
-    return out
+        for i in range(s)
+    ]
 
 
 def _middle_schemes(
@@ -647,25 +603,28 @@ def build_large(
     return build_scheme(f_mat, a, l_symbols=l_symbols)
 
 
-def _large(
-    f_mat: DemandMatrix, a: Assignment, l_symbols: int | None, draws: _Draws
-) -> Scheme:
+def _large(f_mat: DemandMatrix, a: Assignment, l_symbols: int | None) -> Scheme:
     t = a.K // a.N * a.N_r
-    design = draws.stored_design or cyclic_design(f_mat.k_c, t)
-    m = t * len(design) // f_mat.k_c  # rows per subset times subsets, per row
-    if l_symbols is None:
-        l_symbols = m
+    design = cyclic_design(f_mat.k_c, t)
+    m = t * len(design) // f_mat.k_c  # rows per window times windows, per row
+    l_symbols = m if l_symbols is None else operator.index(l_symbols)
     if l_symbols % m != 0:
         raise BadMessageLength(f"L={l_symbols} not divisible by split count {m}")
     if len(design) >= f_mat.field.q:
         raise ShapeMismatch("code length must stay below the field modulus")
-    mds = MDSDescriptor(split_count=m, subsets=design)
+    # A window of t demand rows needs no padding.
+    windows = _middle_schemes(
+        [DemandMatrix(f_mat.matrix.take_rows([j - 1 for j in s])) for s in design],
+        a,
+        [None] * len(design),
+    )
     return Scheme(
         regime=LARGE,
         params=SchemeParams(a.K, a.N, a.N_r, f_mat.k_c, f_mat.field.q, L=l_symbols),
         assignment=a,
         demand=f_mat,
-        mds=mds,
+        subschemes=tuple(windows),
+        mds=MDSDescriptor(split_count=m, subsets=design),
     )
 
 

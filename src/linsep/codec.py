@@ -296,11 +296,10 @@ def verify_decodability(
 
     Exhaustive over responder subsets (or a seeded sample of ``sample_count``
     of them).  Large-regime schemes with more than ``subproblem_cap`` coded
-    sub-problems (one per window of the design, K_c/gcd(K_c, t) of them, or
-    up to 10 000 in a file coded over every t-subset) are checked on a
-    deterministic seeded sample of sub-problems.  The stacks go through
-    the batched rank a block of subsets at a time, each block's stacks
-    within ``field._BATCH_ELEMENTS`` entries (or one subset's).  The
+    sub-problems (one per window of the design, K_c/gcd(K_c, t) of them) are
+    checked on a deterministic seeded sample of sub-problems.  The stacks go
+    through the batched rank a block of subsets at a time, each block's
+    stacks within ``field._BATCH_ELEMENTS`` entries (or one subset's).  The
     returned list is sorted, as the subsets are.
     """
     subsets = responder_subsets(

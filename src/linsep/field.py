@@ -299,14 +299,16 @@ def mat_mul(a: FMatrix, b: FMatrix) -> FMatrix:
         raise ShapeMismatch("operands live in different fields")
     if a.cols != b.rows:
         raise ShapeMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    if a.cols > 32768:
+    return FMatrix(a.field, _mul_batch(a.array, b.array, a.field.q))
+
+
+def _mul_batch(left: np.ndarray, right: np.ndarray, q: int) -> np.ndarray:
+    """``mat_mul`` on reduced arrays, broadcast over leading stack axes."""
+    if left.shape[-1] > 32768:
         raise ShapeMismatch("inner dimension too large for exact accumulation")
-    q = a.field.q
-    left, right = a.array, b.array
     hi = left >> 16
     lo = left & 0xFFFF
-    prod = ((hi @ right) % q << 16) + (lo @ right)
-    return FMatrix(a.field, prod % q)
+    return (((hi @ right) % q << 16) + (lo @ right)) % q
 
 
 def rank(m: FMatrix) -> int:

@@ -4,15 +4,16 @@ Field elements are serialized as decimal strings of their canonical
 representatives, and objects are dumped with sorted keys and fixed
 separators, so identical schemes produce byte-identical files.  Loading
 re-runs the construction on the random inputs a file stores, so the builder
-is the only code that assembles a scheme.
+is the only code that assembles a scheme.  A large-regime file written when
+that regime coded over all C(K_c, t) subsets of the demand rows loads as the
+scheme the builder makes today, on the cyclic windows.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import replace
-from itertools import combinations
-from math import comb, gcd
+from math import comb
 
 from . import field as fl
 from .assignment import (
@@ -120,8 +121,12 @@ def scheme_to_dict(scheme: Scheme) -> dict:
     return out
 
 
+def _canonical(d: dict) -> str:
+    return json.dumps(d, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def dumps(scheme: Scheme) -> str:
-    return json.dumps(scheme_to_dict(scheme), sort_keys=True, separators=(",", ":")) + "\n"
+    return _canonical(scheme_to_dict(scheme))
 
 
 _PLACEMENTS = {
@@ -136,6 +141,11 @@ def _rebuild_assignment(d: dict):
     if kind not in _PLACEMENTS:
         raise ShapeMismatch(f"unknown assignment kind {kind!r}")
     pd = d["params"]
+    # The placement's cost grows with K and N: bound them by the file first.
+    if len(d["assignment"]["Z"]) != pd["N"] or not d["demand"] or any(
+        len(row) != pd["K"] for row in d["demand"]
+    ):
+        raise ShapeMismatch("K or N disagrees with the stored demand or assignment")
     a = _PLACEMENTS[kind](pd["K"], pd["N"], pd["N_r"])
     stored = tuple(tuple(zn) for zn in d["assignment"]["Z"])
     if stored != a.z:
@@ -143,21 +153,25 @@ def _rebuild_assignment(d: dict):
     return a
 
 
-def _stored_design(d: dict, a) -> tuple[tuple[int, ...], ...] | None:
-    """The complete design of a large file coded over all C(K_c, t) subsets.
+def _complete_design_dump(scheme: Scheme) -> str | None:
+    """The file of a large scheme as written when it coded over every t-subset.
 
-    Files written before the large regime used its K_c/gcd(K_c, t) cyclic
-    windows store that code length; any other file gets the builder's design.
+    At K_c >= t + 2 such a file differs from the cyclic-window dump only in
+    its ``mds`` entry; its L is a multiple of C(K_c - 1, t - 1), which the
+    windows' split count t/gcd(K_c, t) divides.  None where that writer could
+    not have written the scheme: it needed fewer than q coded symbols, and
+    at most ``MAX_CODE_LENGTH``.
     """
-    if d["regime"] != LARGE:
+    p = scheme.params
+    t = scheme.rows_per_worker * p.N_r
+    if scheme.regime != LARGE or p.K_c < t + 2:
         return None
-    k_c = d["params"]["K_c"]
-    t = (a.effective_k or a.K) // a.N * a.N_r
-    stored = d["mds"]["code_length"]
-    if (stored != k_c // gcd(k_c, t) and stored <= MAX_CODE_LENGTH
-            and stored == comb(k_c, t)):
-        return tuple(combinations(range(1, k_c + 1), t))
-    return None
+    length, split = comb(p.K_c, t), comb(p.K_c - 1, t - 1)
+    if p.L % split or length >= p.q or length > MAX_CODE_LENGTH:
+        return None
+    d = scheme_to_dict(scheme)
+    d["mds"] = {"code_length": length, "split_count": split}
+    return _canonical(d)
 
 
 def scheme_from_dict(d: dict) -> Scheme:
@@ -165,9 +179,11 @@ def scheme_from_dict(d: dict) -> Scheme:
 
     The file's random inputs, the padding rows of each middle sub-problem
     and the effective demand's virtual-slot columns, go back into
-    ``build_scheme``, which recomputes every derived row; so does a large
-    file's complete design, where it has one.  A file that is not exactly
-    the dump of the scheme it rebuilds is malformed.
+    ``build_scheme``, which recomputes every derived row.  A file that is
+    not exactly, byte for byte after canonical re-dumping, the dump of the
+    scheme it rebuilds is malformed; a large file coded over the complete
+    design may differ from it in its ``mds`` entry alone, and loads as the
+    cyclic-window scheme.
     """
     if d.get("format") != FORMAT:
         raise ShapeMismatch(f"unknown scheme format {d.get('format')!r}")
@@ -183,14 +199,14 @@ def scheme_from_dict(d: dict) -> Scheme:
         stored_effective=(
             _unmat(f, d["virtual"]["effective_demand"]) if "virtual" in d else None
         ),
-        stored_design=_stored_design(d, a),
     )
     scheme = build_scheme(
         DemandMatrix(_unmat(f, d["demand"])), a, l_symbols=d["params"]["L"], _draws=draws
     )
     if "recombine" in d:
         scheme = replace(scheme, recombine=_unmat(f, d["recombine"]))
-    if json.loads(dumps(scheme)) != d:
+    text = _canonical(d)
+    if text != dumps(scheme) and text != _complete_design_dump(scheme):
         raise MalformedScheme("file is not the scheme its demand and draws build")
     return scheme
 

@@ -138,8 +138,8 @@ def test_acceptance_2_bound_grid():
 def test_acceptance_3_empirical_decodability():
     # 50 uniform demands per grid point at q = 2^31 - 1, every responder
     # subset checked exactly.  Schemes with more than 16 coded sub-problems
-    # are verified on a seeded sample of 16 (their count grows as C(K_c, t),
-    # far past what a five-minute budget can enumerate).
+    # are verified on a seeded sample of 16 (their count, K_c/gcd(K_c, t)
+    # windows, reaches 17 on this grid).
     started = time.time()
     failures = []
     for n in range(2, 7):

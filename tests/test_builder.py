@@ -208,7 +208,7 @@ def test_large_split_counts_and_subdemands():
     s = bl.build_large(f_mat, cyclic_assignment(3, 3, 2))
     assert s.mds.split_count == 2 and s.mds.code_length == 3
     assert s.mds.subsets == ((1, 2), (1, 3), (2, 3))
-    sub = s.subscheme(3)  # subset {2, 3}
+    sub = s.subproblems([2])[0]  # subset {2, 3}
     assert sub.demand.matrix.to_lists() == [[1, 2, 3], [1, 4, 9]]
     assert s.params.L == 2  # default: one symbol per sub-message
 

@@ -10,9 +10,10 @@ import pytest
 
 from linsep import cli
 from linsep import builder as bl
+from linsep import codec as cd
 from linsep import field as fl
 from linsep import serialize as sz
-from linsep.assignment import cyclic_assignment, grouped_assignment
+from linsep.assignment import cyclic_assignment, general_assignment, grouped_assignment
 from linsep.errors import MalformedScheme
 
 FQ = fl.Field()
@@ -407,3 +408,43 @@ def test_simulate_exits_0_once_the_table_is_written(tmp_path, capsys):
     assert "total failures: 6" in err
     rows = list(csv.DictReader(out.read_text().splitlines()))
     assert [r["failures"] for r in rows] == ["6"]
+
+
+# Large points, built at small q: (6,3,2,6) and (6,3,1,4) at K_c >= t + 2,
+# (5,3,2,5) and (7,4,2,6) on virtual slots, the latter at K_c = t + 2.
+SMALL_Q_LARGE_POINTS = ((6, 3, 1, 4), (6, 3, 2, 6), (5, 3, 2, 5), (7, 4, 2, 6))
+
+
+@pytest.mark.parametrize("q", [7, 11])
+def test_small_moduli_file_verify_matches_in_memory(tmp_path, capsys, q):
+    """``verify --scheme`` on a written file reports what the built scheme does.
+
+    It exits 1 exactly when ``verify_decodability`` lists subsets of the
+    scheme built in memory from the same flags, with one FAIL line for each.
+    """
+    f = fl.Field(q)
+    codes = set()
+    for k, n, n_r, k_c in SMALL_Q_LARGE_POINTS:
+        for seed in range(4):
+            point = ["-K", str(k), "-N", str(n), "--nr", str(n_r), "--kc", str(k_c)]
+            seeds = ["-q", str(q), "--seed", str(seed)]
+            path = tmp_path / f"{k}-{n}-{n_r}-{k_c}-{seed}.json"
+            code, out, _ = run(capsys, "build", *point, *seeds, "--out", str(path))
+            assert code == 0 and "regime: large" in out, (k, n, n_r, k_c, seed)
+            scheme = bl.build_scheme(
+                bl.random_demand(k_c, k, f, fl.derive_seed(seed, "demand")),
+                general_assignment(k, n, n_r),
+                padding_seed=fl.derive_seed(seed, "padding"),
+                virtual_seed=fl.derive_seed(seed, "virtual"),
+            )
+            assert sz.dumps(scheme) == path.read_text()
+            failing = cd.verify_decodability(scheme)
+            code, out, _ = run(capsys, "verify", "--scheme", str(path), "--seed", str(seed))
+            assert code == (1 if failing else 0), (k, n, n_r, k_c, seed)
+            fails = [line for line in out.splitlines() if line.startswith("FAIL subset=")]
+            assert fails == [
+                f"FAIL subset={{{','.join(map(str, a_set))}}} seed={seed}"
+                for a_set in failing
+            ]
+            codes.add(code)
+    assert codes == {0, 1}

@@ -12,7 +12,7 @@ from linsep import codec as cd
 from linsep import field as fl
 from linsep import serialize as sz
 from linsep.assignment import cyclic_assignment, grouped_assignment
-from linsep.errors import ShapeMismatch
+from linsep.errors import MalformedScheme, ShapeMismatch
 from test_builder import DEMAND_3x12, DEMAND_4x6
 
 FQ = fl.Field()
@@ -92,12 +92,12 @@ def test_tampered_assignment_rejected():
 
 
 def test_oversized_scheme_refuses_serialization():
-    # The complete design of (18, 6, 2, 18), as the loader passes an older
-    # file's; the builder's own design has 3 windows.
-    f_mat = bl.random_demand(18, 18, FQ, 5)
+    # The complete design of (18, 6, 2, 18), 18 564 6-subsets, in place of
+    # the builder's 3 windows.
+    scheme = bl.build_large(bl.random_demand(18, 18, FQ, 5), cyclic_assignment(18, 6, 2))
     complete = tuple(combinations(range(1, 19), 6))
-    scheme = bl.build_scheme(
-        f_mat, cyclic_assignment(18, 6, 2), _draws=bl._Draws(stored_design=complete)
+    scheme = dataclasses.replace(
+        scheme, mds=dataclasses.replace(scheme.mds, subsets=complete)
     )
     assert scheme.mds.code_length > sz.MAX_CODE_LENGTH
     with pytest.raises(ShapeMismatch):
@@ -119,21 +119,77 @@ def test_legacy_complete_design_file_loads_verifies_and_decodes(tmp_path, capsys
     """A (6,3,2,6) file coded over all 15 4-subsets of the demand rows.
 
     ``linsep build -K 6 -N 3 --nr 2 --kc 6 --seed 3`` wrote it when the large
-    regime used the complete design; it must keep loading and decoding.
+    regime used the complete design; it loads as the cyclic-window scheme of
+    its demand and L, and keeps verifying and decoding.
     """
     text = LEGACY_LARGE.read_text()
     scheme = sz.loads(text)
-    assert sz.dumps(scheme) == text
-    assert scheme.mds.code_length == 15 and scheme.mds.split_count == 10
+    windows = bl.build_large(scheme.demand, cyclic_assignment(6, 3, 2), 10)
+    assert sz.dumps(scheme) == sz.dumps(windows) != text
+    assert sz.dumps(sz.loads(sz.dumps(scheme))) == sz.dumps(scheme)
+    assert scheme.mds.code_length == 3 and scheme.mds.split_count == 2
+    assert scheme.params.L == 10
     assert cli.main(["verify", "--scheme", str(LEGACY_LARGE)]) == 0
     w = cd.random_messages(6, scheme.params.L, FQ, 8)
     want = ref_matmul(scheme.demand.matrix.to_lists(), w.w.to_lists(), FQ.q)
     for a_set in combinations(range(1, 4), 2):
         rep = cd.decode(scheme, [cd.encode_worker(scheme, n, w) for n in a_set])
         assert rep.success and rep.recovered.to_lists() == want, a_set
-    data = json.loads(text)
-    data["mds"]["code_length"] = 14
+    for key, value in (("code_length", 14), ("split_count", 2)):
+        data = json.loads(text)
+        data["mds"][key] = value
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(data))
+        assert cli.main(["verify", "--scheme", str(edited)]) == 3, key
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name,scheme", list(sample_schemes()))
+def test_using_a_scheme_never_changes_it(name, scheme):
+    """Encoding, decoding and verifying leave every field the same object."""
+    before = dict(vars(scheme))
+    w = cd.random_messages(scheme.params.K, scheme.params.L or 2, FQ, 5)
+    answers = [cd.encode_worker(scheme, n, w) for n in range(1, scheme.params.N + 1)]
+    cd.decode(scheme, answers[: scheme.params.N_r])
+    cd.verify_decodability(scheme)
+    after = vars(scheme)
+    assert after.keys() == before.keys()
+    for key, value in after.items():
+        assert value is before[key], key
+        assert not isinstance(value, (dict, list, set)), key
+
+
+def _edit_l(data):
+    data["params"]["L"] = float(data["params"]["L"])
+
+
+def _edit_degenerate(data):
+    data["degenerate"] = int(data["degenerate"])
+
+
+@pytest.mark.parametrize("edit", [_edit_l, _edit_degenerate], ids=["L", "degenerate"])
+def test_values_equal_only_once_parsed_are_malformed(tmp_path, capsys, edit):
+    # "L": 10.0 and "degenerate": 0 parse equal to 10 and false, but are not
+    # the bytes the scheme dumps.
+    data = json.loads(LEGACY_LARGE.read_text())
+    edit(data)
     edited = tmp_path / "edited.json"
     edited.write_text(json.dumps(data))
     assert cli.main(["verify", "--scheme", str(edited)]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("key,value", [("N", 10**4), ("K", 3 * 10**6)])
+def test_loader_checks_k_and_n_before_building_the_placement(monkeypatch, key, value):
+    # A 7-dataset virtual-slot file with a huge K or N must fail before the
+    # placement, whose cost grows with both, is built.
+    scheme = bl.build_auto(bl.random_demand(5, 7, FQ, 42), 3, 2)
+    data = sz.scheme_to_dict(scheme)
+    data["params"][key] = value
+
+    def spy(*args):
+        raise AssertionError("placement built before K and N were checked")
+
+    monkeypatch.setitem(sz._PLACEMENTS, data["assignment"]["kind"], spy)
+    with pytest.raises(MalformedScheme):
+        sz.loads(json.dumps(data))
