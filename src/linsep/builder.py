@@ -16,14 +16,15 @@ combinations:
   window.
 
 All three are ordered lists of middle sub-problems, which ``Scheme`` exposes
-as one view: ``subproblems(indices)`` and the message block that the code
-rows of sub-problem i multiply, ``subproblem_input(i, w)``.  A middle scheme
-is its own single sub-problem on the messages; a small scheme has one per
-demand row, on that row's aggregates; a large scheme has one per window,
-on that window's coded symbol block.  ``_middle_schemes`` builds every middle
-scheme, a batch at a time: the small regime's rows, the large regime's
-windows, or the one scheme of a middle build; all worker null spaces of a
-batch come from one batched elimination.
+as one view, ``subproblems(indices)``.  A middle scheme is its own single
+sub-problem on the messages; a small scheme has one per demand row, on that
+row's aggregates; a large scheme has one per window, on that window's coded
+symbol block.  ``Scheme.encoder(n)`` folds worker n's rows of every
+sub-problem into one encoding matrix E_n over the split messages, built on
+demand, so every scheme kind encodes as one product.  ``_middle_schemes``
+builds every middle scheme, a batch at a time: the small regime's rows, the
+large regime's windows, or the one scheme of a middle build; all worker null
+spaces of a batch come from one batched elimination.
 
 When N does not divide K, the demand is embedded into N*ceil(K/N) effective
 slots (the extra slots carry all-zero messages) and the same machinery runs
@@ -159,9 +160,11 @@ class MDSDescriptor:
 
     Generator vectors are rows of the Vandermonde matrix on points 1..code
     length, so any ``split_count`` of them are linearly independent, and are
-    generated on demand.  Every demand row lies in exactly ``split_count`` of
-    the ``subsets``, which is all that rebuilding the row from its symbols
-    needs.
+    generated on demand.  Window i's coded symbol block mixes the
+    ``split_count`` sub-messages of every message by vector i; the encoder
+    scales the window's code rows by it instead of forming the block.  Every
+    demand row lies in exactly ``split_count`` of the ``subsets``, which is
+    all that rebuilding the row from its symbols needs.
     """
 
     split_count: int  # m: sub-messages per message
@@ -203,22 +206,6 @@ class MDSDescriptor:
     def reconstruction_stack(self, j: int, f: Field) -> FMatrix:
         """m x m stack of generator vectors of all subsets containing j."""
         return FMatrix(f, self.generator_rows(self.indices_containing(j), f))
-
-    def symbols(self, w: FMatrix, index: int) -> FMatrix:
-        """Coded symbol block W_{., S} of a 1-based subset index.
-
-        One row per message and L/m columns: the generator vector of S mixes
-        the m sub-messages of every message.
-        """
-        m = self.split_count
-        if w.cols == 0 or w.cols % m:
-            raise ShapeMismatch(f"message length {w.cols} not divisible by {m}")
-        lm = w.cols // m
-        subs = w.array.reshape(w.rows, m, lm)
-        flat = FMatrix(w.field, subs.transpose(1, 0, 2).reshape(m, w.rows * lm))
-        vec = self.generator_rows([index], w.field)
-        mixed = mat_mul(FMatrix(w.field, vec), flat)
-        return FMatrix(w.field, mixed.array.reshape(w.rows, lm))
 
 
 @dataclass(frozen=True)
@@ -291,22 +278,40 @@ class Scheme:
         """Middle sub-problems at the 0-based indices, in that order."""
         return [self.subschemes[i] if self.subschemes else self for i in indices]
 
-    def subproblem_input(self, i: int, w_eff: FMatrix) -> FMatrix:
-        """Message rows that the code rows of sub-problem i multiply."""
+    def encoder(self, n: int) -> FMatrix:
+        """Worker n's encoding matrix E_n; its answer is E_n times the split messages.
+
+        Rows are the rows worker n sends, sub-problem by sub-problem.
+        Columns are (sub-message e, real dataset k), e-major, with m =
+        ``split_count`` sub-messages per message.  Built on demand from the
+        sub-problems' message rows, with elementwise products only: a small
+        scheme's row j weights M_{j,n}[k mod N] by aggregator j's coefficient
+        on k, a large scheme's block (s, e) is v_s[e] M_{s,n}, and virtual
+        slots, whose messages are zero, lose their columns.
+        """
+        if self.grouped is not None:
+            return self.grouped.workers[n - 1].sent_rows
+        f = self.demand.field
+        subs = self.subproblems(range(self.subproblem_count))
+        rows = np.array([sub.workers[n - 1].message_rows.array for sub in subs])
+        if self.aggregators:
+            # An aggregator has one weight per column, in row k mod N.
+            coef = np.array([agg.array.sum(axis=0) for agg in self.aggregators])
+            spread = np.arange(coef.shape[1]) % self.params.N
+            rows = rows[:, :, spread] * coef[:, None, :] % f.q
+        s, per, width = rows.shape
         if self.mds is not None:
-            return self.mds.symbols(w_eff, i + 1)
-        return mat_mul(self.aggregators[i], w_eff) if self.aggregators else w_eff
+            v = self.mds.generator_rows(np.arange(1, s + 1), f)
+            rows = v[:, None, :, None] * rows[:, :, None, :] % f.q
+        rows = rows.reshape(s * per, self.split_count, width)
+        if self.virtual is not None:
+            rows = rows[:, :, np.array(self.virtual.slot_of_dataset) - 1]
+        return FMatrix(f, rows.reshape(s * per, -1))
 
     @property
     def rows_sent(self) -> int:
-        """Rows one worker sends per message block, over all sub-problems.
-
-        Sub-problems share a shape; a small-regime one runs on N aggregates,
-        one row per worker.
-        """
-        if self.grouped is not None:
-            return self.grouped.workers[0].sent_rows.rows
-        return self.subproblem_count * self.subproblems([0])[0].rows_per_worker
+        """Rows one worker sends per message block, over all sub-problems."""
+        return self.encoder(1).rows
 
 
 def regime_for(k_c: int, per: int, n_r: int) -> str:

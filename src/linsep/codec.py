@@ -1,12 +1,13 @@
 """Worker-side encoding, master-side decoding, and decodability verification.
 
-Every cyclic-family scheme is handled as the ordered list of middle
-sub-problems that ``Scheme.subproblems`` exposes.  A worker's answer stacks,
-sub-problem by sub-problem, its code rows times that sub-problem's message
-input, so sub-problem i owns answer rows [off_i, off_i + rows_i).  Decoding
-works in task-coefficient space: per sub-problem the master sets the
-responders' code rows beside their answer rows, solves that system, and
-keeps the first K_c rows of that sub-problem's demand (dropping padding).
+A worker's answer is one product: its encoding matrix ``Scheme.encoder(n)``
+times the message block split into m sub-messages, whatever the scheme kind.
+Its rows go sub-problem by sub-problem over the ordered list of middle
+sub-problems that ``Scheme.subproblems`` exposes, so sub-problem i owns
+answer rows [off_i, off_i + rows_i).  Decoding works in task-coefficient
+space: per sub-problem the master sets the responders' code rows beside
+their answer rows, solves that system, and keeps the first K_c rows of that
+sub-problem's demand (dropping padding).
 All sub-problems go through one batched solve, ``field._solve_batch``, fed
 from the same code-row array (``_code_rows``) that verification ranks.  Only
 the large regime adds a step, rebuilding every demand row from the MDS-coded
@@ -44,7 +45,6 @@ from .field import (
     mat_mul,
     random_matrix,
     rank,
-    row_stack,
 )
 
 
@@ -91,35 +91,25 @@ class DecodeReport:
     detail: str | None = None
 
 
-def _effective_messages(scheme: Scheme, w: MessageBlock) -> FMatrix:
-    """Messages in the scheme's working space; virtual slots carry zeros."""
-    if w.k != scheme.params.K:
-        raise ShapeMismatch(
-            f"message block has {w.k} rows, scheme expects {scheme.params.K}"
-        )
-    if w.w.field.q != scheme.params.q:
-        raise ShapeMismatch("message block field disagrees with the scheme")
-    if scheme.virtual is None:
-        return w.w
-    arr = np.zeros((scheme.virtual.effective_k, w.l), dtype=np.int64)
-    for k, slot in enumerate(scheme.virtual.slot_of_dataset, start=1):
-        arr[slot - 1] = w.w.array[k - 1]
-    return FMatrix(w.w.field, arr)
-
-
 def encode_worker(scheme: Scheme, n: int, w: MessageBlock) -> WorkerAnswer:
-    """Compute worker n's transmission for the given message block."""
+    """Compute worker n's transmission: E_n times the split message block.
+
+    The K x L block is split e-major into m = ``split_count`` sub-messages,
+    an (m K) x (L/m) block whose row e K + k is sub-message e of message k.
+    """
+    k, m = scheme.params.K, scheme.split_count
     if not (1 <= n <= scheme.params.N):
         raise ShapeMismatch(f"no worker {n} in a {scheme.params.N}-worker scheme")
-    w_eff = _effective_messages(scheme, w)
-    if scheme.grouped is not None:
-        return WorkerAnswer(n, mat_mul(scheme.grouped.workers[n - 1].sent_rows, w_eff))
-    subs = scheme.subproblems(range(scheme.subproblem_count))
-    rows = [
-        mat_mul(sub.workers[n - 1].message_rows, scheme.subproblem_input(i, w_eff))
-        for i, sub in enumerate(subs)
-    ]
-    return WorkerAnswer(n, row_stack(rows))
+    if w.k != k:
+        raise ShapeMismatch(f"message block has {w.k} rows, scheme expects {k}")
+    if w.w.field.q != scheme.params.q:
+        raise ShapeMismatch("message block field disagrees with the scheme")
+    # A scheme that fixes L codes symbols, and a symbol needs a column.
+    if w.l % m or (w.l == 0 and scheme.params.L is not None):
+        raise ShapeMismatch(f"message length {w.l} not divisible by {m}")
+    lm = w.l // m
+    split = w.w.array.reshape(k, m, lm).transpose(1, 0, 2).reshape(m * k, lm)
+    return WorkerAnswer(n, mat_mul(scheme.encoder(n), FMatrix(w.w.field, split)))
 
 
 def _check_answers(scheme: Scheme, answers) -> list[WorkerAnswer]:

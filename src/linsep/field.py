@@ -290,11 +290,7 @@ def vectors_as_matrix(vecs: Sequence[FVector], field: Field, width: int) -> FMat
 
 
 def mat_mul(a: FMatrix, b: FMatrix) -> FMatrix:
-    """Exact modular matrix product.
-
-    Splits the left operand into 16-bit halves so int64 accumulation cannot
-    overflow for inner dimensions up to 32768.
-    """
+    """Exact modular matrix product, for any inner dimension."""
     if a.field != b.field:
         raise ShapeMismatch("operands live in different fields")
     if a.cols != b.rows:
@@ -302,13 +298,24 @@ def mat_mul(a: FMatrix, b: FMatrix) -> FMatrix:
     return FMatrix(a.field, _mul_batch(a.array, b.array, a.field.q))
 
 
+# Longest inner slice whose 16-bit-split products sum exactly in int64.
+_MUL_INNER = 32768
+
+
 def _mul_batch(left: np.ndarray, right: np.ndarray, q: int) -> np.ndarray:
-    """``mat_mul`` on reduced arrays, broadcast over leading stack axes."""
-    if left.shape[-1] > 32768:
-        raise ShapeMismatch("inner dimension too large for exact accumulation")
-    hi = left >> 16
-    lo = left & 0xFFFF
-    return (((hi @ right) % q << 16) + (lo @ right)) % q
+    """``mat_mul`` on reduced arrays, broadcast over leading stack axes.
+
+    The left operand is split into 16-bit halves, so a product over at most
+    ``_MUL_INNER`` inner terms accumulates in int64 without overflow; a longer
+    inner dimension adds the reduced products of consecutive slices.
+    """
+    out = None
+    for lo in range(0, max(left.shape[-1], 1), _MUL_INNER):
+        a = left[..., lo : lo + _MUL_INNER]
+        b = right[..., lo : lo + _MUL_INNER, :]
+        part = ((((a >> 16) @ b) % q << 16) + ((a & 0xFFFF) @ b)) % q
+        out = part if out is None else (out + part) % q
+    return out
 
 
 def rank(m: FMatrix) -> int:
@@ -421,16 +428,6 @@ def _rref_chunk(c: np.ndarray, q: int) -> np.ndarray:
     c *= _inv_vec(lead, q)[:, :, None]
     c %= q
     return piv
-
-
-def _rref_batch(a: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """RREF of every matrix of a ``(B, m, n)`` stack.
-
-    Returns the reduced stack and its ``(B, m)`` pivot columns, padded with
-    -1 past each matrix's rank.
-    """
-    parts = [(c, _rref_chunk(c, q)) for c in _chunks(a, q)]
-    return np.concatenate([c for c, _ in parts]), np.concatenate([p for _, p in parts])
 
 
 def _solve_batch(a: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:

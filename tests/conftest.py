@@ -2,10 +2,14 @@
 
 ``_rref``, ``_rank_raw`` and ``_null_space_columns`` are the scalar numpy
 kernels the library ran before its one batched elimination; the batched
-kernels are tested against them.
+kernels are tested against them.  ``ref_encode`` is the per-sub-problem
+encode the library ran before every answer became one product by the
+worker's encoding matrix.
 """
 
 import numpy as np
+
+from linsep.errors import ShapeMismatch
 
 
 def ref_matmul(a, b, q):
@@ -19,6 +23,47 @@ def ref_matmul(a, b, q):
             for k in range(inner):
                 acc += a[i][k] * b[k][j]
             out[i][j] = acc % q
+    return out
+
+
+def ref_encode(scheme, n, w):
+    """Worker n's answer rows, one sub-problem at a time, on Python ints.
+
+    Virtual slots carry zero messages; a grouped worker sends its two rows
+    of the messages; a small sub-problem's rows multiply its aggregates, and
+    a large window's rows multiply its coded symbol block, which mixes the m
+    sub-messages of every message by the window's Vandermonde row.
+    """
+    p = scheme.params
+    if not 1 <= n <= p.N:
+        raise ShapeMismatch(f"no worker {n}")
+    if w.k != p.K or w.w.field.q != p.q:
+        raise ShapeMismatch("message block does not fit the scheme")
+    q, msgs = p.q, w.w.to_lists()
+    if scheme.virtual is not None:
+        eff = [[0] * w.l for _ in range(scheme.virtual.effective_k)]
+        for row, slot in zip(msgs, scheme.virtual.slot_of_dataset):
+            eff[slot - 1] = row
+        msgs = eff
+    if scheme.grouped is not None:
+        return ref_matmul(scheme.grouped.workers[n - 1].sent_rows.to_lists(), msgs, q)
+    out = []
+    for i, sub in enumerate(scheme.subproblems(range(scheme.subproblem_count))):
+        if scheme.mds is not None:
+            m = scheme.mds.split_count
+            if w.l == 0 or w.l % m:
+                raise ShapeMismatch(f"message length {w.l} not divisible by {m}")
+            lm = w.l // m
+            v = [pow(i + 1, e, q) for e in range(m)]
+            block = [
+                [sum(v[e] * row[e * lm + c] for e in range(m)) % q for c in range(lm)]
+                for row in msgs
+            ]
+        elif scheme.aggregators:
+            block = ref_matmul(scheme.aggregators[i].to_lists(), msgs, q)
+        else:
+            block = msgs
+        out.extend(ref_matmul(sub.workers[n - 1].message_rows.to_lists(), block, q))
     return out
 
 

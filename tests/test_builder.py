@@ -186,18 +186,6 @@ def test_small_rejects_large_demand():
         bl.build_small(bl.random_demand(3, 9, FQ, 0), cyclic_assignment(9, 3, 2))
 
 
-def test_small_full_message_rows_supported_in_assignment():
-    a = cyclic_assignment(9, 3, 2)
-    f_mat = bl.random_demand(2, 9, FQ, seed=6)
-    s = bl.build_small(f_mat, a, padding_seed=1)
-    for n in range(1, 4):
-        held = set(a.z[n - 1])
-        for sub, agg in zip(s.subschemes, s.aggregators):
-            overall = fl.mat_mul(sub.workers[n - 1].message_rows, agg)
-            for row in overall.to_lists():
-                assert {i + 1 for i, x in enumerate(row) if x} <= held
-
-
 # ---------------------------------------------------------------------------
 # Large regime
 # ---------------------------------------------------------------------------

@@ -4,19 +4,21 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import _null_space_columns, _rank_raw, _rref, ref_matmul
+from conftest import _null_space_columns, _rank_raw, _rref, ref_encode, ref_matmul
 from linsep import builder as bl
 from linsep import codec as cd
 from linsep import field as fl
 from linsep.assignment import cyclic_assignment, grouped_assignment
 from linsep.errors import (
     GroupedSolveFailed,
+    LinsepError,
     RankDeficientDemand,
     ShapeMismatch,
     SingularMatrix,
     WrongResponderCount,
 )
 from test_builder import DEMAND_3x12, DEMAND_4x6
+from test_serialize import sample_schemes
 
 FQ = fl.Field()
 Q = FQ.q
@@ -79,6 +81,103 @@ def test_encode_large_rejects_bad_length():
     s = bl.build_large(f_mat, cyclic_assignment(3, 3, 2))
     with pytest.raises(ShapeMismatch):
         cd.encode_worker(s, 1, cd.random_messages(3, 3, FQ, 0))  # 3 % 2 != 0
+
+
+def _outcome(encode, scheme, n, w):
+    """Answer rows as lists, or the type of the error encoding raised."""
+    try:
+        x = encode(scheme, n, w)
+    except LinsepError as exc:
+        return type(exc)
+    return x if isinstance(x, list) else x.x.to_lists()
+
+
+def _reference_schemes():
+    """Every scheme kind: the serialize samples and the small-q grids."""
+    yield from (s for _, s in sample_schemes())
+    f7 = fl.Field(7)
+    for k, n, n_r, k_c in Q7_POINTS + WIDE_LARGE_POINTS + ((7, 4, 2, 6),):
+        for seed in range(2):
+            demand = bl.random_demand(k_c, k, f7, fl.derive_seed(seed, "encode", k, k_c))
+            try:
+                yield bl.build_auto(demand, n, n_r, padding_seed=seed, virtual_seed=seed)
+            except ShapeMismatch:
+                pass
+
+
+def test_encode_matches_the_per_subproblem_reference():
+    """One product by E_n gives the answer of the per-sub-problem encode.
+
+    Also where encoding fails: a worker outside the scheme, a wrong K or
+    field, a length the split count does not divide, and L = 0.
+    """
+    kinds = set()
+    for i, s in enumerate(_reference_schemes()):
+        p, m = s.params, s.split_count
+        f = fl.Field(p.q)
+        kinds.add((s.regime, s.virtual is not None, s.recombine is not None))
+        for l in (m, 3 * m):
+            w = cd.random_messages(p.K, l, f, i)
+            for n in range(1, p.N + 1):
+                want = ref_encode(s, n, w)
+                assert _outcome(cd.encode_worker, s, n, w) == want, (p, n, l)
+                assert len(want) == s.rows_sent
+        bad = [
+            (0, cd.random_messages(p.K, m, f, 0)),
+            (p.N + 1, cd.random_messages(p.K, m, f, 0)),
+            (1, cd.random_messages(p.K + 1, m, f, 0)),
+            (1, cd.MessageBlock(fl.random_matrix(p.K, m, fl.Field(11 if p.q == 7 else 7), 0))),
+            (1, cd.zero_messages(p.K, 0, f)),
+        ]
+        if m > 1:
+            bad.append((1, cd.random_messages(p.K, m + 1, f, 0)))
+        for n, w in bad:
+            assert _outcome(cd.encode_worker, s, n, w) == _outcome(ref_encode, s, n, w)
+    assert {r for r, _, _ in kinds} == {"small", "middle", "large", "grouped"}
+    assert ("large", True, False) in kinds and ("large", False, True) in kinds
+
+
+def _constraint_schemes():
+    yield "small", bl.build_small(
+        bl.random_demand(2, 9, FQ, seed=6), cyclic_assignment(9, 3, 2), padding_seed=1
+    )
+    yield "middle", bl.build_middle(
+        bl.demand_from_rows(FQ, DEMAND_4x6), cyclic_assignment(6, 3, 2)
+    )
+    yield "large", bl.build_large(bl.random_demand(5, 6, FQ, 8), cyclic_assignment(6, 3, 2))
+    for k_c in (1, 3, 6):  # virtual small, middle and large at K=7, N=4
+        yield f"virtual_kc{k_c}", bl.build_auto(
+            bl.random_demand(k_c, 7, FQ, k_c), 4, 2, padding_seed=1, virtual_seed=2
+        )
+    yield "grouped", bl.build_grouped(
+        bl.demand_from_rows(FQ, DEMAND_3x12), grouped_assignment(12, 4, 3)
+    )
+    yield "fallback", cd.fallback_full_recovery(
+        bl.demand_from_rows(FQ, [[1, 1, 1], [2, 1, 1]]), cyclic_assignment(3, 3, 2), 2
+    )
+
+
+@pytest.mark.parametrize(
+    "scheme", [pytest.param(s, id=name) for name, s in _constraint_schemes()]
+)
+def test_encoder_reads_only_the_workers_datasets(scheme):
+    """The paper's computation constraint: worker n's answer uses only Z_n.
+
+    E_n is zero on every column of a dataset outside Z_n, and redrawing the
+    messages outside Z_n leaves the answer unchanged.
+    """
+    p, m = scheme.params, scheme.split_count
+    w = cd.random_messages(p.K, 2 * m, FQ, 5)
+    for n in range(1, p.N + 1):
+        held = scheme.assignment.z[n - 1]
+        outside = [k - 1 for k in range(1, p.K + 1) if k not in held]
+        e_n = scheme.encoder(n).array.reshape(-1, m, p.K)
+        assert e_n[:, :, [k - 1 for k in held]].any()
+        assert not e_n[:, :, outside].any()
+        redrawn = w.w.array.copy()
+        redrawn[outside] = cd.random_messages(p.K, 2 * m, FQ, 100 + n).w.array[outside]
+        answer = cd.encode_worker(scheme, n, cd.MessageBlock(fl.FMatrix(FQ, redrawn)))
+        assert answer == cd.encode_worker(scheme, n, w)
 
 
 # ---------------------------------------------------------------------------

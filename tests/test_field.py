@@ -239,7 +239,8 @@ def deficient_stacks(draw):
 
 def assert_batched_matches_scalar(q, a):
     ranks = fl._rank_batch(a, q)
-    red, piv = fl._rref_batch(a, q)
+    red = a % q
+    piv = fl._rref_chunk(red, q)
     nulls = fl._left_null_batch(a, q)
     # The leading square slice of every matrix, beside a drawn right-hand side.
     k = min(a.shape[1:])
@@ -287,3 +288,16 @@ def test_batched_kernels_across_chunks(q):
     a[1::4, :, 2] = 0
     assert_batched_matches_scalar(q, a)
 
+
+@pytest.mark.parametrize("fill", ["top", "random"])
+def test_matmul_has_no_inner_dimension_cap(fill):
+    # 40 000 inner terms: more than one int64-exact slice of the split product.
+    q, inner = Q_MAX, 40_000
+    f = fl.Field(q)
+    if fill == "top":
+        a, b = np.full((2, inner), q - 1), np.full((inner, 2), q - 1)
+    else:
+        a = fl.random_matrix(2, inner, f, seed=1).array
+        b = fl.random_matrix(inner, 2, f, seed=2).array
+    got = fl.mat_mul(fl.FMatrix(f, a), fl.FMatrix(f, b))
+    assert got.to_lists() == ref_matmul(a.tolist(), b.tolist(), q)
