@@ -19,8 +19,8 @@ assignment = cyclic_assignment(K=3, N=3, N_r=2)
 print("datasets per worker:", [list(z) for z in assignment.z])
 
 scheme = builder.build_middle(demand, assignment)
-for w in scheme.workers:
-    print(f"worker {w.worker} sends the combination {w.message_rows.to_lists()[0]}")
+for n in range(1, 4):
+    print(f"worker {n} sends the combination {scheme.encoder(n).to_lists()[0]}")
 
 # Messages are symbol blocks; here one symbol each, W = (1, 2, 3).
 messages = codec.MessageBlock(field.from_rows(f, [[1], [2], [3]]))

@@ -15,16 +15,17 @@ combinations:
   every row lies in m = t/g windows.  One middle sub-problem is solved per
   window.
 
-All three are ordered lists of middle sub-problems, which ``Scheme`` exposes
-as one view, ``subproblems(indices)``.  A middle scheme is its own single
-sub-problem on the messages; a small scheme has one per demand row, on that
-row's aggregates; a large scheme has one per window, on that window's coded
-symbol block.  ``Scheme.encoder(n)`` folds worker n's rows of every
-sub-problem into one encoding matrix E_n over the split messages, built on
-demand, so every scheme kind encodes as one product.  ``_middle_schemes``
-builds every middle scheme, a batch at a time: the small regime's rows, the
-large regime's windows, or the one scheme of a middle build; all worker null
-spaces of a batch come from one batched elimination.
+All three are S middle sub-problems, and a ``Scheme`` holds them as two
+read-only arrays: ``padded``, the ``(S, t, width)`` stack of each
+sub-problem's demand over its padding rows, and ``code``, the
+``(S, N, per, t)`` stack of every worker's canonical null rows.  A middle
+scheme is one sub-problem on the messages; a small scheme has one per demand
+row, an all-ones row on that row's aggregates; a large scheme has one per
+window, on that window's coded symbol block.  ``_null_code`` fills ``code``
+from one batched elimination over all workers of all sub-problems.
+``Scheme.encoder(n)`` folds worker n's rows of every sub-problem into one
+encoding matrix E_n over the split messages, built on demand, so every
+scheme kind encodes as one product.
 
 When N does not divide K, the demand is embedded into N*ceil(K/N) effective
 slots (the extra slots carry all-zero messages) and the same machinery runs
@@ -47,7 +48,7 @@ import operator
 from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb, gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -115,16 +116,6 @@ def random_demand(k_c: int, k: int, f: Field, seed: int) -> DemandMatrix:
     return DemandMatrix(random_matrix(k_c, k, f, seed))
 
 
-def pad_demand(f_mat: DemandMatrix, target_rows: int, seed: int) -> DemandMatrix:
-    """Append uniform i.i.d. rows below the demand until it has target_rows."""
-    if target_rows < f_mat.k_c:
-        raise ShapeMismatch("cannot pad to fewer rows than the demand has")
-    if target_rows == f_mat.k_c:
-        return f_mat
-    extra = random_matrix(target_rows - f_mat.k_c, f_mat.k, f_mat.field, seed)
-    return DemandMatrix(fl.row_stack([f_mat.matrix, extra]))
-
-
 @dataclass(frozen=True)
 class SchemeParams:
     K: int
@@ -133,15 +124,6 @@ class SchemeParams:
     K_c: int
     q: int
     L: int | None = None  # fixed only where the construction splits messages
-
-
-@dataclass(frozen=True)
-class WorkerCode:
-    """One worker's code rows, in task coefficients and message coefficients."""
-
-    worker: int
-    task_rows: FMatrix
-    message_rows: FMatrix
 
 
 @dataclass(frozen=True)
@@ -194,10 +176,6 @@ class MDSDescriptor:
             out[..., e] = out[..., e - 1] * x % f.q
         return out
 
-    def vector(self, index: int, f: Field) -> FVector:
-        """Generator vector for the 1-based lex index of a subset."""
-        return FVector(f, self.generator_rows(index, f))
-
     def indices_containing(self, j: int) -> tuple[int, ...]:
         return tuple(
             i for i, s in enumerate(self.subsets, start=1) if j in s
@@ -236,19 +214,22 @@ class GroupedCode:
         return self.null_vectors[self.tags.index(tag)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scheme:
-    """A built coding scheme; frozen once constructed, with every sub-problem."""
+    """A built coding scheme; frozen once constructed, with every sub-problem.
+
+    Not comparable: ``padded`` and ``code`` are arrays.  Sub-problem s's
+    demand is its first ``t - padding_rows`` rows of ``padded[s]``, and
+    ``code[s, n - 1]`` holds worker n's rows in it, in task coefficients.
+    """
 
     regime: str
     params: SchemeParams
     assignment: Assignment
     demand: DemandMatrix  # original demand over real datasets
-    padded: FMatrix | None = None  # middle: [demand; padding] (t x width)
-    padding_rows: int = 0
-    workers: tuple[WorkerCode, ...] = ()
-    subschemes: tuple["Scheme", ...] = ()  # small: one per row; large: per window
-    aggregators: tuple[FMatrix, ...] = ()  # small: per-row N x width weights
+    padded: np.ndarray | None = None  # (S, t, width), read-only; None: grouped
+    code: np.ndarray | None = None  # (S, N, per, t), read-only; None: grouped
+    padding_rows: int = 0  # per sub-problem
     mds: MDSDescriptor | None = None
     grouped: GroupedCode | None = None
     virtual: VirtualLayout | None = None
@@ -269,34 +250,27 @@ class Scheme:
         """Sub-messages per message: the MDS split count, else 1."""
         return self.mds.split_count if self.mds else 1
 
-    @property
-    def subproblem_count(self) -> int:
-        """Number of middle sub-problems; a middle scheme is its own one."""
-        return len(self.subschemes) or 1
-
-    def subproblems(self, indices: Iterable[int]) -> list["Scheme"]:
-        """Middle sub-problems at the 0-based indices, in that order."""
-        return [self.subschemes[i] if self.subschemes else self for i in indices]
-
     def encoder(self, n: int) -> FMatrix:
         """Worker n's encoding matrix E_n; its answer is E_n times the split messages.
 
         Rows are the rows worker n sends, sub-problem by sub-problem.
         Columns are (sub-message e, real dataset k), e-major, with m =
-        ``split_count`` sub-messages per message.  Built on demand from the
-        sub-problems' message rows, with elementwise products only: a small
-        scheme's row j weights M_{j,n}[k mod N] by aggregator j's coefficient
-        on k, a large scheme's block (s, e) is v_s[e] M_{s,n}, and virtual
-        slots, whose messages are zero, lose their columns.
+        ``split_count`` sub-messages per message.  Built on demand: one
+        batched product gives worker n's rows M_{s,n} = code[s, n-1] padded[s]
+        of every sub-problem, then elementwise products only.  A small
+        scheme's row j weights M_{j,n}[k mod N] by demand row j's coefficient
+        on k (the effective demand's, with virtual slots), since aggregate
+        k mod N collects message k with that weight; a large scheme's block
+        (s, e) is v_s[e] M_{s,n}; virtual slots, whose messages are zero, lose
+        their columns.
         """
         if self.grouped is not None:
             return self.grouped.workers[n - 1].sent_rows
         f = self.demand.field
-        subs = self.subproblems(range(self.subproblem_count))
-        rows = np.array([sub.workers[n - 1].message_rows.array for sub in subs])
-        if self.aggregators:
-            # An aggregator has one weight per column, in row k mod N.
-            coef = np.array([agg.array.sum(axis=0) for agg in self.aggregators])
+        rows = fl._mul_batch(self.code[:, n - 1], self.padded, f.q)
+        if self.regime == SMALL:
+            demand = self.virtual.effective_demand if self.virtual else self.demand.matrix
+            coef = demand.array
             spread = np.arange(coef.shape[1]) % self.params.N
             rows = rows[:, :, spread] * coef[:, None, :] % f.q
         s, per, width = rows.shape
@@ -411,8 +385,7 @@ def build_scheme(
     if regime == SMALL:
         return _small(f_mat, a, draws)
     if regime == MIDDLE:
-        padding = draws.padding(0, per * a.N_r - f_mat.k_c, a.K, f_mat.field)
-        return _middle_schemes([f_mat], a, [padding])[0]
+        return _middle(f_mat, a, draws)
     return _large(f_mat, a, l_symbols)
 
 
@@ -450,78 +423,36 @@ def build_auto(
 # ---------------------------------------------------------------------------
 
 
-def _null_code(
-    padded: np.ndarray,
-    zbar: tuple[tuple[int, ...], ...],
-    rows_per_worker: int,
-    f: Field,
-) -> list[tuple[tuple[WorkerCode, ...], bool]]:
-    """Worker codes and degenerate flag of every padded demand of a stack.
+def _padded(demand: np.ndarray, paddings: Sequence[FMatrix | None]) -> np.ndarray:
+    """Read-only ``(S, t, width)`` stack of the demand over each padding (None: none)."""
+    padded = np.stack(
+        [demand if p is None else np.vstack([demand, p.array]) for p in paddings]
+    )
+    padded.setflags(write=False)
+    return padded
 
-    Worker n's task rows are the first ``rows_per_worker`` canonical left
-    null vectors of the demand columns it misses; every worker misses the
-    same number under the cyclic assignment, so all null spaces of the
-    ``(S, t, width)`` stack come from one batched elimination, and all sent
-    rows from one batched product.
+
+def _null_code(padded: np.ndarray, a: Assignment, f: Field) -> tuple[np.ndarray, bool]:
+    """Code rows of every padded demand of a stack, and whether any is degenerate.
+
+    Worker n's rows ``code[s, n - 1]`` are the first K/N canonical left null
+    vectors of the columns of ``padded[s]`` it misses on the cyclic ``a``;
+    every worker misses the same number, so all null spaces of the
+    ``(S, t, width)`` stack come from one batched elimination.  The stack is
+    degenerate where some null space is larger than K/N.
     """
     s, t, _ = padded.shape
-    n_workers = len(zbar)
-    cols = np.array(zbar, dtype=np.intp).reshape(n_workers, -1) - 1
-    blocks = padded[:, :, cols].transpose(0, 2, 1, 3).reshape(
-        s * n_workers, t, cols.shape[1]
-    )
-    bases = fl._left_null_batch(blocks, f.q)
-    per = rows_per_worker
-    assert all(len(b) >= per for b in bases), "null space smaller than guaranteed"
-    tasks = np.stack([b[:per] for b in bases]).reshape(s, n_workers, per, t)
-    sent = fl._mul_batch(tasks, padded[:, None], f.q)
-    return [
-        (
-            tuple(
-                WorkerCode(n + 1, FMatrix(f, tasks[i, n]), FMatrix(f, sent[i, n]))
-                for n in range(n_workers)
-            ),
-            any(len(b) != per for b in bases[i * n_workers : (i + 1) * n_workers]),
-        )
-        for i in range(s)
-    ]
-
-
-def _middle_schemes(
-    demands: Sequence[DemandMatrix],
-    a: Assignment,
-    paddings: Sequence[FMatrix | None],
-) -> list[Scheme]:
-    """Middle schemes of equal-shape demands on one cyclic assignment.
-
-    ``paddings[i]`` holds the rows appended below demand i (None: none); each
-    padded demand must have ``per * N_r`` rows.
-    """
     per = a.K // a.N
-    t = per * a.N_r
-    f = demands[0].field
-    padded = [
-        d.matrix if p is None else fl.row_stack([d.matrix, p])
-        for d, p in zip(demands, paddings)
-    ]
-    for p in padded:
-        if p.rows != t:
-            raise ShapeMismatch(f"padded demand has {p.rows} rows, not {t}")
-    zbar = tuple(a.not_assigned(n) for n in range(1, a.N + 1))
-    codes = _null_code(np.stack([p.array for p in padded]), zbar, per, f)
-    return [
-        Scheme(
-            regime=MIDDLE,
-            params=SchemeParams(a.K, a.N, a.N_r, d.k_c, f.q),
-            assignment=a,
-            demand=d,
-            padded=p,
-            padding_rows=t - d.k_c,
-            workers=workers,
-            degenerate=degenerate,
-        )
-        for d, p, (workers, degenerate) in zip(demands, padded, codes)
-    ]
+    if t != per * a.N_r:
+        raise ShapeMismatch(f"padded demand has {t} rows, not {per * a.N_r}")
+    cols = np.array([a.not_assigned(n) for n in range(1, a.N + 1)], dtype=np.intp)
+    cols = cols.reshape(a.N, -1) - 1
+    blocks = padded[:, :, cols].transpose(0, 2, 1, 3).reshape(s * a.N, t, cols.shape[1])
+    bases = fl._left_null_batch(blocks, f.q)
+    assert all(len(b) >= per for b in bases), "null space smaller than guaranteed"
+    code = np.stack([b[:per] for b in bases]).reshape(s, a.N, per, t)
+    code.setflags(write=False)
+    return code, any(len(b) != per for b in bases)
 
 
 def build_middle(
@@ -532,24 +463,27 @@ def build_middle(
     return build_scheme(f_mat, a, padding_seed=padding_seed)
 
 
+def _middle(f_mat: DemandMatrix, a: Assignment, draws: _Draws) -> Scheme:
+    """The one sub-problem: the demand over uniform rows up to t = K/N * N_r."""
+    f = f_mat.field
+    padding = draws.padding(0, a.K // a.N * a.N_r - f_mat.k_c, a.K, f)
+    padded = _padded(f_mat.matrix.array, [padding])
+    code, degenerate = _null_code(padded, a, f)
+    return Scheme(
+        regime=MIDDLE,
+        params=SchemeParams(a.K, a.N, a.N_r, f_mat.k_c, f.q),
+        assignment=a,
+        demand=f_mat,
+        padded=padded,
+        code=code,
+        padding_rows=padded.shape[1] - f_mat.k_c,
+        degenerate=degenerate,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Small regime
 # ---------------------------------------------------------------------------
-
-
-def _aggregator(f_mat: DemandMatrix, row: int, n_workers: int) -> FMatrix:
-    """Weights folding the K messages into N per-worker aggregates.
-
-    Aggregate n collects the demand-row coefficients of messages n, n+N,
-    n+2N, ...; it is computable by exactly the workers holding those
-    messages, which coincide under the cyclic assignment.
-    """
-    k = f_mat.k
-    arr = np.zeros((n_workers, k), dtype=np.int64)
-    coeffs = f_mat.matrix.array[row - 1]
-    for col in range(k):
-        arr[col % n_workers, col] = coeffs[col]
-    return FMatrix(f_mat.field, arr)
 
 
 def build_small(
@@ -561,24 +495,28 @@ def build_small(
 
 
 def _small(f_mat: DemandMatrix, a: Assignment, draws: _Draws) -> Scheme:
+    """Demand row j is sub-problem j: the all-ones row on N aggregates.
+
+    Aggregate n collects row j's terms on messages n, n+N, n+2N, ..., so it
+    is computable by exactly the workers holding those messages, which
+    coincide under the cyclic assignment; the sub-problems therefore run on
+    the cyclic assignment of N datasets.
+    """
     f = f_mat.field
-    sub_assignment = cyclic_assignment(a.N, a.N, a.N_r)
-    ones = demand_from_rows(f, [[1] * a.N])
-    rows = range(1, f_mat.k_c + 1)
-    subschemes = _middle_schemes(
-        [ones] * f_mat.k_c,
-        sub_assignment,
-        [draws.padding(j, a.N_r - 1, a.N, f) for j in rows],
+    padded = _padded(
+        np.ones((1, a.N), dtype=np.int64),
+        [draws.padding(j, a.N_r - 1, a.N, f) for j in range(1, f_mat.k_c + 1)],
     )
+    code, degenerate = _null_code(padded, cyclic_assignment(a.N, a.N, a.N_r), f)
     return Scheme(
         regime=SMALL,
         params=SchemeParams(a.K, a.N, a.N_r, f_mat.k_c, f.q),
         assignment=a,
         demand=f_mat,
-        workers=(),
-        subschemes=tuple(subschemes),
-        aggregators=tuple(_aggregator(f_mat, j, a.N) for j in rows),
-        degenerate=any(s.degenerate for s in subschemes),
+        padded=padded,
+        code=code,
+        padding_rows=a.N_r - 1,
+        degenerate=degenerate,
     )
 
 
@@ -618,17 +556,16 @@ def _large(f_mat: DemandMatrix, a: Assignment, l_symbols: int | None) -> Scheme:
     if len(design) >= f_mat.field.q:
         raise ShapeMismatch("code length must stay below the field modulus")
     # A window of t demand rows needs no padding.
-    windows = _middle_schemes(
-        [DemandMatrix(f_mat.matrix.take_rows([j - 1 for j in s])) for s in design],
-        a,
-        [None] * len(design),
-    )
+    padded = f_mat.matrix.array[np.array(design) - 1]
+    padded.setflags(write=False)
+    code, _ = _null_code(padded, a, f_mat.field)  # not reported yet: ROADMAP item 5
     return Scheme(
         regime=LARGE,
         params=SchemeParams(a.K, a.N, a.N_r, f_mat.k_c, f_mat.field.q, L=l_symbols),
         assignment=a,
         demand=f_mat,
-        subschemes=tuple(windows),
+        padded=padded,
+        code=code,
         mds=MDSDescriptor(split_count=m, subsets=design),
     )
 
@@ -654,21 +591,6 @@ def _effective_demand(f_mat: DemandMatrix, a: Assignment, draws: _Draws) -> FMat
     for i, slot in enumerate(virtual_slots):
         arr[:, slot - 1] = fill.array[:, i]
     return FMatrix(f, arr)
-
-
-def build_general(
-    f_mat: DemandMatrix,
-    a: Assignment,
-    *,
-    l_symbols: int | None = None,
-    padding_seed: int = 0,
-    virtual_seed: int = 0,
-) -> Scheme:
-    """Run the divisible-K construction on the effective (padded-slot) problem."""
-    if a.kind != GENERAL_VIRTUAL:
-        raise ShapeMismatch("build_general expects a general-virtual assignment")
-    return build_scheme(f_mat, a, l_symbols=l_symbols, padding_seed=padding_seed,
-                        virtual_seed=virtual_seed)
 
 
 # ---------------------------------------------------------------------------

@@ -2,19 +2,17 @@
 
 A worker's answer is one product: its encoding matrix ``Scheme.encoder(n)``
 times the message block split into m sub-messages, whatever the scheme kind.
-Its rows go sub-problem by sub-problem over the ordered list of middle
-sub-problems that ``Scheme.subproblems`` exposes, so sub-problem i owns
-answer rows [off_i, off_i + rows_i).  Decoding works in task-coefficient
-space: per sub-problem the master sets the responders' code rows beside
-their answer rows, solves that system, and keeps the first K_c rows of that
-sub-problem's demand (dropping padding).
-All sub-problems go through one batched solve, ``field._solve_batch``, fed
-from the same code-row array (``_code_rows``) that verification ranks.  Only
-the large regime adds a step, rebuilding every demand row from the MDS-coded
-symbols with one more batched solve; the grouped scheme has its own pairwise
-decoder, again one solve.  The simulation harness cross-checks the result
-against a direct message-space multiplication, so the two paths stay
-independent.
+Its rows go sub-problem by sub-problem, per rows each, so sub-problem s owns
+answer rows [s per, (s + 1) per).  Decoding works in task-coefficient space:
+per sub-problem the master sets the responders' code rows beside their
+answer rows, solves that system, and keeps the rows of that sub-problem's
+demand (dropping padding).  All sub-problems go through one batched solve,
+``field._solve_batch``, fed from the same ``(S, N, per, t)`` array,
+``Scheme.code``, that verification ranks.  Only the large regime adds a
+step, rebuilding every demand row from the MDS-coded symbols with one more
+batched solve; the grouped scheme has its own pairwise decoder, again one
+solve.  The simulation harness cross-checks the result against a direct
+message-space multiplication, so the two paths stay independent.
 """
 
 from __future__ import annotations
@@ -122,22 +120,27 @@ def _check_answers(scheme: Scheme, answers) -> list[WorkerAnswer]:
         raise WrongResponderCount("answers must come from distinct workers")
     if not all(1 <= i <= scheme.params.N for i in ids):
         raise ShapeMismatch("answer from a worker outside the scheme")
+    code = scheme.code
+    rows = 2 if code is None else code.shape[0] * code.shape[2]
+    for a in answers:
+        if a.x.field.q != scheme.params.q:
+            raise ShapeMismatch(f"answer of worker {a.worker} is over another field")
+        if a.x.rows != rows or a.x.cols != answers[0].x.cols:
+            raise ShapeMismatch(
+                f"answer of worker {a.worker} is {a.x.rows} x {a.x.cols}, "
+                f"not {rows} x {answers[0].x.cols}"
+            )
     return sorted(answers, key=lambda a: a.worker)
 
 
-def _code_rows(subs: list[Scheme]) -> np.ndarray:
-    """rows[s, n]: worker n + 1's code rows in sub-problem s; (S, N, per, t)."""
-    return np.array([[w.task_rows.array for w in sub.workers] for sub in subs])
-
-
-def _decode_subproblems(scheme: Scheme, answers, f: Field) -> FMatrix:
+def _decode_stacked(scheme: Scheme, answers, f: Field) -> FMatrix:
     """Recovered rows of every middle sub-problem, in sub-problem order.
 
     Sub-problem s solves ``[responders' code rows | their answer rows]`` for
-    the first ``k_c`` rows of its demand; all of them in one batched solve.
+    the rows of its demand, which precede its padding; all of them in one
+    batched solve.
     """
-    subs = scheme.subproblems(range(scheme.subproblem_count))
-    rows = _code_rows(subs)[:, [a.worker - 1 for a in answers]]
+    rows = scheme.code[:, [a.worker - 1 for a in answers]]
     s, n_r, per, t = rows.shape
     aug = np.empty((s, n_r * per, t + answers[0].x.cols), dtype=np.int64)
     aug[:, :, :t] = rows.reshape(s, n_r * per, t)
@@ -148,7 +151,7 @@ def _decode_subproblems(scheme: Scheme, answers, f: Field) -> FMatrix:
         raise SingularMatrix(
             f"sub-problem {ok.argmin() + 1}: stacked code rows are singular"
         )
-    parts = x[:, : subs[0].demand.k_c]
+    parts = x[:, : t - scheme.padding_rows]
     if scheme.mds is None:
         return FMatrix(f, parts.reshape(-1, parts.shape[2]))
     return _mds_reconstruct(scheme.mds, parts, scheme.params.K_c, f)
@@ -217,7 +220,7 @@ def decode(
         if scheme.grouped is not None:
             raw = _decode_grouped(scheme, answers, f)
         else:
-            raw = _decode_subproblems(scheme, answers, f)
+            raw = _decode_stacked(scheme, answers, f)
     except SingularMatrix as exc:
         return DecodeReport(responders, False, None, cost, str(exc))
     if scheme.recombine is not None:
@@ -315,12 +318,11 @@ def verify_decodability(
 
         entries = comb(scheme.params.N_r, 2) * k_c
     else:
-        total = scheme.subproblem_count
-        indices = range(total)
+        tasks = scheme.code
+        total = len(tasks)
         if scheme.mds is not None and total > subproblem_cap:
             stream = ElementStream(fl.Field(q), derive_seed(seed, "large-subproblems"))
-            indices = _sample_distinct(total, subproblem_cap, stream)
-        tasks = _code_rows(scheme.subproblems(indices))
+            tasks = tasks[_sample_distinct(total, subproblem_cap, stream)]
         s, _, per, t = tasks.shape
         n_r = scheme.params.N_r
 

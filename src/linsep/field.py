@@ -273,22 +273,6 @@ def zeros(rows: int, cols: int, field: Field) -> FMatrix:
     return FMatrix(field, np.zeros((rows, cols), dtype=np.int64))
 
 
-def row_stack(mats: Sequence[FMatrix]) -> FMatrix:
-    if not mats:
-        raise ShapeMismatch("cannot stack an empty list of matrices")
-    field = mats[0].field
-    for m in mats:
-        if m.field != field or m.cols != mats[0].cols:
-            raise ShapeMismatch("row_stack operands disagree on field or width")
-    return FMatrix(field, np.vstack([m.array for m in mats]))
-
-
-def vectors_as_matrix(vecs: Sequence[FVector], field: Field, width: int) -> FMatrix:
-    if not vecs:
-        return zeros(0, width, field)
-    return FMatrix(field, np.vstack([v.array for v in vecs]))
-
-
 def mat_mul(a: FMatrix, b: FMatrix) -> FMatrix:
     """Exact modular matrix product, for any inner dimension."""
     if a.field != b.field:
@@ -477,12 +461,3 @@ def random_matrix(rows: int, cols: int, field: Field, seed: int) -> FMatrix:
     stream = ElementStream(field, seed)
     data = np.array(stream.take(rows * cols), dtype=np.int64).reshape(rows, cols)
     return FMatrix(field, data)
-
-
-def random_invertible(n: int, field: Field, seed: int, max_tries: int = 64) -> FMatrix:
-    """First full-rank n x n matrix along the derived seed sequence."""
-    for attempt in range(max_tries):
-        m = random_matrix(n, n, field, derive_seed(seed, "invertible", attempt))
-        if rank(m) == n:
-            return m
-    raise SingularMatrix(f"no invertible {n}x{n} matrix after {max_tries} draws")

@@ -2,7 +2,9 @@
 
 Field elements are serialized as decimal strings of their canonical
 representatives, and objects are dumped with sorted keys and fixed
-separators, so identical schemes produce byte-identical files.  Loading
+separators, so identical schemes produce byte-identical files.  A middle
+sub-problem's entry is a slice of the scheme's arrays: its padding rows from
+``Scheme.padded`` and each worker's code rows from ``Scheme.code``.  Loading
 re-runs the construction on the random inputs a file stores, so the builder
 is the only code that assembles a scheme.  A large-regime file written when
 that regime coded over all C(K_c, t) subsets of the demand rows loads as the
@@ -14,6 +16,8 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 from math import comb
+
+import numpy as np
 
 from . import field as fl
 from .assignment import (
@@ -41,20 +45,22 @@ FORMAT = "linsep-scheme-v1"
 MAX_CODE_LENGTH = 10_000  # coded sub-problems a large scheme file may have
 
 
-def _mat(m: FMatrix) -> list[list[str]]:
-    return [[str(x) for x in row] for row in m.to_lists()]
+def _mat(a: np.ndarray) -> list[list[str]]:
+    return [[str(x) for x in row] for row in a.tolist()]
 
 
 def _unmat(f: Field, rows) -> FMatrix:
     return fl.from_rows(f, [[int(x) for x in row] for row in rows])
 
 
-def _middle_entry(sub: Scheme) -> dict:
-    """Padding rows and worker code rows of a middle (sub-)scheme."""
-    g, t = sub.padding_rows, sub.padded.rows
+def _middle_entry(scheme: Scheme, s: int) -> dict:
+    """Padding rows and worker code rows of middle sub-problem s."""
+    g, t = scheme.padding_rows, scheme.padded.shape[1]
     return {
-        "padding": _mat(sub.padded.take_rows(range(t - g, t))) if g else [],
-        "workers": [{"id": w.worker, "rows": _mat(w.task_rows)} for w in sub.workers],
+        "padding": _mat(scheme.padded[s, t - g :]) if g else [],
+        "workers": [
+            {"id": n, "rows": _mat(rows)} for n, rows in enumerate(scheme.code[s], 1)
+        ],
     }
 
 
@@ -71,7 +77,7 @@ def scheme_to_dict(scheme: Scheme) -> dict:
             "kind": scheme.assignment.kind,
             "Z": [list(zn) for zn in scheme.assignment.z],
         },
-        "demand": _mat(scheme.demand.matrix),
+        "demand": _mat(scheme.demand.matrix.array),
         "degenerate": scheme.degenerate,
         "padding_rows": scheme.padding_rows,
     }
@@ -79,17 +85,18 @@ def scheme_to_dict(scheme: Scheme) -> dict:
         out["virtual"] = {
             "effective_k": scheme.virtual.effective_k,
             "slots": list(scheme.virtual.slot_of_dataset),
-            "effective_demand": _mat(scheme.virtual.effective_demand),
+            "effective_demand": _mat(scheme.virtual.effective_demand.array),
         }
     if scheme.recombine is not None:
-        out["recombine"] = _mat(scheme.recombine)
+        out["recombine"] = _mat(scheme.recombine.array)
     if scheme.regime == MIDDLE:
-        out.update(_middle_entry(scheme))
+        out.update(_middle_entry(scheme, 0))
     elif scheme.regime == SMALL:
+        out["padding_rows"] = 0  # v1 keeps a small scheme's padding per sub-problem
         out["workers"] = []
         out["subproblems"] = [
-            {"index": j + 1, **_middle_entry(sub)}
-            for j, sub in enumerate(scheme.subschemes)
+            {"index": j + 1, **_middle_entry(scheme, j)}
+            for j in range(len(scheme.code))
         ]
     elif scheme.regime == LARGE:
         if scheme.mds.code_length > MAX_CODE_LENGTH:
@@ -107,7 +114,7 @@ def scheme_to_dict(scheme: Scheme) -> dict:
         out["workers"] = [
             {
                 "id": w.worker,
-                "rows": _mat(w.rows),
+                "rows": _mat(w.rows.array),
                 "tags": [list(t) for t in w.pair_tags],
                 "relation": [str(c) for c in w.relation],
             }
@@ -116,7 +123,7 @@ def scheme_to_dict(scheme: Scheme) -> dict:
         out["grouped"] = {
             "tags": [list(t) for t in code.tags],
             "null_vectors": [[str(x) for x in v.to_list()] for v in code.null_vectors],
-            "combined": _mat(code.combined_rows),
+            "combined": _mat(code.combined_rows.array),
         }
     return out
 

@@ -30,7 +30,8 @@ def ref_encode(scheme, n, w):
     """Worker n's answer rows, one sub-problem at a time, on Python ints.
 
     Virtual slots carry zero messages; a grouped worker sends its two rows
-    of the messages; a small sub-problem's rows multiply its aggregates, and
+    of the messages; worker n's rows of sub-problem s are its code rows times
+    the padded demand; a small sub-problem's rows multiply its aggregates, and
     a large window's rows multiply its coded symbol block, which mixes the m
     sub-messages of every message by the window's Vandermonde row.
     """
@@ -47,8 +48,16 @@ def ref_encode(scheme, n, w):
         msgs = eff
     if scheme.grouped is not None:
         return ref_matmul(scheme.grouped.workers[n - 1].sent_rows.to_lists(), msgs, q)
+    if scheme.regime == "small":
+        # Aggregator i (N x K): row r holds demand row i's weights on the
+        # messages k = r mod N, and zeros elsewhere.
+        demand = scheme.virtual.effective_demand if scheme.virtual else scheme.demand.matrix
+        aggregators = [
+            [[c if k % p.N == r else 0 for k, c in enumerate(row)] for r in range(p.N)]
+            for row in demand.to_lists()
+        ]
     out = []
-    for i, sub in enumerate(scheme.subproblems(range(scheme.subproblem_count))):
+    for i, (padded, code) in enumerate(zip(scheme.padded, scheme.code)):
         if scheme.mds is not None:
             m = scheme.mds.split_count
             if w.l == 0 or w.l % m:
@@ -59,11 +68,12 @@ def ref_encode(scheme, n, w):
                 [sum(v[e] * row[e * lm + c] for e in range(m)) % q for c in range(lm)]
                 for row in msgs
             ]
-        elif scheme.aggregators:
-            block = ref_matmul(scheme.aggregators[i].to_lists(), msgs, q)
+        elif scheme.regime == "small":
+            block = ref_matmul(aggregators[i], msgs, q)
         else:
             block = msgs
-        out.extend(ref_matmul(sub.workers[n - 1].message_rows.to_lists(), block, q))
+        message_rows = ref_matmul(code[n - 1].tolist(), padded.tolist(), q)
+        out.extend(ref_matmul(message_rows, block, q))
     return out
 
 

@@ -68,15 +68,21 @@ def test_acceptance_1_worked_examples():
     scheme = bl.build_middle(demand, cyclic_assignment(6, 3, 2))
     w = cd.random_messages(6, 4, FQ, seed=101)
     assert _decode_all_subsets(scheme, demand, w) == 4
-    rows = scheme.workers[0].task_rows.to_lists()
+    rows = scheme.code[0, 0].tolist()
     for vec in ([-6, 1, 0, 3], [0, -2, 3, 0]):
         assert in_row_span([x % Q for x in vec], rows, Q)
 
     # (9, 3, 2, 2): aggregated messages; combination 2 folds group 1 as
-    # W_1 + 4 W_4 + 7 W_7.
+    # W_1 + 4 W_4 + 7 W_7, so a worker holding group 1 sends a nonzero
+    # multiple of it in its row of sub-problem 2.
     demand = bl.demand_from_rows(FQ, DEMAND_2x9)
-    scheme = bl.build_small(demand, cyclic_assignment(9, 3, 2), padding_seed=7)
-    assert scheme.aggregators[1].to_lists()[0] == [1, 0, 0, 4, 0, 0, 7, 0, 0]
+    a = cyclic_assignment(9, 3, 2)
+    scheme = bl.build_small(demand, a, padding_seed=7)
+    holders = [n for n in (1, 2, 3) if {1, 4, 7} <= set(a.z[n - 1])]
+    assert holders == [1, 3]
+    for n in holders:
+        c, *rest = scheme.encoder(n).array[1, [0, 3, 6]].tolist()
+        assert c and rest == [4 * c % Q, 7 * c % Q]
     w = cd.random_messages(9, 2, FQ, seed=102)
     assert _decode_all_subsets(scheme, demand, w) == 4
 
@@ -171,7 +177,7 @@ def test_acceptance_4_structured_fixtures():
         resp = tuple(range(1, n))  # N_r = n - 1 designated responders
         fixture = bl.adversarial_fixture(n, n, n - 1, resp, seed=11)
         scheme = bl.build_middle(fixture, cyclic_assignment(n, n, n - 1))
-        stack = fl.row_stack([scheme.workers[w - 1].task_rows for w in resp])
+        stack = fl.FMatrix(FQ, scheme.code[0, [w - 1 for w in resp]].reshape(n - 1, -1))
         assert stack == fl.identity(n - 1, FQ)
     for n, n_r in ((3, 2), (4, 3)):
         fixture = bl.adversarial_fixture(2 * n, n, n_r, tuple(range(1, n_r + 1)), seed=12)
@@ -271,10 +277,9 @@ def test_acceptance_8_property_suites():
 
         if scheme.regime == "middle":
             base = scheme.virtual.effective_assignment if scheme.virtual else scheme.assignment
-            for wc in scheme.workers:
-                zbar = base.not_assigned(wc.worker)
-                sub = scheme.padded.take_columns([c - 1 for c in zbar])
-                assert not fl.mat_mul(wc.task_rows, sub).array.any()
+            for n, rows in enumerate(scheme.code[0], 1):
+                missing = scheme.padded[0][:, [c - 1 for c in base.not_assigned(n)]]
+                assert not fl.mat_mul(fl.FMatrix(FQ, rows), fl.FMatrix(FQ, missing)).array.any()
                 checked_orthogonality += 1
     assert checked_orthogonality > 100
 

@@ -2,6 +2,7 @@ from collections import Counter
 from itertools import combinations
 from math import comb, gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,24 +48,12 @@ def middle_4x6():
     )
 
 
-# ---------------------------------------------------------------------------
-# pad_demand
-# ---------------------------------------------------------------------------
-
-
-def test_pad_demand_noop_at_own_height():
-    f_mat = bl.demand_from_rows(FQ, DEMAND_4x6)
-    assert bl.pad_demand(f_mat, 4, seed=1) is f_mat
-
-
-def test_pad_demand_prefix_and_shape():
-    f_mat = bl.demand_from_rows(FQ, DEMAND_4x6[:2])
-    padded = bl.pad_demand(f_mat, 4, seed=9)
-    assert (padded.k_c, padded.k) == (4, 6)
-    assert padded.matrix.to_lists()[:2] == f_mat.matrix.to_lists()
-    assert bl.pad_demand(f_mat, 4, seed=9) == padded  # deterministic
-    other = bl.pad_demand(f_mat, 4, seed=10)
-    assert other.matrix.to_lists()[2:] != padded.matrix.to_lists()[2:]
+def assert_code_orthogonal(s, a):
+    """Every worker's code rows annihilate the padded demand columns it misses."""
+    for n in range(1, a.N + 1):
+        missing = s.padded[0][:, [c - 1 for c in a.not_assigned(n)]]
+        prod = fl.mat_mul(fl.FMatrix(FQ, s.code[0, n - 1]), fl.FMatrix(FQ, missing))
+        assert not prod.array.any()
 
 
 # ---------------------------------------------------------------------------
@@ -74,11 +63,11 @@ def test_pad_demand_prefix_and_shape():
 
 def test_middle_worker1_span_contains_known_vectors():
     s = middle_4x6()
-    rows = s.workers[0].task_rows.to_lists()
+    rows = s.code[0, 0].tolist()
     for vec in ([-6, 1, 0, 3], [0, -2, 3, 0]):
         assert in_row_span([x % Q for x in vec], rows, Q)
     # and in message coefficients: (-6,1,0,3) F = (-2,2,0,10,11,0)
-    msg = s.workers[0].message_rows.to_lists()
+    msg = s.encoder(1).to_lists()
     target = [x % Q for x in (-2, 2, 0, 10, 11, 0)]
     assert in_row_span(target, msg, Q)
 
@@ -86,9 +75,9 @@ def test_middle_worker1_span_contains_known_vectors():
 def test_middle_three_worker_k_equals_n_code_row():
     f_mat = bl.demand_from_rows(FQ, [[1, 1, 1], [1, 2, 3]])
     s = bl.build_middle(f_mat, cyclic_assignment(3, 3, 2))
-    row = s.workers[0].message_rows.to_lists()[0]
+    row = s.encoder(1).to_lists()[0]
     # single row proportional to (2, 1, 0)
-    assert s.workers[0].message_rows.rows == 1
+    assert s.encoder(1).rows == 1
     assert row[2] == 0 and row[0] == 2 * row[1] % Q != 0
 
 
@@ -98,33 +87,31 @@ def test_middle_orthogonality_and_computability():
             a = cyclic_assignment(k, n, n_r)
             f_mat = bl.random_demand(k_c, k, FQ, seed=fl.derive_seed(seed, k, n, n_r, k_c))
             s = bl.build_middle(f_mat, a, padding_seed=seed)
-            for w in s.workers:
-                zbar = a.not_assigned(w.worker)
-                sub = s.padded.take_columns([c - 1 for c in zbar])
-                prod = fl.mat_mul(w.task_rows, sub)
-                assert not prod.array.any()
-                held = set(a.z[w.worker - 1])
-                for row in w.message_rows.to_lists():
+            assert_code_orthogonal(s, a)
+            assert s.code.shape == (1, n, k // n, k // n * n_r)
+            for worker in range(1, n + 1):
+                held = set(a.z[worker - 1])
+                for row in s.encoder(worker).to_lists():
                     support = {i + 1 for i, x in enumerate(row) if x}
                     assert support <= held
-                assert w.task_rows.rows == k // n
 
 
 def test_middle_row_count_and_padding():
     s = middle_4x6()
-    assert all(w.task_rows.rows == 2 for w in s.workers)
+    assert s.code.shape == (1, 3, 2, 4)
     assert s.padding_rows == 0
     f_small = bl.demand_from_rows(FQ, DEMAND_4x6[:2])
     s2 = bl.build_middle(f_small, cyclic_assignment(6, 3, 2), padding_seed=1)
-    assert s2.padding_rows == 2 and s2.padded.rows == 4
+    assert s2.padding_rows == 2 and s2.padded.shape == (1, 4, 6)
+    assert s2.padded[0, :2].tolist() == DEMAND_4x6[:2]
 
 
 def test_middle_identity_code_when_single_responder_suffices():
     # N_r = 1: every worker holds everything and sends unit task rows.
     f_mat = bl.random_demand(2, 6, FQ, seed=3)
     s = bl.build_middle(f_mat, cyclic_assignment(6, 3, 1))
-    for w in s.workers:
-        assert w.task_rows == fl.identity(2, FQ)
+    for rows in s.code[0]:
+        assert fl.FMatrix(FQ, rows) == fl.identity(2, FQ)
 
 
 def test_middle_single_column_support_when_all_must_respond():
@@ -132,10 +119,10 @@ def test_middle_single_column_support_when_all_must_respond():
     # message.
     f_mat = bl.demand_from_rows(FQ, [[1, 1, 1]])
     s = bl.build_middle(f_mat, cyclic_assignment(3, 3, 3), padding_seed=2)
-    for w in s.workers:
-        row = w.message_rows.to_lists()[0]
+    for worker in (1, 2, 3):
+        row = s.encoder(worker).to_lists()[0]
         support = {i + 1 for i, x in enumerate(row) if x}
-        assert support == {w.worker}
+        assert support == {worker}
 
 
 def test_middle_rejects_out_of_range_demand():
@@ -160,12 +147,20 @@ def test_middle_flags_degenerate_demand():
 
 def test_small_aggregated_message_weights():
     f_mat = bl.demand_from_rows(FQ, [[1] * 9, list(range(1, 10))])
-    s = bl.build_small(f_mat, cyclic_assignment(9, 3, 2), padding_seed=0)
-    # second combination, first group: W_1 + 4 W_4 + 7 W_7
-    assert s.aggregators[1].to_lists()[0] == [1, 0, 0, 4, 0, 0, 7, 0, 0]
-    assert s.aggregators[0].to_lists()[1] == [0, 1, 0, 0, 1, 0, 0, 1, 0]
-    assert len(s.subschemes) == 2
-    assert all(sub.regime == "middle" for sub in s.subschemes)
+    a = cyclic_assignment(9, 3, 2)
+    s = bl.build_small(f_mat, a, padding_seed=0)
+    # Sub-problem j's row carries demand row j's weights on every group
+    # a worker holds: second combination, first group W_1 + 4 W_4 + 7 W_7;
+    # first combination, second group W_2 + W_5 + W_8.
+    for j, group, weights in ((1, (1, 4, 7), (1, 4, 7)), (0, (2, 5, 8), (1, 1, 1))):
+        holders = [n for n in (1, 2, 3) if set(group) <= set(a.z[n - 1])]
+        assert len(holders) == 2
+        for n in holders:
+            row = s.encoder(n).array[j, [k - 1 for k in group]]
+            assert row[0] and row.tolist() == [row[0] * x % Q for x in weights]
+    # two one-row sub-problems, each the all-ones row over one padding row
+    assert s.padded.shape == (2, 2, 3) and s.padding_rows == 1
+    assert (s.padded[:, 0] == 1).all() and s.code.shape == (2, 3, 1, 2)
 
 
 def test_small_single_row_all_ones_is_identity_aggregation():
@@ -173,12 +168,13 @@ def test_small_single_row_all_ones_is_identity_aggregation():
     # K = N means the aggregates are the messages themselves; K_c must stay
     # below K/N so use K = 2N with per-group pairs instead.
     f_mat = bl.demand_from_rows(FQ, [[1] * 6])
-    s = bl.build_small(f_mat, cyclic_assignment(6, 3, 2), padding_seed=0)
-    assert s.aggregators[0].to_lists() == [
-        [1, 0, 0, 1, 0, 0],
-        [0, 1, 0, 0, 1, 0],
-        [0, 0, 1, 0, 0, 1],
-    ]
+    a = cyclic_assignment(6, 3, 2)
+    s = bl.build_small(f_mat, a, padding_seed=0)
+    # weight 1 on both messages of every aggregate: W_n and W_{n+3}
+    for n in (1, 2, 3):
+        row = s.encoder(n).array[0]
+        assert row[:3].tolist() == row[3:].tolist()
+        assert {k + 1 for k in np.flatnonzero(row)} == set(a.z[n - 1])
 
 
 def test_small_rejects_large_demand():
@@ -196,8 +192,8 @@ def test_large_split_counts_and_subdemands():
     s = bl.build_large(f_mat, cyclic_assignment(3, 3, 2))
     assert s.mds.split_count == 2 and s.mds.code_length == 3
     assert s.mds.subsets == ((1, 2), (1, 3), (2, 3))
-    sub = s.subproblems([2])[0]  # subset {2, 3}
-    assert sub.demand.matrix.to_lists() == [[1, 2, 3], [1, 4, 9]]
+    assert s.padded[2].tolist() == [[1, 2, 3], [1, 4, 9]]  # subset {2, 3}
+    assert s.padding_rows == 0 and s.code.shape == (3, 3, 1, 2)
     assert s.params.L == 2  # default: one symbol per sub-message
 
 
@@ -214,9 +210,9 @@ def test_any_m_generator_vectors_independent():
     f_mat = bl.random_demand(6, 6, FQ, seed=9)
     s = bl.build_large(f_mat, cyclic_assignment(6, 3, 2))
     m = s.mds.split_count
-    vectors = [s.mds.vector(i, FQ) for i in range(1, s.mds.code_length + 1)]
-    for chosen in combinations(vectors, m):
-        assert fl.rank(fl.vectors_as_matrix(chosen, FQ, m)) == m
+    vectors = s.mds.generator_rows(np.arange(1, s.mds.code_length + 1), FQ)
+    for chosen in combinations(range(s.mds.code_length), m):
+        assert fl.rank(fl.FMatrix(FQ, vectors[list(chosen)])) == m
 
 
 @st.composite
@@ -386,17 +382,14 @@ def test_grouped_success_rate_over_random_demands():
 def test_general_scheme_shapes_and_orthogonality():
     f_mat = bl.random_demand(5, 7, FQ, seed=12)
     a = general_assignment(7, 3, 2)
-    s = bl.build_general(f_mat, a, padding_seed=3, virtual_seed=4)
+    s = bl.build_scheme(f_mat, a, padding_seed=3, virtual_seed=4)
     assert s.regime == "middle" and s.virtual is not None
     assert s.virtual.effective_k == 9
     eff = s.virtual.effective_demand
     # real columns embed the original demand
     for k, slot in enumerate(s.virtual.slot_of_dataset, start=1):
         assert list(eff.array[:, slot - 1]) == list(f_mat.matrix.array[:, k - 1])
-    for w in s.workers:
-        zbar = s.virtual.effective_assignment.not_assigned(w.worker)
-        sub = s.padded.take_columns([c - 1 for c in zbar])
-        assert not fl.mat_mul(w.task_rows, sub).array.any()
+    assert_code_orthogonal(s, s.virtual.effective_assignment)
 
 
 def test_general_real_slot_placement_3_6_4():
@@ -429,7 +422,7 @@ def test_fixture_identity_code_for_designated_responders():
         resp = tuple(range(1, n))
         fx = bl.adversarial_fixture(n, n, n - 1, resp, seed=7)
         s = bl.build_middle(fx, cyclic_assignment(n, n, n - 1))
-        stack = fl.row_stack([s.workers[w - 1].task_rows for w in resp])
+        stack = fl.FMatrix(FQ, np.vstack([s.code[0, w - 1] for w in resp]))
         assert stack == fl.identity(n - 1, FQ)
 
 

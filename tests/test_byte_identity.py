@@ -4,15 +4,20 @@ Scheme files (format v1), ``simulate`` trial logs and ``simulate`` CSV tables
 are pure functions of their flags and seeds.  The SHA-256 digests below pin
 them, over every regime, virtual slots, the grouped placement, the
 full-recovery fallback and a ``--demand-file`` run, so that a refactor of the
-builder or codec cannot change a byte of them unnoticed.
+builder or codec cannot change a byte of them unnoticed.  So do the digests
+of every worker's answer and every responder subset's decode over the same
+sample schemes, which guard encode and decode without reading their internals.
 """
 
 import hashlib
 import json
+from itertools import combinations
 
 import pytest
 
 from linsep import cli
+from linsep import codec as cd
+from linsep import field as fl
 from linsep import serialize as sz
 from test_serialize import sample_schemes
 
@@ -39,6 +44,17 @@ SIMULATE_RUNS = {
     "large_wide": ["-K", "6", "-N", "3", "--nr", "2", "--kc", "6",
                    "--trials", "2", "--seed", "14"],
 }
+ANSWER_DIGESTS = {
+    # every worker's answer and every responder subset's decode, L = 2 or L
+    "middle": "5f1780a2faeff49691d971defbe6ce9213fde1b3c6c957d8fa292b38576676e9",
+    "small": "31b15dbf0d209535ad11f650dcac1c24ffc5ae09d126cad85fec8218791b0e79",
+    "large": "07b8e37e8b2623494b711589394523a475ad8fc8b4aa3140bb7b7ba91b075df5",
+    "grouped": "1df7dbc21dcd320b7d6d5f8febdf53c3daba45a4afd2ff93cd9e08d9514aeb34",
+    "general": "e14ce960e4d4f94b64926a60d8fe6d644a74421e2f5ea5cfe53aa286799bd5fc",
+    "fallback": "740c021254c936b716e5e71814e428f057e60bf4637a28a8fe5f35d2534e0bc5",
+    "large_wide": "57fb92f49c27d6af1110ec974a9e3ad804e7ced2f29b6c6f9a1c70305415c73e",
+}
+
 DEMAND_ROWS = [[1, 2, 3, 4, 5, 6], [1, 1, 1, 1, 1, 1], [2, 3, 5, 7, 11, 13]]
 
 SIMULATE_DIGESTS = {
@@ -84,3 +100,28 @@ def test_simulate_outputs_unchanged(name, tmp_path, capsys):
     assert code == 0
     digests = (_sha(log_path.read_bytes()), _sha(csv_path.read_bytes()))
     assert digests == SIMULATE_DIGESTS[name]
+
+
+def _answers_digest(scheme) -> str:
+    """SHA-256 over every worker's answer and every responder subset's decode.
+
+    Messages are seeded and L is the scheme's own, or 2 where it fixes none.
+    """
+    p = scheme.params
+    w = cd.random_messages(p.K, p.L or 2, fl.Field(p.q), 77)
+    answers = {n: cd.encode_worker(scheme, n, w) for n in range(1, p.N + 1)}
+    h = hashlib.sha256()
+    for n, a in answers.items():
+        h.update(f"answer {n} {a.x.rows}x{a.x.cols}:".encode())
+        h.update(a.x.array.astype("<i8").tobytes())
+    for a_set in combinations(range(1, p.N + 1), p.N_r):
+        rep = cd.decode(scheme, [answers[n] for n in a_set])
+        h.update(f"decode {a_set} {rep.success} {rep.cost} {rep.detail}:".encode())
+        if rep.recovered is not None:
+            h.update(rep.recovered.array.astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name,scheme", list(sample_schemes()))
+def test_answers_and_decodes_unchanged(name, scheme):
+    assert _answers_digest(scheme) == ANSWER_DIGESTS[name]

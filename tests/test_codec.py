@@ -190,7 +190,7 @@ def test_decode_three_worker_two_combination_instance():
     s = bl.build_middle(f_mat, cyclic_assignment(3, 3, 2))
     w = cd.MessageBlock(fl.from_rows(FQ, [[1], [2], [3]]))
     # worker 1's single transmitted symbol is its message row applied to W
-    row = s.workers[0].message_rows.to_lists()[0]
+    row = s.encoder(1).to_lists()[0]
     x1 = cd.encode_worker(s, 1, w)
     assert x1.x.to_lists() == [[sum(c * m for c, m in zip(row, (1, 2, 3))) % Q]]
     rep = cd.decode(s, [x1, cd.encode_worker(s, 2, w)])
@@ -217,6 +217,34 @@ def test_decode_requires_exactly_n_r_distinct_answers():
         cd.decode(s, [a1, a1])
     with pytest.raises(WrongResponderCount):
         cd.decode(s, [a1, a2, cd.encode_worker(s, 3, w)])
+
+
+def _over_field_7(a):
+    return cd.WorkerAnswer(a.worker, fl.FMatrix(fl.Field(7), a.x.array % 7))
+
+
+def _one_column_more(a):
+    return cd.WorkerAnswer(a.worker, fl.FMatrix(FQ, np.hstack([a.x.array, a.x.array[:, :1]])))
+
+
+def _one_row_fewer(a):
+    return cd.WorkerAnswer(a.worker, a.x.take_rows(range(a.x.rows - 1)))
+
+
+@pytest.mark.parametrize(
+    "edit", [_over_field_7, _one_column_more, _one_row_fewer], ids=["field", "columns", "rows"]
+)
+def test_decode_rejects_an_answer_of_another_field_or_shape(edit):
+    schemes = [
+        bl.build_auto(bl.random_demand(4, 6, FQ, 0), 3, 2),
+        bl.build_grouped(bl.demand_from_rows(FQ, DEMAND_3x12), grouped_assignment(12, 4, 3)),
+    ]
+    for s in schemes:
+        w = cd.random_messages(s.params.K, 2, FQ, 1)
+        answers = [cd.encode_worker(s, n, w) for n in range(1, s.params.N_r + 1)]
+        assert cd.decode(s, answers).success
+        with pytest.raises(ShapeMismatch):
+            cd.decode(s, answers[:-1] + [edit(answers[-1])])
 
 
 def test_decode_reports_straggler_independence():
@@ -313,23 +341,26 @@ def _scalar_verify(scheme, mode="exhaustive", sample_count=None, seed=0,
     subsets = cd.responder_subsets(
         scheme.params.N, scheme.params.N_r, mode, sample_count, seed
     )
-    q = scheme.params.q
-    total = scheme.subproblem_count
+    q, p = scheme.params.q, scheme.params
+    total = len(scheme.padded)
     indices = range(total)
     if scheme.mds is not None and total > subproblem_cap:
         stream = fl.ElementStream(fl.Field(q), fl.derive_seed(seed, "large-subproblems"))
         indices = cd._sample_distinct(total, subproblem_cap, stream)
+    # A small scheme's sub-problems run on N aggregates, one per class k mod N.
+    if scheme.regime == "small":
+        a = cyclic_assignment(p.N, p.N, p.N_r)
+    else:
+        a = scheme.virtual.effective_assignment if scheme.virtual else scheme.assignment
+    per = a.K // a.N
     failing = set()
     for i in indices:
-        (sub,) = scheme.subproblems([i])
-        a = sub.virtual.effective_assignment if sub.virtual else sub.assignment
-        per = a.K // a.N
         rows_by_worker = []
-        for n, code in enumerate(sub.workers, start=1):
+        for n in range(1, p.N + 1):
             cols = [c - 1 for c in a.not_assigned(n)]
-            basis = _null_space_columns(sub.padded.take_columns(cols).array.T, q)[:per]
-            assert [v.tolist() for v in basis] == code.task_rows.to_lists()
-            rows_by_worker.append(code.task_rows.array)
+            basis = _null_space_columns(scheme.padded[i][:, cols].T, q)[:per]
+            assert [v.tolist() for v in basis] == scheme.code[i, n - 1].tolist()
+            rows_by_worker.append(np.array(basis))
         for a_set in subsets:
             if a_set in failing:
                 continue
@@ -407,7 +438,7 @@ def test_verify_blocks_stay_within_the_chunk_budget(monkeypatch):
     for s, want in zip(schemes, expected):
         shapes.clear()
         assert cd.verify_decodability(s) == want
-        per_subset = 1 if s.grouped else s.subproblem_count
+        per_subset = 1 if s.grouped else len(s.code)
         assert sum(b for b, _, _ in shapes) == per_subset * len(
             cd.responder_subsets(s.params.N, s.params.N_r)
         )
@@ -429,9 +460,11 @@ def _scalar_subproblems(scheme, answers, q):
     """One inverse per sub-problem, then one per MDS component."""
     parts = []
     offset = 0
-    for i, sub in enumerate(scheme.subproblems(range(scheme.subproblem_count))):
-        rows = sub.rows_per_worker
-        stack = np.vstack([sub.workers[a.worker - 1].task_rows.array for a in answers])
+    rows = scheme.code.shape[2]
+    for i, (padded, code) in enumerate(zip(scheme.padded, scheme.code)):
+        # a small sub-problem wants one row, a large window all of its rows
+        k_c = 1 if scheme.regime == "small" else min(scheme.params.K_c, len(padded))
+        stack = np.vstack([code[a.worker - 1] for a in answers])
         try:
             inv = _ref_inverse(stack, q)
         except SingularMatrix:
@@ -439,7 +472,7 @@ def _scalar_subproblems(scheme, answers, q):
                 f"sub-problem {i + 1}: stacked code rows are singular"
             ) from None
         x = np.vstack([a.x.array[offset : offset + rows] for a in answers])
-        parts.append(ref_matmul(inv, x.tolist(), q)[: sub.demand.k_c])
+        parts.append(ref_matmul(inv, x.tolist(), q)[:k_c])
         offset += rows
     if scheme.mds is None:
         return [row for part in parts for row in part]

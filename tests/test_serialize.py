@@ -3,6 +3,7 @@ import json
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import ref_matmul
@@ -157,6 +158,29 @@ def test_using_a_scheme_never_changes_it(name, scheme):
     for key, value in after.items():
         assert value is before[key], key
         assert not isinstance(value, (dict, list, set)), key
+
+
+def _arrays(obj):
+    """Every numpy array held by obj, through dataclasses, tuples and wrappers."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (fl.FMatrix, fl.FVector)):
+        yield obj.array
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, f.name))
+    elif isinstance(obj, tuple):
+        for x in obj:
+            yield from _arrays(x)
+
+
+@pytest.mark.parametrize("name,scheme", list(sample_schemes()))
+def test_every_array_a_scheme_holds_is_read_only(name, scheme):
+    for s in (scheme, sz.loads(sz.dumps(scheme))):
+        arrays = list(_arrays(s))
+        if s.grouped is None:
+            assert any(a is s.padded for a in arrays) and any(a is s.code for a in arrays)
+        assert [a.flags.writeable for a in arrays] == [False] * len(arrays)
 
 
 def _edit_l(data):
