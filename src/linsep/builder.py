@@ -133,7 +133,6 @@ class VirtualLayout:
     effective_k: int
     slot_of_dataset: tuple[int, ...]
     effective_demand: FMatrix  # K_c x effective_k; virtual columns are random
-    effective_assignment: Assignment
 
 
 @dataclass(frozen=True)
@@ -175,15 +174,6 @@ class MDSDescriptor:
         for e in range(1, self.split_count):
             out[..., e] = out[..., e - 1] * x % f.q
         return out
-
-    def indices_containing(self, j: int) -> tuple[int, ...]:
-        return tuple(
-            i for i, s in enumerate(self.subsets, start=1) if j in s
-        )
-
-    def reconstruction_stack(self, j: int, f: Field) -> FMatrix:
-        """m x m stack of generator vectors of all subsets containing j."""
-        return FMatrix(f, self.generator_rows(self.indices_containing(j), f))
 
 
 @dataclass(frozen=True)
@@ -285,7 +275,7 @@ class Scheme:
     @property
     def rows_sent(self) -> int:
         """Rows one worker sends per message block, over all sub-problems."""
-        return self.encoder(1).rows
+        return 2 if self.code is None else self.code.shape[0] * self.code.shape[2]
 
 
 def regime_for(k_c: int, per: int, n_r: int) -> str:
@@ -371,7 +361,6 @@ def build_scheme(
             effective_k=a.effective_k,
             slot_of_dataset=a.slot_of_dataset,
             effective_demand=eff_demand,
-            effective_assignment=eff_assignment,
         )
         return replace(
             built,

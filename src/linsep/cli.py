@@ -83,7 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--out", required=True, help="output path")
 
     p_verify = sub.add_parser("verify", help="check decodability of a scheme")
-    p_verify.add_argument("--scheme", default=None, help="scheme JSON path")
+    p_verify.add_argument(
+        "--scheme", default=None, help="scheme JSON path; fixes the point flags"
+    )
     p_verify.add_argument("-K", type=int)
     p_verify.add_argument("-N", type=int)
     p_verify.add_argument("--nr", type=int)
@@ -92,6 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--mode", default="exhaustive", help="exhaustive or sample:<count>"
     )
+    p_verify.set_defaults(q=None, assignment=None)  # None: not given
 
     p_sim = sub.add_parser("simulate", help="end-to-end trials over a grid")
     _add_point_flags(p_sim, lists=True)
@@ -183,9 +186,19 @@ def _parse_mode(mode: str) -> tuple[str, int | None]:
     raise LinsepError(f"unknown mode {mode!r} (use exhaustive or sample:<count>)")
 
 
+# Flags that fix the scheme, by destination; a scheme file fixes them itself.
+_SCHEME_FLAGS = {
+    "K": "-K", "N": "-N", "nr": "--nr", "kc": "--kc", "L": "-L", "q": "-q",
+    "demand_file": "--demand-file", "assignment": "--assignment",
+}
+
+
 def cmd_verify(args, seed: int) -> int:
     mode, count = _parse_mode(args.mode)
     if args.scheme:
+        for dest, flag in _SCHEME_FLAGS.items():
+            if getattr(args, dest) is not None:
+                raise LinsepError(f"{flag} cannot be combined with --scheme")
         try:
             with open(args.scheme, "rb") as fh:
                 text = fh.read()
@@ -201,6 +214,8 @@ def cmd_verify(args, seed: int) -> int:
         if None in (args.K, args.N, args.nr, args.kc):
             print("error: verify needs --scheme or -K/-N/--nr/--kc", file=sys.stderr)
             return USAGE_ERROR
+        args.q = DEFAULT_MODULUS if args.q is None else args.q
+        args.assignment = args.assignment or "auto"
         scheme = _build_scheme(args, Field(args.q), seed)
     failures = verify_decodability(
         scheme, mode=mode, sample_count=count, seed=derive_seed(seed, "verify")

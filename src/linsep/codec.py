@@ -3,16 +3,16 @@
 A worker's answer is one product: its encoding matrix ``Scheme.encoder(n)``
 times the message block split into m sub-messages, whatever the scheme kind.
 Its rows go sub-problem by sub-problem, per rows each, so sub-problem s owns
-answer rows [s per, (s + 1) per).  Decoding works in task-coefficient space:
-per sub-problem the master sets the responders' code rows beside their
-answer rows, solves that system, and keeps the rows of that sub-problem's
-demand (dropping padding).  All sub-problems go through one batched solve,
-``field._solve_batch``, fed from the same ``(S, N, per, t)`` array,
-``Scheme.code``, that verification ranks.  Only the large regime adds a
+answer rows [s per, (s + 1) per).  Decoding and verification share one
+system per responder set, built by ``_systems`` in task-coefficient space:
+per sub-problem the responders' rows of ``Scheme.code``, or for the grouped
+scheme the null vectors of the complements of the responder pairs.
+Verification ranks those systems; decode solves them beside the answer rows
+with one batched solve, ``field._solve_batch``, and keeps the rows of each
+sub-problem's demand (dropping padding).  Only the large regime adds a
 step, rebuilding every demand row from the MDS-coded symbols with one more
-batched solve; the grouped scheme has its own pairwise decoder, again one
-solve.  The simulation harness cross-checks the result against a direct
-message-space multiplication, so the two paths stay independent.
+batched solve.  The simulation harness cross-checks the result against a
+direct message-space multiplication, so the two paths stay independent.
 """
 
 from __future__ import annotations
@@ -120,8 +120,7 @@ def _check_answers(scheme: Scheme, answers) -> list[WorkerAnswer]:
         raise WrongResponderCount("answers must come from distinct workers")
     if not all(1 <= i <= scheme.params.N for i in ids):
         raise ShapeMismatch("answer from a worker outside the scheme")
-    code = scheme.code
-    rows = 2 if code is None else code.shape[0] * code.shape[2]
+    rows = scheme.rows_sent
     for a in answers:
         if a.x.field.q != scheme.params.q:
             raise ShapeMismatch(f"answer of worker {a.worker} is over another field")
@@ -133,28 +132,52 @@ def _check_answers(scheme: Scheme, answers) -> list[WorkerAnswer]:
     return sorted(answers, key=lambda a: a.worker)
 
 
-def _decode_stacked(scheme: Scheme, answers, f: Field) -> FMatrix:
-    """Recovered rows of every middle sub-problem, in sub-problem order.
+def _complement(scheme: Scheme, pair) -> tuple[int, ...]:
+    return tuple(x for x in range(1, scheme.params.N + 1) if x not in pair)
 
-    Sub-problem s solves ``[responders' code rows | their answer rows]`` for
-    the rows of its demand, which precede its padding; all of them in one
-    batched solve.
+
+def _systems(scheme: Scheme, subsets, sampled=None) -> np.ndarray:
+    """Task-space system of every responder subset, a ``(B, S, t, t)`` stack.
+
+    Responders A decode exactly when all S of their systems are invertible.
+    Sub-problem s of a cyclic-family scheme stacks the responders' code rows
+    ``code[s, A]``; ``sampled`` picks the sub-problems gathered (default all).
+    The grouped scheme has one system of t = K_c rows: the null vectors of
+    the complements of A's pairs, in pair order, since each responder pair
+    jointly sends the combination of its complement pair.
     """
-    rows = scheme.code[:, [a.worker - 1 for a in answers]]
-    s, n_r, per, t = rows.shape
-    aug = np.empty((s, n_r * per, t + answers[0].x.cols), dtype=np.int64)
-    aug[:, :, :t] = rows.reshape(s, n_r * per, t)
-    for r, a in enumerate(answers):
-        aug[:, r * per : (r + 1) * per, t:] = a.x.array.reshape(s, per, -1)
-    x, ok = fl._solve_batch(aug, f.q)
-    if not ok.all():
-        raise SingularMatrix(
-            f"sub-problem {ok.argmin() + 1}: stacked code rows are singular"
-        )
-    parts = x[:, : t - scheme.padding_rows]
-    if scheme.mds is None:
-        return FMatrix(f, parts.reshape(-1, parts.shape[2]))
-    return _mds_reconstruct(scheme.mds, parts, scheme.params.K_c, f)
+    if scheme.grouped is not None:
+        return np.array([
+            [[scheme.grouped.null_vector(_complement(scheme, pair)).array
+              for pair in combinations(a_set, 2)]]
+            for a_set in subsets
+        ])
+    code = scheme.code
+    sub = np.arange(len(code)) if sampled is None else np.asarray(sampled)
+    rows = code[sub[:, None], np.array(subsets)[:, None, :] - 1]
+    b, s, n_r, per, t = rows.shape
+    return rows.reshape(b, s, n_r * per, t)
+
+
+def _answer_rows(scheme: Scheme, answers) -> np.ndarray:
+    """Right-hand sides of the responders' ``_systems``, ``(S, t, symbols)``.
+
+    Sub-problem s takes each responder's answer rows of s, in responder
+    order.  A grouped pair's row is the sum of the pair's shares of its
+    complement's combination, each share two sent rows expanded by the
+    worker's coefficients.
+    """
+    if scheme.grouped is None:
+        s, _, per, _ = scheme.code.shape
+        return np.concatenate([a.x.array.reshape(s, per, -1) for a in answers], axis=1)
+    q, workers = scheme.params.q, scheme.grouped.workers
+    sums = []
+    for pair in combinations(answers, 2):
+        tag = _complement(scheme, [a.worker for a in pair])
+        coef = np.array([workers[a.worker - 1].expansion(tag) for a in pair])
+        shares = coef[:, :, None] * np.array([a.x.array for a in pair]) % q
+        sums.append(shares.sum(axis=(0, 1)) % q)
+    return np.array(sums)[None]
 
 
 def _mds_reconstruct(mds: MDSDescriptor, parts, k_c: int, f: Field) -> FMatrix:
@@ -181,28 +204,6 @@ def _mds_reconstruct(mds: MDSDescriptor, parts, k_c: int, f: Field) -> FMatrix:
     return FMatrix(f, x.reshape(k_c, -1))
 
 
-def _decode_grouped(scheme: Scheme, answers, f: Field) -> FMatrix:
-    """Each responder pair jointly sends the combination of its complement pair.
-
-    The pairs' null vectors and combinations make one square system.
-    """
-    code = scheme.grouped
-    n_all = range(1, scheme.params.N + 1)
-    rows = []
-    for pair in combinations(answers, 2):
-        tag = tuple(x for x in n_all if x not in {a.worker for a in pair})
-        shares = [
-            mat_mul(fl.from_rows(f, [code.workers[a.worker - 1].expansion(tag)]), a.x)
-            for a in pair
-        ]
-        combo = (shares[0].array + shares[1].array) % f.q
-        rows.append(np.concatenate([code.null_vector(tag).array, combo[0]]))
-    x, ok = fl._solve_batch(np.array(rows)[None], f.q)
-    if not ok[0]:
-        raise SingularMatrix("pair combinations are linearly dependent")
-    return FMatrix(f, x[0])
-
-
 def decode(
     scheme: Scheme, answers, demand: DemandMatrix | None = None
 ) -> DecodeReport:
@@ -216,11 +217,20 @@ def decode(
     if l_total == 0:
         raise ShapeMismatch("answers carry no symbols")
     cost = Fraction(sum(a.t_n for a in answers), l_total)
+    aug = np.concatenate(
+        [_systems(scheme, [responders])[0], _answer_rows(scheme, answers)], axis=2
+    )
+    x, ok = fl._solve_batch(aug, f.q)
     try:
-        if scheme.grouped is not None:
-            raw = _decode_grouped(scheme, answers, f)
+        if not ok.all():
+            raise SingularMatrix(
+                f"sub-problem {ok.argmin() + 1}: stacked code rows are singular"
+            )
+        parts = x[:, : x.shape[1] - scheme.padding_rows]
+        if scheme.mds is None:
+            raw = FMatrix(f, parts.reshape(-1, parts.shape[2]))
         else:
-            raw = _decode_stacked(scheme, answers, f)
+            raw = _mds_reconstruct(scheme.mds, parts, scheme.params.K_c, f)
     except SingularMatrix as exc:
         return DecodeReport(responders, False, None, cost, str(exc))
     if scheme.recombine is not None:
@@ -285,7 +295,7 @@ def verify_decodability(
     subset_cap: int = 10**6,
     subproblem_cap: int = 200,
 ) -> list[tuple[int, ...]]:
-    """Responder subsets whose stacked code rows are not invertible.
+    """Responder subsets with a system of ``_systems`` that is not invertible.
 
     Exhaustive over responder subsets (or a seeded sample of ``sample_count``
     of them).  Large-regime schemes with more than ``subproblem_cap`` coded
@@ -299,44 +309,18 @@ def verify_decodability(
         scheme.params.N, scheme.params.N_r, mode, sample_count, seed, subset_cap
     )
     q = scheme.params.q
-    if scheme.grouped is not None:
-        n_all = range(1, scheme.params.N + 1)
-        k_c = scheme.demand.k_c
-
-        def invertible(block):
-            stacks = np.array([
-                [
-                    scheme.grouped.null_vector(
-                        tuple(x for x in n_all if x not in pair)
-                    ).array
-                    for pair in combinations(a_set, 2)
-                ]
-                for a_set in block
-            ]).reshape(len(block), -1, k_c)
-            rows = stacks.shape[1]
-            return (fl._rank_batch(stacks, q) == rows) & (rows == k_c)
-
-        entries = comb(scheme.params.N_r, 2) * k_c
-    else:
-        tasks = scheme.code
-        total = len(tasks)
-        if scheme.mds is not None and total > subproblem_cap:
-            stream = ElementStream(fl.Field(q), derive_seed(seed, "large-subproblems"))
-            tasks = tasks[_sample_distinct(total, subproblem_cap, stream)]
-        s, _, per, t = tasks.shape
-        n_r = scheme.params.N_r
-
-        def invertible(block):
-            stacks = tasks[:, np.array(block) - 1].reshape(-1, n_r * per, t)
-            ranks = fl._rank_batch(stacks, q).reshape(s, len(block))
-            return (ranks == n_r * per).all(axis=0)
-
-        entries = s * n_r * per * t
-    step = max(1, fl._BATCH_ELEMENTS // entries)
+    sampled = None
+    if scheme.mds is not None and len(scheme.code) > subproblem_cap:
+        stream = ElementStream(fl.Field(q), derive_seed(seed, "large-subproblems"))
+        sampled = _sample_distinct(len(scheme.code), subproblem_cap, stream)
+    _, s, t, _ = _systems(scheme, subsets[:1], sampled).shape
+    step = max(1, fl._BATCH_ELEMENTS // (s * t * t))
     failing = []
     for lo in range(0, len(subsets), step):
         block = subsets[lo : lo + step]
-        failing.extend(a_set for a_set, ok in zip(block, invertible(block)) if not ok)
+        ranks = fl._rank_batch(_systems(scheme, block, sampled).reshape(-1, t, t), q)
+        ok = (ranks.reshape(len(block), s) == t).all(axis=1)
+        failing.extend(a_set for a_set, good in zip(block, ok) if not good)
     return failing
 
 

@@ -4,12 +4,15 @@
 kernels the library ran before its one batched elimination; the batched
 kernels are tested against them.  ``ref_encode`` is the per-sub-problem
 encode the library ran before every answer became one product by the
-worker's encoding matrix.
+worker's encoding matrix.  ``indices_containing`` and ``reconstruction_stack``
+name the windows that rebuild a large scheme's demand row and their
+Vandermonde stack.
 """
 
 import numpy as np
 
 from linsep.errors import ShapeMismatch
+from linsep.field import FMatrix
 
 
 def ref_matmul(a, b, q):
@@ -75,6 +78,16 @@ def ref_encode(scheme, n, w):
         message_rows = ref_matmul(code[n - 1].tolist(), padded.tolist(), q)
         out.extend(ref_matmul(message_rows, block, q))
     return out
+
+
+def indices_containing(mds, j):
+    """1-based indices of the large regime's windows that hold demand row j."""
+    return tuple(i for i, s in enumerate(mds.subsets, start=1) if j in s)
+
+
+def reconstruction_stack(mds, j, f):
+    """m x m stack of the generator vectors of every window holding row j."""
+    return FMatrix(f, mds.generator_rows(indices_containing(mds, j), f))
 
 
 def ref_rank(rows, q):

@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import ceil
 
-from conftest import in_row_span, ref_matmul
+from conftest import in_row_span, reconstruction_stack, ref_matmul
 from linsep import bounds as bd
 from linsep import builder as bl
 from linsep import codec as cd
@@ -90,7 +90,7 @@ def test_acceptance_1_worked_examples():
     demand = bl.demand_from_rows(FQ, DEMAND_3x3)
     scheme = bl.build_large(demand, cyclic_assignment(3, 3, 2))
     for j in (1, 2, 3):
-        stack = scheme.mds.reconstruction_stack(j, FQ)
+        stack = reconstruction_stack(scheme.mds, j, FQ)
         fl.inverse(stack)  # raises if singular
     w = cd.random_messages(3, 4, FQ, seed=103)
     assert _decode_all_subsets(scheme, demand, w) == 3
@@ -276,7 +276,10 @@ def test_acceptance_8_property_suites():
         assert rep.recovered.to_lists() == oracle
 
         if scheme.regime == "middle":
-            base = scheme.virtual.effective_assignment if scheme.virtual else scheme.assignment
+            base = (
+                cyclic_assignment(scheme.virtual.effective_k, n, n_r)
+                if scheme.virtual else scheme.assignment
+            )
             for n, rows in enumerate(scheme.code[0], 1):
                 missing = scheme.padded[0][:, [c - 1 for c in base.not_assigned(n)]]
                 assert not fl.mat_mul(fl.FMatrix(FQ, rows), fl.FMatrix(FQ, missing)).array.any()

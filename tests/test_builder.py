@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import in_row_span, ref_rank
+from conftest import in_row_span, reconstruction_stack, ref_rank
 from linsep import builder as bl
 from linsep import field as fl
 from linsep.assignment import cyclic_assignment, general_assignment, grouped_assignment
@@ -202,7 +202,7 @@ def test_large_reconstruction_stacks_invertible():
     s = bl.build_large(f_mat, cyclic_assignment(6, 3, 2))
     assert s.mds.split_count == comb(4, 3) and s.mds.code_length == comb(5, 4)
     for j in range(1, 6):
-        stack = s.mds.reconstruction_stack(j, FQ)
+        stack = reconstruction_stack(s.mds, j, FQ)
         assert fl.rank(stack) == s.mds.split_count
 
 
@@ -389,7 +389,7 @@ def test_general_scheme_shapes_and_orthogonality():
     # real columns embed the original demand
     for k, slot in enumerate(s.virtual.slot_of_dataset, start=1):
         assert list(eff.array[:, slot - 1]) == list(f_mat.matrix.array[:, k - 1])
-    assert_code_orthogonal(s, s.virtual.effective_assignment)
+    assert_code_orthogonal(s, cyclic_assignment(s.virtual.effective_k, 3, 2))
 
 
 def test_general_real_slot_placement_3_6_4():

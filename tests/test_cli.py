@@ -105,6 +105,19 @@ def test_verify_usage_and_io_errors(tmp_path, capsys):
     assert code == 3 and "malformed" in err
     code, _, err = run(capsys, "verify", "--scheme", str(tmp_path / "missing.json"))
     assert code == 3
+    # A scheme file fixes the point, so a flag that would change it is refused
+    # by name; --seed and --mode still apply.
+    path = str(tmp_path / "s.json")
+    run(capsys, "build", "-K", "6", "-N", "3", "--nr", "2", "--kc", "4", "--out", path)
+    for flag, value in (
+        ("-K", "6"), ("-N", "3"), ("--nr", "2"), ("--kc", "4"), ("-L", "2"),
+        ("-q", str(fl.DEFAULT_MODULUS)), ("--demand-file", "nope.json"),
+        ("--assignment", "auto"),
+    ):
+        code, _, err = run(capsys, "verify", "--scheme", path, flag, value)
+        assert code == 2 and f"error: {flag} cannot be combined with --scheme" in err
+    code, out, _ = run(capsys, "verify", "--scheme", path, "--seed", "4", "--mode", "sample:2")
+    assert code == 0 and "decodable" in out
 
 
 def test_simulate_single_point_fixed_demand(tmp_path, capsys):
@@ -307,6 +320,8 @@ def _pairless_grouped(data):
       "--out", "{tmp}/m.json"], 2),
     (["build", "-K", "12", "-N", "4", "--nr", "3", "--kc", "3",
       "--assignment", "grouped", "-L", "5", "--out", "{tmp}/gr.json"], 2),
+    (["verify", "--scheme", "{intact}", "-K", "9", "-q", "7",
+      "--demand-file", "nope.json", "--assignment", "grouped"], 2),
 ])
 def test_bad_input_exits_with_documented_code_and_no_traceback(
     tmp_path, argv, expected
@@ -322,6 +337,7 @@ def test_bad_input_exits_with_documented_code_and_no_traceback(
         "pairless_grouped": _scheme_file(
             tmp_path, "pairless.json", _pairless_grouped, _grouped_12
         ),
+        "intact": _scheme_file(tmp_path, "intact.json", lambda data: None),
     }
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

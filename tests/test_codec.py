@@ -4,7 +4,14 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import _null_space_columns, _rank_raw, _rref, ref_encode, ref_matmul
+from conftest import (
+    _null_space_columns,
+    _rank_raw,
+    _rref,
+    indices_containing,
+    ref_encode,
+    ref_matmul,
+)
 from linsep import builder as bl
 from linsep import codec as cd
 from linsep import field as fl
@@ -351,7 +358,10 @@ def _scalar_verify(scheme, mode="exhaustive", sample_count=None, seed=0,
     if scheme.regime == "small":
         a = cyclic_assignment(p.N, p.N, p.N_r)
     else:
-        a = scheme.virtual.effective_assignment if scheme.virtual else scheme.assignment
+        a = (
+            cyclic_assignment(scheme.virtual.effective_k, p.N, p.N_r)
+            if scheme.virtual else scheme.assignment
+        )
     per = a.K // a.N
     failing = set()
     for i in indices:
@@ -479,7 +489,7 @@ def _scalar_subproblems(scheme, answers, q):
     mds = scheme.mds
     out = []
     for j in range(1, scheme.params.K_c + 1):
-        idxs = mds.indices_containing(j)
+        idxs = indices_containing(mds, j)
         h_j = [parts[i - 1][mds.subsets[i - 1].index(j)] for i in idxs]
         stack = np.array([[pow(i, e, q) for e in range(mds.split_count)] for i in idxs])
         try:
@@ -509,7 +519,7 @@ def _scalar_grouped(scheme, answers, q):
     try:
         inv = _ref_inverse(np.array(nulls), q)
     except SingularMatrix:
-        raise SingularMatrix("pair combinations are linearly dependent") from None
+        raise SingularMatrix("sub-problem 1: stacked code rows are singular") from None
     return ref_matmul(inv, combos, q)
 
 
@@ -556,9 +566,9 @@ def test_batched_decode_matches_the_scalar_loop(monkeypatch):
                 rep = cd.decode(scheme, answers)
                 got = (rep.success, rep.recovered and rep.recovered.to_lists(), rep.detail)
                 assert got == _scalar_decode(scheme, answers), (scheme.params, a_set)
-                details.add(rep.detail)
-        assert "sub-problem 2: stacked code rows are singular" in details
-        assert "pair combinations are linearly dependent" in details
+                details.add((scheme.grouped is not None, rep.detail))
+        assert (False, "sub-problem 2: stacked code rows are singular") in details
+        assert (True, "sub-problem 1: stacked code rows are singular") in details
 
 
 # Large points with K_c >= t + 2, where the coded design is not every t-subset.
@@ -570,10 +580,11 @@ def test_small_moduli_never_return_a_wrong_value(q):
     """At small q a build either fails typed or decodes exactly where verified.
 
     Every responder subset decodes exactly when ``verify_decodability`` does
-    not list it, and a successful decode is the demand times the messages.
+    not list it, and a successful decode is the demand times the messages;
+    the grouped scheme included.
     """
     f = fl.Field(q)
-    built = 0
+    built = []
     for k, n, n_r, k_c in Q7_POINTS + WIDE_LARGE_POINTS:
         for seed in range(4):
             demand = bl.random_demand(k_c, k, f, fl.derive_seed(seed, "small-q", q))
@@ -581,17 +592,27 @@ def test_small_moduli_never_return_a_wrong_value(q):
                 scheme = bl.build_auto(demand, n, n_r, padding_seed=seed, virtual_seed=seed)
             except ShapeMismatch:
                 continue
-            built += 1
-            failing = set(cd.verify_decodability(scheme))
-            w = cd.random_messages(k, scheme.params.L or 2, f, seed)
-            want = ref_matmul(demand.matrix.to_lists(), w.w.to_lists(), q)
-            answers = {m: cd.encode_worker(scheme, m, w) for m in range(1, n + 1)}
-            for a_set in all_subsets(scheme):
-                rep = cd.decode(scheme, [answers[m] for m in a_set])
-                assert rep.success == (a_set not in failing), (k, n, n_r, k_c, seed, a_set)
-                if rep.success:
-                    assert rep.recovered.to_lists() == want, (k, n, n_r, k_c, seed, a_set)
-    assert built
+            built.append((seed, demand, scheme))
+    # The grouped (12, 4, 3, 3) point; its construction can fail typed at small q.
+    for seed in range(6):
+        demand = bl.random_demand(3, 12, f, fl.derive_seed(seed, "small-q-grouped", q))
+        try:
+            built.append((seed, demand, bl.build_grouped(demand, grouped_assignment(12, 4, 3))))
+        except GroupedSolveFailed:
+            continue
+    assert any(scheme.grouped is None for _, _, scheme in built)
+    assert any(scheme.grouped is not None for _, _, scheme in built)
+    for seed, demand, scheme in built:
+        p = scheme.params
+        failing = set(cd.verify_decodability(scheme))
+        w = cd.random_messages(p.K, p.L or 2, f, seed)
+        want = ref_matmul(demand.matrix.to_lists(), w.w.to_lists(), q)
+        answers = {m: cd.encode_worker(scheme, m, w) for m in range(1, p.N + 1)}
+        for a_set in all_subsets(scheme):
+            rep = cd.decode(scheme, [answers[m] for m in a_set])
+            assert rep.success == (a_set not in failing), (p, seed, a_set)
+            if rep.success:
+                assert rep.recovered.to_lists() == want, (p, seed, a_set)
 
 
 def test_unrank_combination_is_lexicographic():

@@ -66,3 +66,47 @@ def test_unreferenced_private_name_is_reported():
         "b": ast.parse("import a\na._kept()\nx._used()\n\ndef __dunder__():\n    pass\n"),
     }
     assert _unreferenced_private_names(trees) == ["a._Gone (line 4)"]
+
+
+# The regime constants; only the builder, which picks the regime, and the
+# scheme file format, which stores it, may name them.
+REGIME_CONSTANTS = {"SMALL", "MIDDLE", "LARGE", "GROUPED_REGIME"}
+REGIME_MODULES = {"builder", "serialize"}
+
+
+def _named(node: ast.AST) -> list[str]:
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.ImportFrom):
+        return [alias.name for alias in node.names]
+    return []
+
+
+def _regime_dispatch_outside_builder(trees: dict[str, ast.Module]) -> list[str]:
+    """Regime constants named by a module other than ``REGIME_MODULES``."""
+    return [
+        f"{module}.{name} (line {node.lineno})"
+        for module, tree in trees.items()
+        if module not in REGIME_MODULES
+        for node in ast.walk(tree)
+        for name in _named(node)
+        if name in REGIME_CONSTANTS
+    ]
+
+
+def test_only_the_builder_and_the_file_format_name_a_regime():
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    assert _regime_dispatch_outside_builder(trees) == []
+
+
+def test_regime_named_outside_the_builder_is_reported():
+    trees = {
+        "builder": ast.parse("SMALL = 'small'\n"),
+        "codec": ast.parse("from .builder import SMALL\nif x == bl.LARGE:\n    pass\n"),
+        "cli": ast.parse("small = 'small'\n"),
+    }
+    assert _regime_dispatch_outside_builder(trees) == [
+        "codec.SMALL (line 1)", "codec.LARGE (line 2)",
+    ]
