@@ -30,8 +30,8 @@ class Assignment:
 
     ``z[n-1]`` is the sorted tuple of dataset indices assigned to worker n.
     For the general (virtual-slot) kind, ``effective_k`` is the padded slot
-    count N*ceil(K/N), ``slot_of_dataset[k-1]`` is the effective slot holding
-    real dataset k, and ``effective_z`` is the cyclic assignment on slots.
+    count N*ceil(K/N) and ``slot_of_dataset[k-1]`` is the effective slot
+    holding real dataset k.
     """
 
     K: int
@@ -41,7 +41,6 @@ class Assignment:
     z: tuple[tuple[int, ...], ...]
     effective_k: int = 0
     slot_of_dataset: tuple[int, ...] = field(default=())
-    effective_z: tuple[tuple[int, ...], ...] = field(default=())
 
     def __post_init__(self):
         if not (1 <= self.N_r <= self.N):
@@ -143,7 +142,6 @@ def general_assignment(K: int, N: int, N_r: int) -> Assignment:
         z=z,
         effective_k=k_eff,
         slot_of_dataset=slot_of,
-        effective_z=effective_z,
     )
 
 

@@ -32,7 +32,9 @@ slots (the extra slots carry all-zero messages) and the same machinery runs
 on the effective problem.
 
 A non-cyclic "grouped" construction exists for the N=4, N_r=3, K_c=K/N=3
-family, where it halves the cyclic scheme's communication cost.
+family, where it halves the cyclic scheme's communication cost; its scheme
+holds ``GroupedCode``, four read-only arrays built with the same batched
+kernels.
 
 ``build_scheme`` is the one construction: the assignment's kind picks the
 construction and K_c the regime, and every public builder goes through it.
@@ -72,11 +74,7 @@ from .field import (
     DEFAULT_MODULUS,
     Field,
     FMatrix,
-    FVector,
     derive_seed,
-    ff_inv,
-    left_null_space,
-    mat_mul,
     random_matrix,
 )
 
@@ -176,32 +174,20 @@ class MDSDescriptor:
         return out
 
 
-@dataclass(frozen=True)
-class GroupedWorker:
-    worker: int
-    pair_tags: tuple[tuple[int, ...], ...]  # complements T, lex order
-    rows: FMatrix  # 3 x K message rows, one per tag
-    relation: tuple[int, int]  # rows[2] == a*rows[0] + b*rows[1]
-
-    @property
-    def sent_rows(self) -> FMatrix:
-        return self.rows.take_rows([0, 1])
-
-    def expansion(self, tag: tuple[int, ...]) -> tuple[int, int]:
-        """Coefficients of row ``tag`` over the two transmitted rows."""
-        i = self.pair_tags.index(tag)
-        return ((1, 0), (0, 1), self.relation)[i]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupedCode:
-    tags: tuple[tuple[int, ...], ...]  # all 2-subsets T, lex order
-    null_vectors: tuple[FVector, ...]  # task-space u_T per tag
-    combined_rows: FMatrix  # message-space U_T per tag (len(tags) x K)
-    workers: tuple[GroupedWorker, ...]
+    """The grouped scheme's read-only arrays, by tag in ``grouped_tags`` order.
 
-    def null_vector(self, tag: tuple[int, ...]) -> FVector:
-        return self.null_vectors[self.tags.index(tag)]
+    ``null_vectors[i]`` is u_T of tag i and ``combined[i]`` is U_T = u_T F;
+    ``rows[n - 1]`` holds worker n's shares in the order of
+    ``grouped_tags(N, n)``, and it sends rows 0 and 1, as row 2 is
+    ``relations[n - 1]`` = (a, b) times them.
+    """
+
+    null_vectors: np.ndarray  # (6, K_c)
+    combined: np.ndarray  # (6, K)
+    rows: np.ndarray  # (N, 3, K)
+    relations: np.ndarray  # (N, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,9 +240,9 @@ class Scheme:
         (s, e) is v_s[e] M_{s,n}; virtual slots, whose messages are zero, lose
         their columns.
         """
-        if self.grouped is not None:
-            return self.grouped.workers[n - 1].sent_rows
         f = self.demand.field
+        if self.grouped is not None:
+            return FMatrix(f, self.grouped.rows[n - 1, :2])
         rows = fl._mul_batch(self.code[:, n - 1], self.padded, f.q)
         if self.regime == SMALL:
             demand = self.virtual.effective_demand if self.virtual else self.demand.matrix
@@ -547,7 +533,7 @@ def _large(f_mat: DemandMatrix, a: Assignment, l_symbols: int | None) -> Scheme:
     # A window of t demand rows needs no padding.
     padded = f_mat.matrix.array[np.array(design) - 1]
     padded.setflags(write=False)
-    code, _ = _null_code(padded, a, f_mat.field)  # not reported yet: ROADMAP item 5
+    code, degenerate = _null_code(padded, a, f_mat.field)
     return Scheme(
         regime=LARGE,
         params=SchemeParams(a.K, a.N, a.N_r, f_mat.k_c, f_mat.field.q, L=l_symbols),
@@ -556,6 +542,7 @@ def _large(f_mat: DemandMatrix, a: Assignment, l_symbols: int | None) -> Scheme:
         padded=padded,
         code=code,
         mds=MDSDescriptor(split_count=m, subsets=design),
+        degenerate=degenerate,
     )
 
 
@@ -587,19 +574,27 @@ def _effective_demand(f_mat: DemandMatrix, a: Assignment, draws: _Draws) -> FMat
 # ---------------------------------------------------------------------------
 
 
-def _lex_pair_tags(n: int, n_workers: int) -> tuple[tuple[int, ...], ...]:
-    others = [x for x in range(1, n_workers + 1) if x != n]
-    return tuple(combinations(others, 2))
+def grouped_tags(n_workers: int, without: int = 0) -> list[tuple[int, int]]:
+    """The 2-subsets T of workers in lex order; only those without ``without``.
+
+    Worker n's shares of the grouped scheme follow ``grouped_tags(N, n)``.
+    """
+    return [t for t in combinations(range(1, n_workers + 1), 2) if without not in t]
 
 
 def build_grouped(f_mat: DemandMatrix, g: GroupedAssignment) -> Scheme:
     """Pairwise-cooperative scheme on the grouped assignment.
 
-    For every 2-subset T of workers the construction fixes one null vector of
-    the demand columns in group H_T; any surviving pair S jointly transmits
-    the combination of the complement pair.  Free coefficients on shared
-    groups are propagated worker by worker so that each worker's three
-    partial sums have rank 2, and only two rows are actually sent.
+    For every 2-subset T of workers the construction fixes one null vector
+    u_T of the demand columns in group H_T; any surviving pair S jointly
+    transmits U_T = u_T F for its complement T.  Worker n's share of T
+    equals U_T on the groups it alone holds within S = {n, p} and is free on
+    H_S, which it splits with its partner p.  Worker by worker, a relation
+    row 3 = a row 1 + b row 2 is fixed (a = b = 1 for worker 1; for worker n
+    solved on H_{1,n}, all of whose entries worker 1 pins), the worker's free
+    entries follow from it, and each partner's share of T is pinned to U_T
+    minus the worker's.  The three shares then have rank 2, and only the
+    first two are sent.
     """
     if g.N != 4 or g.N_r != 3:
         raise UnsupportedGroupedParams("grouped scheme is built for 4 workers, N_r=3")
@@ -611,131 +606,70 @@ def build_grouped(f_mat: DemandMatrix, g: GroupedAssignment) -> Scheme:
         raise UnsupportedGroupedParams(
             f"grouped scheme needs groups of K_c - 1 datasets, got {group_size}"
         )
-    f = f_mat.field
-    q = f.q
-    tags = tuple(combinations(range(1, g.N + 1), 2))
-
-    null_vectors = []
-    combined = {}
-    for t in tags:
-        cols = [c - 1 for c in g.group_of(t)]
-        basis = left_null_space(f_mat.matrix.take_columns(cols))
-        if not basis:
+    q, demand = f_mat.field.q, f_mat.matrix.array
+    tags = grouped_tags(g.N)
+    cols = np.array([members for _, members in g.groups]) - 1  # H_T, by tag
+    bases = fl._left_null_batch(demand[:, cols].transpose(1, 0, 2), q)
+    for t, basis in zip(tags, bases):
+        if not len(basis):
             raise GroupedSolveFailed(f"demand columns of group {t} have full rank")
-        null_vectors.append(basis[0])
-        u_row = FMatrix(f, basis[0].array.reshape(1, -1))
-        combined[t] = [int(x) for x in mat_mul(u_row, f_mat.matrix).array[0]]
+    nulls = np.stack([basis[0] for basis in bases])
+    combined = fl._mul_batch(nulls, demand, q)
 
-    # rows[(n, t)][k] is worker n's coefficient on message k+1 in its share of
-    # the pair combination for complement t; None marks a free coefficient on
-    # the group shared with the partner worker.
-    rows: dict[tuple[int, tuple[int, ...]], list] = {}
-    for n in range(1, g.N + 1):
-        others = [x for x in range(1, g.N + 1) if x != n]
-        for t in _lex_pair_tags(n, g.N):
-            partner = next(x for x in others if x not in t)
-            row: list = [0] * k
-            for j in others:
-                grp = g.group_of(tuple(sorted((n, j))))
-                for kk in grp:
-                    row[kk - 1] = None if j == partner else combined[t][kk - 1]
-            rows[(n, t)] = row
+    # Share r of worker i + 1 is of tag mine[i, r].  Lex order puts each
+    # tag's complement, the pair of the worker and its partner, at the
+    # mirrored index comp[i, r]; the partner holds the tag in share back[i, r].
+    idx = np.arange(g.N)[:, None]
+    mine = np.array([[tags.index(t) for t in grouped_tags(g.N, n + 1)] for n in range(g.N)])
+    comp = len(tags) - 1 - mine
+    partner = np.array(tags)[comp].sum(axis=2) - idx - 2  # 0-based, like idx
+    back = (mine[partner] == mine[:, :, None]).argmax(axis=2)
+    shared = cols[comp]  # (N, 3, K_c - 1): the group each share splits
+    r = np.arange(3)[:, None]  # share index
+    free = np.zeros((g.N, 3, k), dtype=bool)
+    free[idx[:, :, None], r, shared] = True
+    held = np.zeros((g.N, k), dtype=bool)
+    held[idx, np.array(g.z) - 1] = True
+    rows = np.where(held[:, None] & ~free, combined[mine], 0)
 
-    def pin_partner(n: int, t: tuple[int, ...]) -> None:
-        partner = next(
-            x for x in range(1, g.N + 1) if x != n and x not in t
+    relations = np.ones((g.N, 2), dtype=np.int64)
+    for i in range(g.N):
+        if i:  # solved on H_{1,i+1}, the group of tag i - 1
+            x, ok = fl._solve_batch(rows[i][:, cols[i - 1]].T[None], q)
+            if not ok[0]:
+                raise GroupedSolveFailed(f"worker {i + 1}: rank system is singular")
+            relations[i] = x[0, :, 0]
+        w = np.append(relations[i], q - 1)  # w . rows[i] = 0 in every column
+        if (free[i].any(axis=1) & (w == 0)).any():
+            raise GroupedSolveFailed(f"worker {i + 1}: zero combination weight")
+        inv = fl._inv_vec(w, q)[:, None]
+        fill = -(w[:, None] * rows[i] % q).sum(axis=0) % q * inv % q
+        rows[i] = np.where(free[i], fill, rows[i])
+        free[i] = False
+        at = (partner[i, :, None], back[i, :, None], shared[i])
+        rows[at] = (combined[mine[i, :, None], shared[i]] - rows[i, r, shared[i]]) % q
+        free[at] = False
+
+    apart = (rows + rows[partner, back]) % q != combined[mine]
+    if apart.any():
+        i, j = np.argwhere(apart.any(axis=2))[0]
+        raise GroupedSolveFailed(
+            f"pair {tags[comp[i, j]]} cannot jointly form the combination of "
+            f"{tags[mine[i, j]]}"
         )
-        for kk in g.group_of(tuple(sorted((n, partner)))):
-            if rows[(partner, t)][kk - 1] is None:
-                rows[(partner, t)][kk - 1] = (
-                    combined[t][kk - 1] - rows[(n, t)][kk - 1]
-                ) % q
-
-    relations: dict[int, tuple[int, int]] = {}
-
-    # Worker 1: impose row3 = row1 + row2; every column has exactly one free
-    # coefficient, so the relation fixes all six of them.
-    t1, t2, t3 = _lex_pair_tags(1, g.N)
-    r1, r2, r3 = rows[(1, t1)], rows[(1, t2)], rows[(1, t3)]
-    for kk in g.z[0]:
-        c = kk - 1
-        if r1[c] is None:
-            r1[c] = (r3[c] - r2[c]) % q
-        elif r2[c] is None:
-            r2[c] = (r3[c] - r1[c]) % q
-        else:
-            r3[c] = (r1[c] + r2[c]) % q
-    relations[1] = (1, 1)
-    for t in (t1, t2, t3):
-        pin_partner(1, t)
-
-    # Workers 2..4: the lex-last row is fully pinned by worker 1's groups;
-    # force rank 2 by expressing it over the first two rows.
-    for n in range(2, g.N + 1):
-        ts = _lex_pair_tags(n, g.N)
-        rn = [rows[(n, t)] for t in ts]
-        known = [
-            c
-            for c in (kk - 1 for kk in g.z[n - 1])
-            if all(r[c] is not None for r in rn)
-        ]
-        if len(known) < 2:
-            raise GroupedSolveFailed(f"worker {n} has no solvable rank relation")
-        c1, c2 = known[:2]
-        det = (rn[0][c1] * rn[1][c2] - rn[0][c2] * rn[1][c1]) % q
-        if det == 0:
-            raise GroupedSolveFailed(f"worker {n}: rank system is singular")
-        inv = ff_inv(det, f)
-        coef_a = (rn[2][c1] * rn[1][c2] - rn[2][c2] * rn[1][c1]) * inv % q
-        coef_b = (rn[0][c1] * rn[2][c2] - rn[0][c2] * rn[2][c1]) * inv % q
-        for kk in g.z[n - 1]:
-            c = kk - 1
-            if rn[2][c] is None:
-                raise GroupedSolveFailed(f"worker {n}: reference row not pinned")
-            if rn[0][c] is None:
-                if coef_a == 0:
-                    raise GroupedSolveFailed(f"worker {n}: zero combination weight")
-                rn[0][c] = (rn[2][c] - coef_b * rn[1][c]) * ff_inv(coef_a, f) % q
-            elif rn[1][c] is None:
-                if coef_b == 0:
-                    raise GroupedSolveFailed(f"worker {n}: zero combination weight")
-                rn[1][c] = (rn[2][c] - coef_a * rn[0][c]) * ff_inv(coef_b, f) % q
-        relations[n] = (int(coef_a), int(coef_b))
-        for t in ts:
-            pin_partner(n, t)
-
-    # Every pairing constraint must close exactly.
-    for s in tags:
-        t = tuple(x for x in range(1, g.N + 1) if x not in s)
-        for c in range(k):
-            total = (rows[(s[0], t)][c] + rows[(s[1], t)][c]) % q
-            if total != combined[t][c]:
-                raise GroupedSolveFailed(
-                    f"pair {s} cannot jointly form the combination of {t}"
-                )
-
-    workers = []
-    for n in range(1, g.N + 1):
-        ts = _lex_pair_tags(n, g.N)
-        mat = fl.from_rows(f, [rows[(n, t)] for t in ts])
-        if fl.rank(mat) != 2 or fl.rank(mat.take_rows([0, 1])) != 2:
-            raise GroupedSolveFailed(f"worker {n}: transmissions do not have rank 2")
-        workers.append(
-            GroupedWorker(worker=n, pair_tags=ts, rows=mat, relation=relations[n])
+    short = (fl._rank_batch(rows, q) != 2) | (fl._rank_batch(rows[:, :2], q) != 2)
+    if short.any():
+        raise GroupedSolveFailed(
+            f"worker {short.argmax() + 1}: transmissions do not have rank 2"
         )
-
-    code = GroupedCode(
-        tags=tags,
-        null_vectors=tuple(null_vectors),
-        combined_rows=fl.from_rows(f, [combined[t] for t in tags]),
-        workers=tuple(workers),
-    )
+    for a in (nulls, combined, rows, relations):
+        a.setflags(write=False)
     return Scheme(
         regime=GROUPED_REGIME,
         params=SchemeParams(g.K, g.N, g.N_r, k_c, q),
         assignment=g,
         demand=f_mat,
-        grouped=code,
+        grouped=GroupedCode(nulls, combined, rows, relations),
     )
 
 

@@ -248,9 +248,15 @@ def _write_csv(rows: list[dict], columns, out_path: str | None) -> int:
 
 
 def _grid_points(args) -> list[GridPoint]:
-    """Every valid (K, N, N_r, K_c) of the flag lists, as simulate points."""
-    kind = "grouped" if getattr(args, "assignment", None) == "grouped" else "auto"
-    return [
+    """Every valid (K, N, N_r, K_c) of the flag lists, as simulate points.
+
+    Every placement but the grouped one runs as the auto scheme, which is the
+    cyclic one where N divides K; ``--assignment cyclic`` requires that it
+    does at every point.
+    """
+    assignment = getattr(args, "assignment", None)
+    kind = "grouped" if assignment == "grouped" else "auto"
+    points = [
         GridPoint(k=k, n=n, n_r=n_r, k_c=k_c, scheme_kind=kind, l=getattr(args, "L", None))
         for k in args.K
         for n in args.N
@@ -258,6 +264,10 @@ def _grid_points(args) -> list[GridPoint]:
         for k_c in args.kc
         if 1 <= n_r <= n and 1 <= k_c <= k
     ]
+    if assignment == "cyclic":
+        for pt in points:
+            cyclic_assignment(pt.k, pt.n, pt.n_r)  # raises where N does not divide K
+    return points
 
 
 def cmd_simulate(args, seed: int) -> int:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import field as fl
 from .assignment import Assignment
-from .builder import DemandMatrix, MDSDescriptor, Scheme, build_large
+from .builder import DemandMatrix, MDSDescriptor, Scheme, build_large, grouped_tags
 from .errors import (
     LinsepError,
     RankDeficientDemand,
@@ -147,11 +147,12 @@ def _systems(scheme: Scheme, subsets, sampled=None) -> np.ndarray:
     jointly sends the combination of its complement pair.
     """
     if scheme.grouped is not None:
-        return np.array([
-            [[scheme.grouped.null_vector(_complement(scheme, pair)).array
-              for pair in combinations(a_set, 2)]]
+        tags = grouped_tags(scheme.params.N)
+        at = [
+            [tags.index(_complement(scheme, pair)) for pair in combinations(a_set, 2)]
             for a_set in subsets
-        ])
+        ]
+        return scheme.grouped.null_vectors[np.array(at)][:, None]
     code = scheme.code
     sub = np.arange(len(code)) if sampled is None else np.asarray(sampled)
     rows = code[sub[:, None], np.array(subsets)[:, None, :] - 1]
@@ -164,19 +165,22 @@ def _answer_rows(scheme: Scheme, answers) -> np.ndarray:
 
     Sub-problem s takes each responder's answer rows of s, in responder
     order.  A grouped pair's row is the sum of the pair's shares of its
-    complement's combination, each share two sent rows expanded by the
-    worker's coefficients.
+    complement's combination: a responder's three shares are its two sent
+    rows and their combination by its relation.
     """
     if scheme.grouped is None:
         s, _, per, _ = scheme.code.shape
         return np.concatenate([a.x.array.reshape(s, per, -1) for a in answers], axis=1)
-    q, workers = scheme.params.q, scheme.grouped.workers
+    q, relations = scheme.params.q, scheme.grouped.relations
+    shares = {}
+    for a in answers:
+        third = (relations[a.worker - 1, :, None] * a.x.array % q).sum(axis=0) % q
+        shares[a.worker] = np.vstack([a.x.array, third])
     sums = []
-    for pair in combinations(answers, 2):
-        tag = _complement(scheme, [a.worker for a in pair])
-        coef = np.array([workers[a.worker - 1].expansion(tag) for a in pair])
-        shares = coef[:, :, None] * np.array([a.x.array for a in pair]) % q
-        sums.append(shares.sum(axis=(0, 1)) % q)
+    for pair in combinations(shares, 2):
+        tag = _complement(scheme, pair)
+        rows = [shares[n][grouped_tags(scheme.params.N, n).index(tag)] for n in pair]
+        sums.append(sum(rows) % q)
     return np.array(sums)[None]
 
 
@@ -204,12 +208,8 @@ def _mds_reconstruct(mds: MDSDescriptor, parts, k_c: int, f: Field) -> FMatrix:
     return FMatrix(f, x.reshape(k_c, -1))
 
 
-def decode(
-    scheme: Scheme, answers, demand: DemandMatrix | None = None
-) -> DecodeReport:
+def decode(scheme: Scheme, answers) -> DecodeReport:
     """Recover the requested combinations from exactly N_r worker answers."""
-    if demand is not None and demand != scheme.demand:
-        raise ShapeMismatch("supplied demand disagrees with the scheme's demand")
     answers = _check_answers(scheme, answers)
     responders = tuple(a.worker for a in answers)
     f = fl.Field(scheme.params.q)

@@ -37,6 +37,7 @@ from .builder import (
     Scheme,
     _Draws,
     build_scheme,
+    grouped_tags,
 )
 from .errors import LinsepError, MalformedScheme, ShapeMismatch
 from .field import Field, FMatrix
@@ -113,17 +114,17 @@ def scheme_to_dict(scheme: Scheme) -> dict:
         code = scheme.grouped
         out["workers"] = [
             {
-                "id": w.worker,
-                "rows": _mat(w.rows.array),
-                "tags": [list(t) for t in w.pair_tags],
-                "relation": [str(c) for c in w.relation],
+                "id": n,
+                "rows": _mat(rows),
+                "tags": [list(t) for t in grouped_tags(p.N, n)],
+                "relation": [str(c) for c in relation],
             }
-            for w in code.workers
+            for n, (rows, relation) in enumerate(zip(code.rows, code.relations.tolist()), 1)
         ]
         out["grouped"] = {
-            "tags": [list(t) for t in code.tags],
-            "null_vectors": [[str(x) for x in v.to_list()] for v in code.null_vectors],
-            "combined": _mat(code.combined_rows.array),
+            "tags": [list(t) for t in grouped_tags(p.N)],
+            "null_vectors": _mat(code.null_vectors),
+            "combined": _mat(code.combined),
         }
     return out
 

@@ -6,8 +6,10 @@ kernels are tested against them.  ``ref_encode`` is the per-sub-problem
 encode the library ran before every answer became one product by the
 worker's encoding matrix.  ``indices_containing`` and ``reconstruction_stack``
 name the windows that rebuild a large scheme's demand row and their
-Vandermonde stack.
+Vandermonde stack.  ``grouped_by_tag`` reads a grouped scheme's arrays by tag.
 """
+
+from itertools import combinations
 
 import numpy as np
 
@@ -27,6 +29,23 @@ def ref_matmul(a, b, q):
                 acc += a[i][k] * b[k][j]
             out[i][j] = acc % q
     return out
+
+
+def grouped_by_tag(scheme, n=None):
+    """A grouped scheme's rows by tag T, the 2-subsets of workers in lex order.
+
+    With ``n``, worker n's share rows and their coefficients over its two
+    sent rows, keyed by the tags without n; else the null vectors and the
+    combined rows.
+    """
+    workers = range(1, scheme.params.N + 1)
+    code = scheme.grouped
+    if n is None:
+        tags = list(combinations(workers, 2))
+        return dict(zip(tags, zip(code.null_vectors.tolist(), code.combined.tolist())))
+    tags = list(combinations([x for x in workers if x != n], 2))
+    coef = ([1, 0], [0, 1], code.relations[n - 1].tolist())
+    return dict(zip(tags, zip(code.rows[n - 1].tolist(), coef)))
 
 
 def ref_encode(scheme, n, w):
@@ -50,7 +69,7 @@ def ref_encode(scheme, n, w):
             eff[slot - 1] = row
         msgs = eff
     if scheme.grouped is not None:
-        return ref_matmul(scheme.grouped.workers[n - 1].sent_rows.to_lists(), msgs, q)
+        return ref_matmul(scheme.grouped.rows[n - 1, :2].tolist(), msgs, q)
     if scheme.regime == "small":
         # Aggregator i (N x K): row r holds demand row i's weights on the
         # messages k = r mod N, and zeros elsewhere.

@@ -98,10 +98,9 @@ def test_acceptance_1_worked_examples():
     # (12, 4, 3, 3): grouped scheme beats the cyclic one, 6 versus 9.
     demand = bl.demand_from_rows(FQ, DEMAND_3x12)
     scheme = bl.build_grouped(demand, grouped_assignment(12, 4, 3))
-    u12 = scheme.grouped.combined_rows.to_lists()[0]
+    u12 = scheme.grouped.combined[0].tolist()
     assert u12 == [0, 0, 4, 4, 11, 8, 6, 8, 16, 12, 14, 20]
-    w1 = scheme.grouped.workers[0].rows.to_lists()
-    w2 = scheme.grouped.workers[1].rows.to_lists()
+    w1, w2 = scheme.grouped.rows[:2].tolist()
     assert [w1[2][0], w1[2][1]] == [fe(-42), fe(-40)]  # x5, x6
     assert [w2[2][0], w2[2][1]] == [fe(88), fe(80)]    # x11, x12
     w = cd.random_messages(12, 2, FQ, seed=104)

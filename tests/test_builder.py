@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import in_row_span, reconstruction_stack, ref_rank
+from conftest import grouped_by_tag, in_row_span, reconstruction_stack, ref_rank
 from linsep import builder as bl
 from linsep import field as fl
 from linsep.assignment import cyclic_assignment, general_assignment, grouped_assignment
@@ -294,35 +294,36 @@ def test_grouped_null_vectors_match_worked_example():
         (2, 4): (-54, 5, 1),
         (3, 4): (50, -5, 1),
     }
+    by_tag = grouped_by_tag(s)
+    assert list(by_tag) == list(expected)  # the arrays run in lex tag order
     for tag, vec in expected.items():
-        assert s.grouped.null_vector(tag).to_list() == [x % Q for x in vec]
+        assert by_tag[tag][0] == [x % Q for x in vec]
 
 
 def test_grouped_pair_combination_coefficients():
     s = grouped_example()
-    assert s.grouped.combined_rows.to_lists()[0] == [0, 0, 4, 4, 11, 8, 6, 8, 16, 12, 14, 20]
+    assert s.grouped.combined[0].tolist() == [0, 0, 4, 4, 11, 8, 6, 8, 16, 12, 14, 20]
 
 
 def test_grouped_propagated_coefficients_match_worked_example():
     s = grouped_example()
-    w = {gw.worker: gw for gw in s.grouped.workers}
     # worker 1 rows: tags (2,3), (2,4), (3,4)
-    r = w[1].rows.to_lists()
+    r = s.grouped.rows[0].tolist()
     assert [r[0][4], r[0][5]] == [fe(54), fe(44)]      # x1, x2
     assert [r[1][2], r[1][3]] == [fe(32), fe(28)]      # x3, x4
     assert [r[2][0], r[2][1]] == [fe(-42), fe(-40)]    # x5, x6
     # worker 2 rows: tags (1,3), (1,4), (3,4)
-    r = w[2].rows.to_lists()
+    r = s.grouped.rows[1].tolist()
     assert [r[1][6], r[1][7]] == [fe(-11), fe(-29, 2)]   # x7, x8
     assert [r[0][8], r[0][9]] == [fe(-89, 10), fe(-7)]   # x9, x10
     assert [r[2][0], r[2][1]] == [fe(88), fe(80)]        # x11, x12
     # worker 3 rows: tags (1,2), (1,4), (2,4)
-    r = w[3].rows.to_lists()
+    r = s.grouped.rows[2].tolist()
     assert [r[0][10], r[0][11]] == [fe(6), fe(192, 25)]  # x13, x14
     assert [r[1][6], r[1][7]] == [fe(12), fe(41, 2)]     # x15, x16
     assert [r[2][2], r[2][3]] == [fe(-68), fe(-60)]      # x17, x18
     # worker 4 rows: tags (1,2), (1,3), (2,3)
-    r = w[4].rows.to_lists()
+    r = s.grouped.rows[3].tolist()
     assert [r[0][10], r[0][11]] == [fe(8), fe(308, 25)]  # x19, x20
     assert [r[1][8], r[1][9]] == [fe(418, 20), fe(15)]   # x21, x22
     assert [r[2][4], r[2][5]] == [fe(-45), fe(-40)]      # x23, x24
@@ -330,24 +331,22 @@ def test_grouped_propagated_coefficients_match_worked_example():
 
 def test_grouped_rank_and_pair_sums():
     s = grouped_example()
-    held_by = {g.worker: set(s.assignment.z[g.worker - 1]) for g in s.grouped.workers}
-    for gw in s.grouped.workers:
-        assert fl.rank(gw.rows) == 2
-        a, b = gw.relation
-        r = gw.rows.array
-        assert ((a * r[0] + b * r[1]) % Q == r[2]).all()
-        for row in gw.rows.to_lists():
-            assert {i + 1 for i, x in enumerate(row) if x} <= held_by[gw.worker]
+    assert s.grouped.relations[0].tolist() == [1, 1]  # worker 1: row 3 = row 1 + row 2
+    for n in range(1, 5):
+        rows = s.grouped.rows[n - 1]
+        assert fl.rank(fl.FMatrix(FQ, rows)) == 2
+        assert fl.rank(fl.FMatrix(FQ, rows[:2])) == 2
+        a, b = s.grouped.relations[n - 1].tolist()
+        assert ((a * rows[0] + b * rows[1]) % Q == rows[2]).all()
+        for row in rows.tolist():
+            assert {i + 1 for i, x in enumerate(row) if x} <= set(s.assignment.z[n - 1])
     # every pair's two shares add to the combination of the complement
-    for si, s1 in enumerate((1, 2, 3, 4)):
-        for s2 in range(s1 + 1, 5):
-            tag = tuple(x for x in (1, 2, 3, 4) if x not in (s1, s2))
-            u_row = s.grouped.combined_rows.to_lists()[s.grouped.tags.index(tag)]
-            w1 = s.grouped.workers[s1 - 1]
-            w2 = s.grouped.workers[s2 - 1]
-            row1 = w1.rows.to_lists()[w1.pair_tags.index(tag)]
-            row2 = w2.rows.to_lists()[w2.pair_tags.index(tag)]
-            assert [(x + y) % Q for x, y in zip(row1, row2)] == u_row
+    combined = grouped_by_tag(s)
+    for s1, s2 in combinations((1, 2, 3, 4), 2):
+        tag = tuple(x for x in (1, 2, 3, 4) if x not in (s1, s2))
+        row1 = grouped_by_tag(s, s1)[tag][0]
+        row2 = grouped_by_tag(s, s2)[tag][0]
+        assert [(x + y) % Q for x, y in zip(row1, row2)] == combined[tag][1]
 
 
 def test_grouped_rejects_wrong_shapes():
@@ -372,6 +371,24 @@ def test_grouped_success_rate_over_random_demands():
         except GroupedSolveFailed:
             pass
     assert ok == 20  # empirical: generic demands always propagate at this modulus
+
+
+def test_grouped_failures_at_small_q_name_their_step():
+    # The demands of the grouped digest in test_byte_identity, at q = 7.
+    outcomes = Counter()
+    for seed in range(40):
+        demand = bl.random_demand(3, 12, fl.Field(7), fl.derive_seed(seed, "grouped-digest"))
+        try:
+            bl.build_grouped(demand, grouped_assignment(12, 4, 3))
+            outcomes["built"] += 1
+        except GroupedSolveFailed as exc:
+            outcomes[str(exc)] += 1
+    assert outcomes == {
+        "built": 14,
+        "worker 2: rank system is singular": 9,
+        "worker 2: zero combination weight": 16,
+        "worker 3: zero combination weight": 1,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ full-recovery fallback and a ``--demand-file`` run, so that a refactor of the
 builder or codec cannot change a byte of them unnoticed.  So do the digests
 of every worker's answer and every responder subset's decode over the same
 sample schemes, which guard encode and decode without reading their internals.
+A last digest pins the grouped construction over seeded demands at several
+moduli, failures included.
 """
 
 import hashlib
@@ -18,7 +20,10 @@ import pytest
 from linsep import cli
 from linsep import codec as cd
 from linsep import field as fl
+from linsep import builder as bl
 from linsep import serialize as sz
+from linsep.assignment import grouped_assignment
+from linsep.errors import LinsepError
 from test_serialize import sample_schemes
 
 SCHEME_DIGESTS = {
@@ -54,6 +59,10 @@ ANSWER_DIGESTS = {
     "fallback": "740c021254c936b716e5e71814e428f057e60bf4637a28a8fe5f35d2534e0bc5",
     "large_wide": "57fb92f49c27d6af1110ec974a9e3ad804e7ced2f29b6c6f9a1c70305415c73e",
 }
+
+# 40 seeded (12, 4, 3, 3) demands at each of these moduli; 120 of the 160 build.
+GROUPED_MODULI = (7, 11, 101, 2**31 - 1)
+GROUPED_DIGEST = "a18fc4802d07b6f6049a3e117ee9de2b0a494d269ed9221a42218add25e1beb4"
 
 DEMAND_ROWS = [[1, 2, 3, 4, 5, 6], [1, 1, 1, 1, 1, 1], [2, 3, 5, 7, 11, 13]]
 
@@ -125,3 +134,19 @@ def _answers_digest(scheme) -> str:
 @pytest.mark.parametrize("name,scheme", list(sample_schemes()))
 def test_answers_and_decodes_unchanged(name, scheme):
     assert _answers_digest(scheme) == ANSWER_DIGESTS[name]
+
+
+def test_grouped_construction_unchanged():
+    """Each demand adds its scheme file's SHA-256, or the failure's class name."""
+    h = hashlib.sha256()
+    for q in GROUPED_MODULI:
+        f = fl.Field(q)
+        for seed in range(40):
+            demand = bl.random_demand(3, 12, f, fl.derive_seed(seed, "grouped-digest"))
+            try:
+                scheme = bl.build_grouped(demand, grouped_assignment(12, 4, 3))
+                item = _sha(sz.dumps(scheme).encode())
+            except LinsepError as exc:
+                item = type(exc).__name__
+            h.update(f"{q} {seed} {item}\n".encode())
+    assert h.hexdigest() == GROUPED_DIGEST

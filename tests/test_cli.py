@@ -156,6 +156,12 @@ def test_simulate_grid_to_stdout(capsys):
     rows = list(csv.DictReader(out.splitlines()))
     assert len(rows) == 4
     assert all(r["failures"] == "0" for r in rows)
+    # --assignment cyclic runs the same schemes, and only where N divides K.
+    cyclic = ("simulate", "-N", "3", "--nr", "2", "--kc", "1,2", "--trials", "1",
+              "--assignment", "cyclic")
+    assert run(capsys, *cyclic, "-K", "3,6")[:2] == (0, out)
+    code, _, err = run(capsys, *cyclic, "-K", "6,7")
+    assert code == 2 and "error: N=3 does not divide K=7" in err
 
 
 def test_bounds_csv_matches_module(tmp_path, capsys):
@@ -322,6 +328,8 @@ def _pairless_grouped(data):
       "--assignment", "grouped", "-L", "5", "--out", "{tmp}/gr.json"], 2),
     (["verify", "--scheme", "{intact}", "-K", "9", "-q", "7",
       "--demand-file", "nope.json", "--assignment", "grouped"], 2),
+    (["simulate", "-K", "7", "-N", "3", "--nr", "2", "--kc", "2",
+      "--assignment", "cyclic", "--trials", "1"], 2),
 ])
 def test_bad_input_exits_with_documented_code_and_no_traceback(
     tmp_path, argv, expected

@@ -8,6 +8,7 @@ from conftest import (
     _null_space_columns,
     _rank_raw,
     _rref,
+    grouped_by_tag,
     indices_containing,
     ref_encode,
     ref_matmul,
@@ -504,7 +505,6 @@ def _scalar_subproblems(scheme, answers, q):
 
 def _scalar_grouped(scheme, answers, q):
     """One inverse of the stacked null vectors of the responder pairs."""
-    code = scheme.grouped
     n_all = range(1, scheme.params.N + 1)
     combos, nulls = [], []
     for pair in combinations([a.worker for a in answers], 2):
@@ -512,10 +512,10 @@ def _scalar_grouped(scheme, answers, q):
         acc = [0] * answers[0].x.cols
         for n in pair:
             x_n = next(a.x for a in answers if a.worker == n).to_lists()
-            part = ref_matmul([list(code.workers[n - 1].expansion(tag))], x_n, q)[0]
+            part = ref_matmul([grouped_by_tag(scheme, n)[tag][1]], x_n, q)[0]
             acc = [(u + v) % q for u, v in zip(acc, part)]
         combos.append(acc)
-        nulls.append(code.null_vector(tag).array)
+        nulls.append(grouped_by_tag(scheme)[tag][0])
     try:
         inv = _ref_inverse(np.array(nulls), q)
     except SingularMatrix:

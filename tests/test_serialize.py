@@ -178,9 +178,21 @@ def _arrays(obj):
 def test_every_array_a_scheme_holds_is_read_only(name, scheme):
     for s in (scheme, sz.loads(sz.dumps(scheme))):
         arrays = list(_arrays(s))
-        if s.grouped is None:
-            assert any(a is s.padded for a in arrays) and any(a is s.code for a in arrays)
+        g = s.grouped
+        held = (s.padded, s.code) if g is None else (g.rows, g.relations)
+        assert all(any(a is h for a in arrays) for h in held)
         assert [a.flags.writeable for a in arrays] == [False] * len(arrays)
+
+
+def test_large_scheme_reports_a_degenerate_window():
+    # At q = 7 one window of this demand has a null space larger than K/N.
+    demand = bl.random_demand(6, 6, fl.Field(7), 5)
+    scheme = bl.build_scheme(demand, cyclic_assignment(6, 3, 2))
+    assert scheme.regime == "large" and scheme.degenerate
+    text = sz.dumps(scheme)
+    assert json.loads(text)["degenerate"] is True
+    loaded = sz.loads(text)
+    assert loaded.degenerate and sz.dumps(loaded) == text
 
 
 def _edit_l(data):
