@@ -18,7 +18,7 @@ demand = builder.demand_from_rows(f, [[1, 1, 1], [1, 2, 3]])
 assignment = cyclic_assignment(K=3, N=3, N_r=2)
 print("datasets per worker:", [list(z) for z in assignment.z])
 
-scheme = builder.build_middle(demand, assignment)
+scheme = builder.build_scheme(demand, assignment)
 for n in range(1, 4):
     print(f"worker {n} sends the combination {scheme.encoder(n).to_lists()[0]}")
 

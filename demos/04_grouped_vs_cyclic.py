@@ -26,7 +26,7 @@ for pair, members in grouped.groups:
     print(f"  workers {pair}: datasets {members}")
 
 scheme_grouped = builder.build_grouped(demand, grouped)
-scheme_cyclic = builder.build_middle(demand, cyclic_assignment(12, 4, 3))
+scheme_cyclic = builder.build_scheme(demand, cyclic_assignment(12, 4, 3))
 
 messages = codec.random_messages(12, 4, f, seed=7)
 truth = field.mat_mul(demand.matrix, messages.w)

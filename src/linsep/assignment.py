@@ -65,12 +65,6 @@ class GroupedAssignment(Assignment):
 
     groups: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = field(default=())
 
-    def group_of(self, t: tuple[int, ...]) -> tuple[int, ...]:
-        for key, members in self.groups:
-            if key == tuple(sorted(t)):
-                return members
-        raise KeyError(t)
-
 
 def _cyclic_sets(K: int, N: int, N_r: int) -> tuple[tuple[int, ...], ...]:
     per = K // N

@@ -29,17 +29,19 @@ scheme kind encodes as one product.
 
 When N does not divide K, the demand is embedded into N*ceil(K/N) effective
 slots (the extra slots carry all-zero messages) and the same machinery runs
-on the effective problem.
+on the effective problem: ``Scheme.effective_demand`` holds the embedded
+demand, and the assignment the slot of every dataset.
 
 A non-cyclic "grouped" construction exists for the N=4, N_r=3, K_c=K/N=3
 family, where it halves the cyclic scheme's communication cost; its scheme
 holds ``GroupedCode``, four read-only arrays built with the same batched
 kernels.
 
-``build_scheme`` is the one construction: the assignment's kind picks the
-construction and K_c the regime, and every public builder goes through it.
-A scheme is a deterministic function of its demand, its assignment and its
-random inputs (the padding rows of each middle sub-problem and the
+``build_scheme`` is the one entry: a grouped assignment gets
+``build_grouped``, and every other scheme is built by ``_cyclic``, the one
+cyclic-family construction, whose regime picks the ``padded`` stack it
+codes.  A scheme is a deterministic function of its demand, its assignment
+and its random inputs (the padding rows of each middle sub-problem and the
 virtual-slot coefficients), which come from one ``_Draws`` source: drawn from
 seeds, or the ones a scheme file stores.
 """
@@ -47,7 +49,7 @@ seeds, or the ones a scheme file stores.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb, gcd
 from typing import Sequence
@@ -56,7 +58,6 @@ import numpy as np
 
 from . import field as fl
 from .assignment import (
-    CYCLIC,
     GENERAL_VIRTUAL,
     GROUPED,
     Assignment,
@@ -122,15 +123,6 @@ class SchemeParams:
     K_c: int
     q: int
     L: int | None = None  # fixed only where the construction splits messages
-
-
-@dataclass(frozen=True)
-class VirtualLayout:
-    """Embedding of K real datasets into N*ceil(K/N) effective slots."""
-
-    effective_k: int
-    slot_of_dataset: tuple[int, ...]
-    effective_demand: FMatrix  # K_c x effective_k; virtual columns are random
 
 
 @dataclass(frozen=True)
@@ -208,18 +200,10 @@ class Scheme:
     padding_rows: int = 0  # per sub-problem
     mds: MDSDescriptor | None = None
     grouped: GroupedCode | None = None
-    virtual: VirtualLayout | None = None
+    # K_c x effective_k, on the assignment's effective slots; None: no virtual slots
+    effective_demand: FMatrix | None = None
     recombine: FMatrix | None = None  # fallback: rows -> original demand
     degenerate: bool = False
-
-    @property
-    def message_width(self) -> int:
-        """Number of message rows the code operates on (effective slots)."""
-        return self.virtual.effective_k if self.virtual else self.params.K
-
-    @property
-    def rows_per_worker(self) -> int:
-        return self.message_width // self.params.N
 
     @property
     def split_count(self) -> int:
@@ -245,8 +229,8 @@ class Scheme:
             return FMatrix(f, self.grouped.rows[n - 1, :2])
         rows = fl._mul_batch(self.code[:, n - 1], self.padded, f.q)
         if self.regime == SMALL:
-            demand = self.virtual.effective_demand if self.virtual else self.demand.matrix
-            coef = demand.array
+            demand = self.effective_demand
+            coef = (self.demand.matrix if demand is None else demand).array
             spread = np.arange(coef.shape[1]) % self.params.N
             rows = rows[:, :, spread] * coef[:, None, :] % f.q
         s, per, width = rows.shape
@@ -254,8 +238,8 @@ class Scheme:
             v = self.mds.generator_rows(np.arange(1, s + 1), f)
             rows = v[:, None, :, None] * rows[:, :, None, :] % f.q
         rows = rows.reshape(s * per, self.split_count, width)
-        if self.virtual is not None:
-            rows = rows[:, :, np.array(self.virtual.slot_of_dataset) - 1]
+        if self.effective_demand is not None:
+            rows = rows[:, :, np.array(self.assignment.slot_of_dataset) - 1]
         return FMatrix(f, rows.reshape(s * per, -1))
 
     @property
@@ -292,9 +276,9 @@ class _Draws:
     ``padding(j, ...)`` gives the rows appended below the demand of middle
     sub-problem j (0 for a middle scheme, 1..K_c for the small regime's), or
     None when it needs none; ``virtual(...)`` gives the virtual-slot
-    coefficients.  Both are drawn from the seeds, as the public builders
-    always have, unless ``stored_padding`` (rows by j) and
-    ``stored_effective`` (the effective demand) hold those of a scheme file.
+    coefficients.  Both are drawn from the seeds unless ``stored_padding``
+    (rows by j) and ``stored_effective`` (the effective demand) hold those of
+    a scheme file.
     """
 
     padding_seed: int = 0
@@ -327,52 +311,15 @@ def build_scheme(
 ) -> Scheme:
     """Build on any assignment: its kind picks the construction, K_c the regime.
 
-    A grouped assignment gets the grouped scheme; a general-virtual one runs
-    the cyclic construction on its effective slots.  The random inputs are
-    drawn from the two seeds, unless the scheme loader passes the ones a file
-    stores as ``_draws``.
+    A grouped assignment gets the grouped scheme; any other the cyclic-family
+    one.  The random inputs are drawn from the two seeds, unless the scheme
+    loader passes the ones a file stores as ``_draws``.
     """
     if f_mat.k != a.K:
         raise ShapeMismatch("demand width disagrees with the assignment")
-    draws = _draws or _Draws(padding_seed, virtual_seed)
     if a.kind == GROUPED:
         return build_grouped(f_mat, a)
-    if a.kind == GENERAL_VIRTUAL:
-        eff_assignment = cyclic_assignment(a.effective_k, a.N, a.N_r)
-        eff_demand = _effective_demand(f_mat, a, draws)
-        built = build_scheme(
-            DemandMatrix(eff_demand), eff_assignment, l_symbols=l_symbols, _draws=draws
-        )
-        layout = VirtualLayout(
-            effective_k=a.effective_k,
-            slot_of_dataset=a.slot_of_dataset,
-            effective_demand=eff_demand,
-        )
-        return replace(
-            built,
-            params=replace(built.params, K=a.K),
-            assignment=a,
-            demand=f_mat,
-            virtual=layout,
-        )
-    per = a.K // a.N
-    regime = regime_for(f_mat.k_c, per, a.N_r)
-    if regime == SMALL:
-        return _small(f_mat, a, draws)
-    if regime == MIDDLE:
-        return _middle(f_mat, a, draws)
-    return _large(f_mat, a, l_symbols)
-
-
-def _require_cyclic_regime(f_mat: DemandMatrix, a: Assignment, regime: str) -> None:
-    """Raise unless ``build_scheme`` builds ``regime`` for this demand on ``a``."""
-    if a.kind != CYCLIC:
-        raise ShapeMismatch(f"{regime} regime is built on a cyclic assignment")
-    per = a.K // a.N
-    if regime_for(f_mat.k_c, per, a.N_r) != regime:
-        raise ShapeMismatch(
-            f"K_c={f_mat.k_c} is outside the {regime} regime at K/N={per}, N_r={a.N_r}"
-        )
+    return _cyclic(f_mat, a, _draws or _Draws(padding_seed, virtual_seed), l_symbols)
 
 
 def build_auto(
@@ -394,7 +341,7 @@ def build_auto(
 
 
 # ---------------------------------------------------------------------------
-# Middle regime
+# The cyclic family
 # ---------------------------------------------------------------------------
 
 
@@ -430,76 +377,6 @@ def _null_code(padded: np.ndarray, a: Assignment, f: Field) -> tuple[np.ndarray,
     return code, any(len(b) != per for b in bases)
 
 
-def build_middle(
-    f_mat: DemandMatrix, a: Assignment, *, padding_seed: int = 0
-) -> Scheme:
-    """Null-space scheme for per <= K_c <= per * N_r on a cyclic assignment."""
-    _require_cyclic_regime(f_mat, a, MIDDLE)
-    return build_scheme(f_mat, a, padding_seed=padding_seed)
-
-
-def _middle(f_mat: DemandMatrix, a: Assignment, draws: _Draws) -> Scheme:
-    """The one sub-problem: the demand over uniform rows up to t = K/N * N_r."""
-    f = f_mat.field
-    padding = draws.padding(0, a.K // a.N * a.N_r - f_mat.k_c, a.K, f)
-    padded = _padded(f_mat.matrix.array, [padding])
-    code, degenerate = _null_code(padded, a, f)
-    return Scheme(
-        regime=MIDDLE,
-        params=SchemeParams(a.K, a.N, a.N_r, f_mat.k_c, f.q),
-        assignment=a,
-        demand=f_mat,
-        padded=padded,
-        code=code,
-        padding_rows=padded.shape[1] - f_mat.k_c,
-        degenerate=degenerate,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Small regime
-# ---------------------------------------------------------------------------
-
-
-def build_small(
-    f_mat: DemandMatrix, a: Assignment, *, padding_seed: int = 0
-) -> Scheme:
-    """One-combination sub-problems over aggregated messages (K_c < K/N)."""
-    _require_cyclic_regime(f_mat, a, SMALL)
-    return build_scheme(f_mat, a, padding_seed=padding_seed)
-
-
-def _small(f_mat: DemandMatrix, a: Assignment, draws: _Draws) -> Scheme:
-    """Demand row j is sub-problem j: the all-ones row on N aggregates.
-
-    Aggregate n collects row j's terms on messages n, n+N, n+2N, ..., so it
-    is computable by exactly the workers holding those messages, which
-    coincide under the cyclic assignment; the sub-problems therefore run on
-    the cyclic assignment of N datasets.
-    """
-    f = f_mat.field
-    padded = _padded(
-        np.ones((1, a.N), dtype=np.int64),
-        [draws.padding(j, a.N_r - 1, a.N, f) for j in range(1, f_mat.k_c + 1)],
-    )
-    code, degenerate = _null_code(padded, cyclic_assignment(a.N, a.N, a.N_r), f)
-    return Scheme(
-        regime=SMALL,
-        params=SchemeParams(a.K, a.N, a.N_r, f_mat.k_c, f.q),
-        assignment=a,
-        demand=f_mat,
-        padded=padded,
-        code=code,
-        padding_rows=a.N_r - 1,
-        degenerate=degenerate,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Large regime
-# ---------------------------------------------------------------------------
-
-
 def cyclic_design(k_c: int, t: int) -> tuple[tuple[int, ...], ...]:
     """The K_c/g cyclic windows of t consecutive rows of [1..K_c], g = gcd(K_c, t).
 
@@ -513,35 +390,66 @@ def cyclic_design(k_c: int, t: int) -> tuple[tuple[int, ...], ...]:
     ))
 
 
-def build_large(
-    f_mat: DemandMatrix, a: Assignment, l_symbols: int | None = None
+def _cyclic(
+    f_mat: DemandMatrix, a: Assignment, draws: _Draws, l_symbols: int | None
 ) -> Scheme:
-    """Erasure-coded message splitting for K_c > (K/N) * N_r."""
-    _require_cyclic_regime(f_mat, a, LARGE)
-    return build_scheme(f_mat, a, l_symbols=l_symbols)
+    """The cyclic-family scheme: one stack of middle sub-problems, by regime.
 
+    A general-virtual demand is first embedded into the effective slots, and
+    the code runs on the cyclic assignment of those.  With per = width/N and
+    t = per * N_r, the regime picks the stack:
 
-def _large(f_mat: DemandMatrix, a: Assignment, l_symbols: int | None) -> Scheme:
-    t = a.K // a.N * a.N_r
-    design = cyclic_design(f_mat.k_c, t)
-    m = t * len(design) // f_mat.k_c  # rows per window times windows, per row
-    l_symbols = m if l_symbols is None else operator.index(l_symbols)
-    if l_symbols % m != 0:
-        raise BadMessageLength(f"L={l_symbols} not divisible by split count {m}")
-    if len(design) >= f_mat.field.q:
-        raise ShapeMismatch("code length must stay below the field modulus")
-    # A window of t demand rows needs no padding.
-    padded = f_mat.matrix.array[np.array(design) - 1]
-    padded.setflags(write=False)
-    code, degenerate = _null_code(padded, a, f_mat.field)
+    * small: demand row j is sub-problem j, the all-ones row on N aggregates
+      over N_r - 1 padding rows.  Aggregate n collects row j's terms on
+      messages n, n+N, n+2N, ..., so it is computable by exactly the workers
+      holding those messages, which coincide under the cyclic assignment;
+      the code therefore runs on the cyclic assignment of N datasets.
+    * middle: the one sub-problem, the demand over t - K_c padding rows.
+    * large: one sub-problem per cyclic window of t demand rows, which needs
+      no padding; every message splits into m sub-messages, and L must be a
+      positive multiple of m.
+    """
+    f, k_c = f_mat.field, f_mat.k_c
+    demand, effective, placement = f_mat.matrix.array, None, a
+    if a.kind == GENERAL_VIRTUAL:
+        effective = _effective_demand(f_mat, a, draws)
+        demand = effective.array
+        placement = cyclic_assignment(a.effective_k, a.N, a.N_r)
+    per = demand.shape[1] // a.N
+    t = per * a.N_r
+    regime, mds, length = regime_for(k_c, per, a.N_r), None, None
+    if regime == SMALL:
+        pad = a.N_r - 1
+        paddings = [draws.padding(j, pad, a.N, f) for j in range(1, k_c + 1)]
+        padded = _padded(np.ones((1, a.N), dtype=np.int64), paddings)
+        placement = cyclic_assignment(a.N, a.N, a.N_r)
+    elif regime == MIDDLE:
+        pad = t - k_c
+        padded = _padded(demand, [draws.padding(0, pad, demand.shape[1], f)])
+    else:
+        pad, design = 0, cyclic_design(k_c, t)
+        m = t * len(design) // k_c  # rows per window times windows, per row
+        length = m if l_symbols is None else operator.index(l_symbols)
+        if length < 1:
+            raise BadMessageLength(f"L={length} must be at least 1")
+        if length % m != 0:
+            raise BadMessageLength(f"L={length} not divisible by split count {m}")
+        if len(design) >= f.q:
+            raise ShapeMismatch("code length must stay below the field modulus")
+        padded = demand[np.array(design) - 1]
+        padded.setflags(write=False)
+        mds = MDSDescriptor(split_count=m, subsets=design)
+    code, degenerate = _null_code(padded, placement, f)
     return Scheme(
-        regime=LARGE,
-        params=SchemeParams(a.K, a.N, a.N_r, f_mat.k_c, f_mat.field.q, L=l_symbols),
+        regime=regime,
+        params=SchemeParams(a.K, a.N, a.N_r, k_c, f.q, L=length),
         assignment=a,
         demand=f_mat,
         padded=padded,
         code=code,
-        mds=MDSDescriptor(split_count=m, subsets=design),
+        padding_rows=pad,
+        mds=mds,
+        effective_demand=effective,
         degenerate=degenerate,
     )
 

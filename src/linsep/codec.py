@@ -26,7 +26,7 @@ import numpy as np
 
 from . import field as fl
 from .assignment import Assignment
-from .builder import DemandMatrix, MDSDescriptor, Scheme, build_large, grouped_tags
+from .builder import DemandMatrix, MDSDescriptor, Scheme, build_scheme, grouped_tags
 from .errors import (
     LinsepError,
     RankDeficientDemand,
@@ -343,20 +343,22 @@ def fallback_full_recovery(
     the master instead requests K generic independent combinations (a fresh
     seeded full-rank K x K demand, verified decodable), inverts them to get
     all messages, and applies the original demand afterwards.  Communication
-    cost is K.
+    cost is K: the K x K demand builds a large scheme, or a middle one with
+    no padding where N_r = N makes t = K (on virtual slots that middle
+    scheme's cost is t, the effective slot count).
     """
     k, k_c = f_mat.k, f_mat.k_c
     if rank(f_mat.matrix) != k_c:
         raise RankDeficientDemand("fallback needs a full-row-rank demand")
     if k_c == k:
-        return build_large(f_mat, a, l_symbols)
+        return build_scheme(f_mat, a, l_symbols=l_symbols)
     f = f_mat.field
     for attempt in range(max_attempts):
         g = random_matrix(k, k, f, derive_seed(seed, "full-recovery", attempt))
         if rank(g) != k:
             continue
         scheme = replace(
-            build_large(DemandMatrix(g), a, l_symbols),
+            build_scheme(DemandMatrix(g), a, l_symbols=l_symbols),
             recombine=mat_mul(f_mat.matrix, inverse(g)),
         )
         if not verify_decodability(scheme):

@@ -82,11 +82,11 @@ def scheme_to_dict(scheme: Scheme) -> dict:
         "degenerate": scheme.degenerate,
         "padding_rows": scheme.padding_rows,
     }
-    if scheme.virtual is not None:
+    if scheme.effective_demand is not None:
         out["virtual"] = {
-            "effective_k": scheme.virtual.effective_k,
-            "slots": list(scheme.virtual.slot_of_dataset),
-            "effective_demand": _mat(scheme.virtual.effective_demand.array),
+            "effective_k": scheme.assignment.effective_k,
+            "slots": list(scheme.assignment.slot_of_dataset),
+            "effective_demand": _mat(scheme.effective_demand.array),
         }
     if scheme.recombine is not None:
         out["recombine"] = _mat(scheme.recombine.array)
@@ -170,9 +170,10 @@ def _complete_design_dump(scheme: Scheme) -> str | None:
     not have written the scheme: it needed fewer than q coded symbols, and
     at most ``MAX_CODE_LENGTH``.
     """
-    p = scheme.params
-    t = scheme.rows_per_worker * p.N_r
-    if scheme.regime != LARGE or p.K_c < t + 2:
+    if scheme.regime != LARGE:
+        return None
+    p, t = scheme.params, scheme.padded.shape[1]
+    if p.K_c < t + 2:
         return None
     length, split = comb(p.K_c, t), comb(p.K_c - 1, t - 1)
     if p.L % split or length >= p.q or length > MAX_CODE_LENGTH:

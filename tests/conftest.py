@@ -63,9 +63,9 @@ def ref_encode(scheme, n, w):
     if w.k != p.K or w.w.field.q != p.q:
         raise ShapeMismatch("message block does not fit the scheme")
     q, msgs = p.q, w.w.to_lists()
-    if scheme.virtual is not None:
-        eff = [[0] * w.l for _ in range(scheme.virtual.effective_k)]
-        for row, slot in zip(msgs, scheme.virtual.slot_of_dataset):
+    if scheme.effective_demand is not None:
+        eff = [[0] * w.l for _ in range(scheme.assignment.effective_k)]
+        for row, slot in zip(msgs, scheme.assignment.slot_of_dataset):
             eff[slot - 1] = row
         msgs = eff
     if scheme.grouped is not None:
@@ -73,7 +73,9 @@ def ref_encode(scheme, n, w):
     if scheme.regime == "small":
         # Aggregator i (N x K): row r holds demand row i's weights on the
         # messages k = r mod N, and zeros elsewhere.
-        demand = scheme.virtual.effective_demand if scheme.virtual else scheme.demand.matrix
+        demand = (
+            scheme.demand.matrix if scheme.effective_demand is None else scheme.effective_demand
+        )
         aggregators = [
             [[c if k % p.N == r else 0 for k, c in enumerate(row)] for r in range(p.N)]
             for row in demand.to_lists()

@@ -65,7 +65,7 @@ def _pass(ident, message):
 def test_acceptance_1_worked_examples():
     # (K, N, N_r, K_c) = (6, 3, 2, 4): two null-space rows per worker.
     demand = bl.demand_from_rows(FQ, DEMAND_4x6)
-    scheme = bl.build_middle(demand, cyclic_assignment(6, 3, 2))
+    scheme = bl.build_scheme(demand, cyclic_assignment(6, 3, 2))
     w = cd.random_messages(6, 4, FQ, seed=101)
     assert _decode_all_subsets(scheme, demand, w) == 4
     rows = scheme.code[0, 0].tolist()
@@ -77,7 +77,7 @@ def test_acceptance_1_worked_examples():
     # multiple of it in its row of sub-problem 2.
     demand = bl.demand_from_rows(FQ, DEMAND_2x9)
     a = cyclic_assignment(9, 3, 2)
-    scheme = bl.build_small(demand, a, padding_seed=7)
+    scheme = bl.build_scheme(demand, a, padding_seed=7)
     holders = [n for n in (1, 2, 3) if {1, 4, 7} <= set(a.z[n - 1])]
     assert holders == [1, 3]
     for n in holders:
@@ -88,7 +88,7 @@ def test_acceptance_1_worked_examples():
 
     # (3, 3, 2, 3): split messages; every reconstruction stack invertible.
     demand = bl.demand_from_rows(FQ, DEMAND_3x3)
-    scheme = bl.build_large(demand, cyclic_assignment(3, 3, 2))
+    scheme = bl.build_scheme(demand, cyclic_assignment(3, 3, 2))
     for j in (1, 2, 3):
         stack = reconstruction_stack(scheme.mds, j, FQ)
         fl.inverse(stack)  # raises if singular
@@ -105,7 +105,7 @@ def test_acceptance_1_worked_examples():
     assert [w2[2][0], w2[2][1]] == [fe(88), fe(80)]    # x11, x12
     w = cd.random_messages(12, 2, FQ, seed=104)
     assert _decode_all_subsets(scheme, demand, w) == 6
-    cyclic_scheme = bl.build_middle(demand, cyclic_assignment(12, 4, 3), padding_seed=5)
+    cyclic_scheme = bl.build_scheme(demand, cyclic_assignment(12, 4, 3), padding_seed=5)
     assert _decode_all_subsets(cyclic_scheme, demand, w) == 9
 
     _pass(1, "all four worked examples reproduced exactly")
@@ -175,14 +175,14 @@ def test_acceptance_4_structured_fixtures():
     for n in (3, 4, 5):
         resp = tuple(range(1, n))  # N_r = n - 1 designated responders
         fixture = bl.adversarial_fixture(n, n, n - 1, resp, seed=11)
-        scheme = bl.build_middle(fixture, cyclic_assignment(n, n, n - 1))
+        scheme = bl.build_scheme(fixture, cyclic_assignment(n, n, n - 1))
         stack = fl.FMatrix(FQ, scheme.code[0, [w - 1 for w in resp]].reshape(n - 1, -1))
         assert stack == fl.identity(n - 1, FQ)
     for n, n_r in ((3, 2), (4, 3)):
         fixture = bl.adversarial_fixture(2 * n, n, n_r, tuple(range(1, n_r + 1)), seed=12)
         arr = fixture.matrix.array
         assert not arr[:n_r, n:].any() and not arr[n_r:, :n].any()
-        scheme = bl.build_middle(fixture, cyclic_assignment(2 * n, n, n_r))
+        scheme = bl.build_scheme(fixture, cyclic_assignment(2 * n, n, n_r))
         assert cd.verify_decodability(scheme) == []
     _pass(4, "zero-pattern fixtures give unit stacks; block-diagonal decodable")
 
@@ -193,7 +193,7 @@ def test_acceptance_4_structured_fixtures():
 def test_acceptance_5_bad_demand_fallback():
     demand = bl.demand_from_rows(FQ, [[1, 1, 1], [2, 1, 1]])
     a = cyclic_assignment(3, 3, 2)
-    scheme = bl.build_middle(demand, a)
+    scheme = bl.build_scheme(demand, a)
     assert cd.verify_decodability(scheme) == [(1, 3)]
     fallback = cd.fallback_full_recovery(demand, a, 2, seed=13)
     assert cd.verify_decodability(fallback) == []
@@ -276,8 +276,8 @@ def test_acceptance_8_property_suites():
 
         if scheme.regime == "middle":
             base = (
-                cyclic_assignment(scheme.virtual.effective_k, n, n_r)
-                if scheme.virtual else scheme.assignment
+                cyclic_assignment(scheme.assignment.effective_k, n, n_r)
+                if scheme.effective_demand is not None else scheme.assignment
             )
             for n, rows in enumerate(scheme.code[0], 1):
                 missing = scheme.padded[0][:, [c - 1 for c in base.not_assigned(n)]]

@@ -43,7 +43,7 @@ def fe(num: int, den: int = 1) -> int:
 
 
 def middle_4x6():
-    return bl.build_middle(
+    return bl.build_scheme(
         bl.demand_from_rows(FQ, DEMAND_4x6), cyclic_assignment(6, 3, 2)
     )
 
@@ -74,7 +74,7 @@ def test_middle_worker1_span_contains_known_vectors():
 
 def test_middle_three_worker_k_equals_n_code_row():
     f_mat = bl.demand_from_rows(FQ, [[1, 1, 1], [1, 2, 3]])
-    s = bl.build_middle(f_mat, cyclic_assignment(3, 3, 2))
+    s = bl.build_scheme(f_mat, cyclic_assignment(3, 3, 2))
     row = s.encoder(1).to_lists()[0]
     # single row proportional to (2, 1, 0)
     assert s.encoder(1).rows == 1
@@ -86,7 +86,7 @@ def test_middle_orthogonality_and_computability():
         for k, n, n_r, k_c in ((6, 3, 2, 4), (6, 3, 2, 2), (8, 4, 3, 5), (12, 4, 2, 3)):
             a = cyclic_assignment(k, n, n_r)
             f_mat = bl.random_demand(k_c, k, FQ, seed=fl.derive_seed(seed, k, n, n_r, k_c))
-            s = bl.build_middle(f_mat, a, padding_seed=seed)
+            s = bl.build_scheme(f_mat, a, padding_seed=seed)
             assert_code_orthogonal(s, a)
             assert s.code.shape == (1, n, k // n, k // n * n_r)
             for worker in range(1, n + 1):
@@ -101,7 +101,7 @@ def test_middle_row_count_and_padding():
     assert s.code.shape == (1, 3, 2, 4)
     assert s.padding_rows == 0
     f_small = bl.demand_from_rows(FQ, DEMAND_4x6[:2])
-    s2 = bl.build_middle(f_small, cyclic_assignment(6, 3, 2), padding_seed=1)
+    s2 = bl.build_scheme(f_small, cyclic_assignment(6, 3, 2), padding_seed=1)
     assert s2.padding_rows == 2 and s2.padded.shape == (1, 4, 6)
     assert s2.padded[0, :2].tolist() == DEMAND_4x6[:2]
 
@@ -109,7 +109,7 @@ def test_middle_row_count_and_padding():
 def test_middle_identity_code_when_single_responder_suffices():
     # N_r = 1: every worker holds everything and sends unit task rows.
     f_mat = bl.random_demand(2, 6, FQ, seed=3)
-    s = bl.build_middle(f_mat, cyclic_assignment(6, 3, 1))
+    s = bl.build_scheme(f_mat, cyclic_assignment(6, 3, 1))
     for rows in s.code[0]:
         assert fl.FMatrix(FQ, rows) == fl.identity(2, FQ)
 
@@ -118,25 +118,25 @@ def test_middle_single_column_support_when_all_must_respond():
     # K = N, N_r = N, K_c = 1: each worker's combination touches only its own
     # message.
     f_mat = bl.demand_from_rows(FQ, [[1, 1, 1]])
-    s = bl.build_middle(f_mat, cyclic_assignment(3, 3, 3), padding_seed=2)
+    s = bl.build_scheme(f_mat, cyclic_assignment(3, 3, 3), padding_seed=2)
     for worker in (1, 2, 3):
         row = s.encoder(worker).to_lists()[0]
         support = {i + 1 for i, x in enumerate(row) if x}
         assert support == {worker}
 
 
-def test_middle_rejects_out_of_range_demand():
-    a = cyclic_assignment(6, 3, 2)
-    with pytest.raises(ShapeMismatch):
-        bl.build_middle(bl.random_demand(1, 6, FQ, 0), a)  # K_c < K/N
-    with pytest.raises(ShapeMismatch):
-        bl.build_middle(bl.random_demand(5, 6, FQ, 0), a)  # K_c > (K/N)N_r
+def test_k_c_outside_the_middle_range_builds_small_or_large():
+    a = cyclic_assignment(6, 3, 2)  # K/N = 2, t = 4
+    regimes = [
+        bl.build_scheme(bl.random_demand(k_c, 6, FQ, 0), a).regime for k_c in range(1, 7)
+    ]
+    assert regimes == ["small", "middle", "middle", "middle", "large", "large"]
 
 
 def test_middle_flags_degenerate_demand():
     # Demand with a zero column block: null spaces get too big.
     rows = [[0, 0, 1, 1, 0, 0], [0, 0, 2, 5, 0, 0], [0, 0, 3, 1, 0, 0], [0, 0, 1, 9, 0, 0]]
-    s = bl.build_middle(bl.demand_from_rows(FQ, rows), cyclic_assignment(6, 3, 2))
+    s = bl.build_scheme(bl.demand_from_rows(FQ, rows), cyclic_assignment(6, 3, 2))
     assert s.degenerate
 
 
@@ -148,7 +148,7 @@ def test_middle_flags_degenerate_demand():
 def test_small_aggregated_message_weights():
     f_mat = bl.demand_from_rows(FQ, [[1] * 9, list(range(1, 10))])
     a = cyclic_assignment(9, 3, 2)
-    s = bl.build_small(f_mat, a, padding_seed=0)
+    s = bl.build_scheme(f_mat, a, padding_seed=0)
     # Sub-problem j's row carries demand row j's weights on every group
     # a worker holds: second combination, first group W_1 + 4 W_4 + 7 W_7;
     # first combination, second group W_2 + W_5 + W_8.
@@ -169,7 +169,7 @@ def test_small_single_row_all_ones_is_identity_aggregation():
     # below K/N so use K = 2N with per-group pairs instead.
     f_mat = bl.demand_from_rows(FQ, [[1] * 6])
     a = cyclic_assignment(6, 3, 2)
-    s = bl.build_small(f_mat, a, padding_seed=0)
+    s = bl.build_scheme(f_mat, a, padding_seed=0)
     # weight 1 on both messages of every aggregate: W_n and W_{n+3}
     for n in (1, 2, 3):
         row = s.encoder(n).array[0]
@@ -177,9 +177,12 @@ def test_small_single_row_all_ones_is_identity_aggregation():
         assert {k + 1 for k in np.flatnonzero(row)} == set(a.z[n - 1])
 
 
-def test_small_rejects_large_demand():
-    with pytest.raises(ShapeMismatch):
-        bl.build_small(bl.random_demand(3, 9, FQ, 0), cyclic_assignment(9, 3, 2))
+def test_small_range_ends_below_k_over_n():
+    a = cyclic_assignment(9, 3, 2)  # K/N = 3
+    regimes = [
+        bl.build_scheme(bl.random_demand(k_c, 9, FQ, 0), a).regime for k_c in (2, 3)
+    ]
+    assert regimes == ["small", "middle"]
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +192,7 @@ def test_small_rejects_large_demand():
 
 def test_large_split_counts_and_subdemands():
     f_mat = bl.demand_from_rows(FQ, [[1, 1, 1], [1, 2, 3], [1, 4, 9]])
-    s = bl.build_large(f_mat, cyclic_assignment(3, 3, 2))
+    s = bl.build_scheme(f_mat, cyclic_assignment(3, 3, 2))
     assert s.mds.split_count == 2 and s.mds.code_length == 3
     assert s.mds.subsets == ((1, 2), (1, 3), (2, 3))
     assert s.padded[2].tolist() == [[1, 2, 3], [1, 4, 9]]  # subset {2, 3}
@@ -199,7 +202,7 @@ def test_large_split_counts_and_subdemands():
 
 def test_large_reconstruction_stacks_invertible():
     f_mat = bl.random_demand(5, 6, FQ, seed=8)
-    s = bl.build_large(f_mat, cyclic_assignment(6, 3, 2))
+    s = bl.build_scheme(f_mat, cyclic_assignment(6, 3, 2))
     assert s.mds.split_count == comb(4, 3) and s.mds.code_length == comb(5, 4)
     for j in range(1, 6):
         stack = reconstruction_stack(s.mds, j, FQ)
@@ -208,7 +211,7 @@ def test_large_reconstruction_stacks_invertible():
 
 def test_any_m_generator_vectors_independent():
     f_mat = bl.random_demand(6, 6, FQ, seed=9)
-    s = bl.build_large(f_mat, cyclic_assignment(6, 3, 2))
+    s = bl.build_scheme(f_mat, cyclic_assignment(6, 3, 2))
     m = s.mds.split_count
     vectors = s.mds.generator_rows(np.arange(1, s.mds.code_length + 1), FQ)
     for chosen in combinations(range(s.mds.code_length), m):
@@ -257,10 +260,12 @@ def test_explicit_three_symbol_code_is_valid():
 
 def test_large_boundary_and_message_length_errors():
     a = cyclic_assignment(3, 3, 2)
-    with pytest.raises(ShapeMismatch):
-        bl.build_large(bl.random_demand(2, 3, FQ, 0), a)  # K_c == (K/N)N_r
-    with pytest.raises(BadMessageLength):
-        bl.build_large(bl.random_demand(3, 3, FQ, 0), a, l_symbols=3)
+    # K_c == (K/N)N_r is the last middle point
+    assert bl.build_scheme(bl.random_demand(2, 3, FQ, 0), a).regime == "middle"
+    # 0, -2 and -8 are multiples of the split count 2; only L >= 1 rules them out.
+    for length in (3, 0, -2, -8):
+        with pytest.raises(BadMessageLength):
+            bl.build_scheme(bl.random_demand(3, 3, FQ, 0), a, l_symbols=length)
 
 
 def test_boundary_point_routes_to_middle():
@@ -400,19 +405,19 @@ def test_general_scheme_shapes_and_orthogonality():
     f_mat = bl.random_demand(5, 7, FQ, seed=12)
     a = general_assignment(7, 3, 2)
     s = bl.build_scheme(f_mat, a, padding_seed=3, virtual_seed=4)
-    assert s.regime == "middle" and s.virtual is not None
-    assert s.virtual.effective_k == 9
-    eff = s.virtual.effective_demand
+    assert s.regime == "middle" and s.effective_demand is not None
+    assert s.assignment.effective_k == 9
+    eff = s.effective_demand
     # real columns embed the original demand
-    for k, slot in enumerate(s.virtual.slot_of_dataset, start=1):
+    for k, slot in enumerate(s.assignment.slot_of_dataset, start=1):
         assert list(eff.array[:, slot - 1]) == list(f_mat.matrix.array[:, k - 1])
-    assert_code_orthogonal(s, cyclic_assignment(s.virtual.effective_k, 3, 2))
+    assert_code_orthogonal(s, cyclic_assignment(s.assignment.effective_k, 3, 2))
 
 
 def test_general_real_slot_placement_3_6_4():
     f_mat = bl.random_demand(3, 3, FQ, seed=13)
     s = bl.build_auto(f_mat, 6, 4, padding_seed=1, virtual_seed=1)
-    assert s.virtual.slot_of_dataset == (1, 3, 5)
+    assert s.assignment.slot_of_dataset == (1, 3, 5)
     assert all(len(zn) <= 2 for zn in s.assignment.z)
 
 
@@ -438,7 +443,7 @@ def test_fixture_identity_code_for_designated_responders():
     for n in (3, 4, 5):
         resp = tuple(range(1, n))
         fx = bl.adversarial_fixture(n, n, n - 1, resp, seed=7)
-        s = bl.build_middle(fx, cyclic_assignment(n, n, n - 1))
+        s = bl.build_scheme(fx, cyclic_assignment(n, n, n - 1))
         stack = fl.FMatrix(FQ, np.vstack([s.code[0, w - 1] for w in resp]))
         assert stack == fl.identity(n - 1, FQ)
 

@@ -254,15 +254,19 @@ def test_simulate_runs_and_logs_at_the_requested_modulus(tmp_path, capsys):
 
 
 def _middle_3():
-    return bl.build_middle(
+    return bl.build_scheme(
         bl.demand_from_rows(FQ, [[1, 1, 1], [1, 2, 3]]), cyclic_assignment(3, 3, 2)
     )
 
 
 def _middle_6():
-    return bl.build_middle(
+    return bl.build_scheme(
         bl.demand_from_rows(FQ, [[1] * 6, [1, 2, 3, 4, 5, 6]]), cyclic_assignment(6, 3, 2)
     )
+
+
+def _large_6():
+    return bl.build_scheme(bl.random_demand(5, 6, FQ, 3), cyclic_assignment(6, 3, 2))
 
 
 def _grouped_12():
@@ -298,6 +302,11 @@ def _short_null_vector(data):
     data["grouped"]["null_vectors"][0].pop()
 
 
+def _negative_length(data):
+    # -8 is a multiple of the split count 4; only L >= 1 rules it out.
+    data["params"]["L"] = -8
+
+
 def _pairless_grouped(data):
     # The grouped construction is only built for N = 4, N_r = 3.
     data["params"].update(N=2, N_r=1)
@@ -330,6 +339,11 @@ def _pairless_grouped(data):
       "--demand-file", "nope.json", "--assignment", "grouped"], 2),
     (["simulate", "-K", "7", "-N", "3", "--nr", "2", "--kc", "2",
       "--assignment", "cyclic", "--trials", "1"], 2),
+    (["build", "-K", "6", "-N", "3", "--nr", "2", "--kc", "5", "-L", "-8",
+      "--out", "{tmp}/neg.json"], 2),
+    (["build", "-K", "6", "-N", "3", "--nr", "2", "--kc", "5", "-L", "0",
+      "--out", "{tmp}/zero.json"], 2),
+    (["verify", "--scheme", "{negative_length}"], 3),
 ])
 def test_bad_input_exits_with_documented_code_and_no_traceback(
     tmp_path, argv, expected
@@ -346,6 +360,9 @@ def test_bad_input_exits_with_documented_code_and_no_traceback(
             tmp_path, "pairless.json", _pairless_grouped, _grouped_12
         ),
         "intact": _scheme_file(tmp_path, "intact.json", lambda data: None),
+        "negative_length": _scheme_file(
+            tmp_path, "negative_length.json", _negative_length, _large_6
+        ),
     }
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -373,7 +390,7 @@ def test_general_assignment_builds_the_auto_scheme(tmp_path, capsys, k):
 
 
 def _small_9():
-    return bl.build_small(
+    return bl.build_scheme(
         bl.demand_from_rows(FQ, [[1] * 9, list(range(1, 10))]), cyclic_assignment(9, 3, 2)
     )
 

@@ -59,7 +59,7 @@ def decode_everywhere(scheme, demand, w):
 
 def test_encode_zero_messages_gives_zero_answers():
     f_mat = bl.demand_from_rows(FQ, DEMAND_4x6)
-    s = bl.build_middle(f_mat, cyclic_assignment(6, 3, 2))
+    s = bl.build_scheme(f_mat, cyclic_assignment(6, 3, 2))
     w = cd.zero_messages(6, 4, FQ)
     for n in (1, 2, 3):
         assert not cd.encode_worker(s, n, w).x.array.any()
@@ -67,7 +67,7 @@ def test_encode_zero_messages_gives_zero_answers():
 
 def test_encode_symbol_count_middle():
     f_mat = bl.demand_from_rows(FQ, DEMAND_4x6)
-    s = bl.build_middle(f_mat, cyclic_assignment(6, 3, 2))
+    s = bl.build_scheme(f_mat, cyclic_assignment(6, 3, 2))
     w = cd.random_messages(6, 5, FQ, 1)
     ans = cd.encode_worker(s, 1, w)
     assert ans.t_n == (6 // 3) * 5
@@ -75,7 +75,7 @@ def test_encode_symbol_count_middle():
 
 def test_encode_shape_errors():
     f_mat = bl.demand_from_rows(FQ, DEMAND_4x6)
-    s = bl.build_middle(f_mat, cyclic_assignment(6, 3, 2))
+    s = bl.build_scheme(f_mat, cyclic_assignment(6, 3, 2))
     with pytest.raises(ShapeMismatch):
         cd.encode_worker(s, 1, cd.random_messages(5, 2, FQ, 0))
     with pytest.raises(ShapeMismatch):
@@ -86,7 +86,7 @@ def test_encode_shape_errors():
 
 def test_encode_large_rejects_bad_length():
     f_mat = bl.demand_from_rows(FQ, [[1, 1, 1], [1, 2, 3], [1, 4, 9]])
-    s = bl.build_large(f_mat, cyclic_assignment(3, 3, 2))
+    s = bl.build_scheme(f_mat, cyclic_assignment(3, 3, 2))
     with pytest.raises(ShapeMismatch):
         cd.encode_worker(s, 1, cd.random_messages(3, 3, FQ, 0))  # 3 % 2 != 0
 
@@ -123,7 +123,7 @@ def test_encode_matches_the_per_subproblem_reference():
     for i, s in enumerate(_reference_schemes()):
         p, m = s.params, s.split_count
         f = fl.Field(p.q)
-        kinds.add((s.regime, s.virtual is not None, s.recombine is not None))
+        kinds.add((s.regime, s.effective_demand is not None, s.recombine is not None))
         for l in (m, 3 * m):
             w = cd.random_messages(p.K, l, f, i)
             for n in range(1, p.N + 1):
@@ -146,13 +146,13 @@ def test_encode_matches_the_per_subproblem_reference():
 
 
 def _constraint_schemes():
-    yield "small", bl.build_small(
+    yield "small", bl.build_scheme(
         bl.random_demand(2, 9, FQ, seed=6), cyclic_assignment(9, 3, 2), padding_seed=1
     )
-    yield "middle", bl.build_middle(
+    yield "middle", bl.build_scheme(
         bl.demand_from_rows(FQ, DEMAND_4x6), cyclic_assignment(6, 3, 2)
     )
-    yield "large", bl.build_large(bl.random_demand(5, 6, FQ, 8), cyclic_assignment(6, 3, 2))
+    yield "large", bl.build_scheme(bl.random_demand(5, 6, FQ, 8), cyclic_assignment(6, 3, 2))
     for k_c in (1, 3, 6):  # virtual small, middle and large at K=7, N=4
         yield f"virtual_kc{k_c}", bl.build_auto(
             bl.random_demand(k_c, 7, FQ, k_c), 4, 2, padding_seed=1, virtual_seed=2
@@ -195,7 +195,7 @@ def test_encoder_reads_only_the_workers_datasets(scheme):
 
 def test_decode_three_worker_two_combination_instance():
     f_mat = bl.demand_from_rows(FQ, [[1, 1, 1], [1, 2, 3]])
-    s = bl.build_middle(f_mat, cyclic_assignment(3, 3, 2))
+    s = bl.build_scheme(f_mat, cyclic_assignment(3, 3, 2))
     w = cd.MessageBlock(fl.from_rows(FQ, [[1], [2], [3]]))
     # worker 1's single transmitted symbol is its message row applied to W
     row = s.encoder(1).to_lists()[0]
@@ -208,14 +208,14 @@ def test_decode_three_worker_two_combination_instance():
 
 def test_decode_worked_4x6_instance_everywhere():
     f_mat = bl.demand_from_rows(FQ, DEMAND_4x6)
-    s = bl.build_middle(f_mat, cyclic_assignment(6, 3, 2))
+    s = bl.build_scheme(f_mat, cyclic_assignment(6, 3, 2))
     w = cd.random_messages(6, 3, FQ, 21)
     assert decode_everywhere(s, f_mat, w) == {Fraction(4)}
 
 
 def test_decode_requires_exactly_n_r_distinct_answers():
     f_mat = bl.demand_from_rows(FQ, DEMAND_4x6)
-    s = bl.build_middle(f_mat, cyclic_assignment(6, 3, 2))
+    s = bl.build_scheme(f_mat, cyclic_assignment(6, 3, 2))
     w = cd.random_messages(6, 2, FQ, 3)
     a1 = cd.encode_worker(s, 1, w)
     a2 = cd.encode_worker(s, 2, w)
@@ -257,7 +257,7 @@ def test_decode_rejects_an_answer_of_another_field_or_shape(edit):
 
 def test_decode_reports_straggler_independence():
     f_mat = bl.random_demand(4, 8, FQ, seed=5)
-    s = bl.build_middle(f_mat, cyclic_assignment(8, 4, 3), padding_seed=2)
+    s = bl.build_scheme(f_mat, cyclic_assignment(8, 4, 3), padding_seed=2)
     w = cd.random_messages(8, 3, FQ, 9)
     outputs = set()
     for a_set in all_subsets(s):
@@ -276,15 +276,15 @@ def test_cost_matches_formula_per_regime():
     w_seed = 31
     # middle: (K/N) N_r
     f_mat = bl.random_demand(4, 6, FQ, seed=1)
-    s = bl.build_middle(f_mat, cyclic_assignment(6, 3, 2))
+    s = bl.build_scheme(f_mat, cyclic_assignment(6, 3, 2))
     assert decode_everywhere(s, f_mat, cd.random_messages(6, 2, FQ, w_seed)) == {Fraction(4)}
     # small: K_c N_r
     f_mat = bl.random_demand(2, 9, FQ, seed=2)
-    s = bl.build_small(f_mat, cyclic_assignment(9, 3, 2))
+    s = bl.build_scheme(f_mat, cyclic_assignment(9, 3, 2))
     assert decode_everywhere(s, f_mat, cd.random_messages(9, 2, FQ, w_seed)) == {Fraction(4)}
     # large: K_c
     f_mat = bl.random_demand(3, 3, FQ, seed=3)
-    s = bl.build_large(f_mat, cyclic_assignment(3, 3, 2))
+    s = bl.build_scheme(f_mat, cyclic_assignment(3, 3, 2))
     assert decode_everywhere(s, f_mat, cd.random_messages(3, 4, FQ, w_seed)) == {Fraction(3)}
     # grouped: 2 N_r
     f_mat = bl.demand_from_rows(FQ, DEMAND_3x12)
@@ -299,13 +299,13 @@ def test_cost_matches_formula_per_regime():
 
 def test_verify_worked_4x6_instance_clean():
     f_mat = bl.demand_from_rows(FQ, DEMAND_4x6)
-    s = bl.build_middle(f_mat, cyclic_assignment(6, 3, 2))
+    s = bl.build_scheme(f_mat, cyclic_assignment(6, 3, 2))
     assert cd.verify_decodability(s) == []
 
 
 def test_verify_flags_known_bad_demand():
     f_mat = bl.demand_from_rows(FQ, [[1, 1, 1], [2, 1, 1]])
-    s = bl.build_middle(f_mat, cyclic_assignment(3, 3, 2))
+    s = bl.build_scheme(f_mat, cyclic_assignment(3, 3, 2))
     assert cd.verify_decodability(s) == [(1, 3)]
     w = cd.random_messages(3, 1, FQ, 4)
     rep = cd.decode(s, [cd.encode_worker(s, n, w) for n in (1, 3)])
@@ -317,7 +317,7 @@ def test_verify_flags_known_bad_demand():
 
 def test_verify_sample_mode_deterministic():
     f_mat = bl.random_demand(4, 8, FQ, seed=5)
-    s = bl.build_middle(f_mat, cyclic_assignment(8, 4, 3), padding_seed=2)
+    s = bl.build_scheme(f_mat, cyclic_assignment(8, 4, 3), padding_seed=2)
     one = cd.verify_decodability(s, mode="sample", sample_count=3, seed=11)
     two = cd.verify_decodability(s, mode="sample", sample_count=3, seed=11)
     assert one == two == []
@@ -325,7 +325,7 @@ def test_verify_sample_mode_deterministic():
 
 def test_verify_exhaustive_cap():
     f_mat = bl.random_demand(4, 8, FQ, seed=5)
-    s = bl.build_middle(f_mat, cyclic_assignment(8, 4, 3), padding_seed=2)
+    s = bl.build_scheme(f_mat, cyclic_assignment(8, 4, 3), padding_seed=2)
     with pytest.raises(ShapeMismatch):
         cd.verify_decodability(s, subset_cap=3)
 
@@ -360,8 +360,8 @@ def _scalar_verify(scheme, mode="exhaustive", sample_count=None, seed=0,
         a = cyclic_assignment(p.N, p.N, p.N_r)
     else:
         a = (
-            cyclic_assignment(scheme.virtual.effective_k, p.N, p.N_r)
-            if scheme.virtual else scheme.assignment
+            cyclic_assignment(scheme.assignment.effective_k, p.N, p.N_r)
+            if scheme.effective_demand is not None else scheme.assignment
         )
     per = a.K // a.N
     failing = set()
@@ -407,7 +407,7 @@ def test_batched_verify_matches_the_scalar_loop():
                     failing_regimes.add(scheme.regime)
     assert failing_regimes == {"small", "middle", "large"}
     # The acceptance-5 demand: only {1, 3} fails.
-    s = bl.build_middle(
+    s = bl.build_scheme(
         bl.demand_from_rows(FQ, [[1, 1, 1], [2, 1, 1]]), cyclic_assignment(3, 3, 2)
     )
     assert cd.verify_decodability(s) == _scalar_verify(s) == [(1, 3)]
@@ -638,13 +638,26 @@ def test_fallback_cost_and_recovery():
     assert decode_everywhere(s, f_mat, w) == {Fraction(3)}
 
 
+@pytest.mark.parametrize("k", [3, 6])
+def test_fallback_at_n_r_equal_n(k):
+    # N_r = N makes t = K, so the K x K full-recovery demand is a middle
+    # scheme with no padding, not a large one.
+    f_mat = bl.random_demand(2, k, FQ, seed=k)
+    s = cd.fallback_full_recovery(f_mat, cyclic_assignment(k, 3, 3), 2, seed=5)
+    assert s.regime == "middle" and s.padding_rows == 0 and s.recombine is not None
+    assert cd.verify_decodability(s) == []
+    assert bl.expected_cost(s) == k
+    w = cd.random_messages(k, 2, FQ, 17)
+    assert decode_everywhere(s, f_mat, w) == {Fraction(k)}
+
+
 def test_fallback_delegates_when_demand_is_square():
     f_mat = bl.demand_from_rows(FQ, [[1, 1, 1], [1, 2, 3], [1, 4, 9]])
     a = cyclic_assignment(3, 3, 2)
     from linsep import serialize
 
     via_fallback = cd.fallback_full_recovery(f_mat, a, 2, seed=0)
-    direct = bl.build_large(f_mat, a, 2)
+    direct = bl.build_scheme(f_mat, a, l_symbols=2)
     assert serialize.dumps(via_fallback) == serialize.dumps(direct)
 
 

@@ -1,6 +1,7 @@
-"""Every demo script runs to completion against the library in ``src``."""
+"""Every demo script, and the README quick start, runs to completion against ``src``."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,15 +12,27 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def _run(args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 def test_demos_are_found():
     assert len(DEMOS) >= 5
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
 def test_demo_exits_0(path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run(
-        [sys.executable, str(path)], capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = _run([str(path)])
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_exits_0():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    proc = _run(["-c", blocks[0]])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "2\n"

@@ -74,6 +74,17 @@ def test_fallback_trial_cost_is_dataset_count():
     assert result.measured_cost == 3 and result.formula_cost == 3 and result.all_ok
 
 
+@pytest.mark.parametrize("k", [3, 6])
+def test_fallback_trial_at_n_r_equal_n(k):
+    cfg = hn.TrialConfig(
+        k=k, n=3, n_r=3, k_c=2, l=2, scheme_kind=hn.FALLBACK,
+        demand_seed=11, message_seed=12,
+    )
+    result = hn.run_trial(cfg)
+    assert result.regime == "middle" and result.measured_cost == k
+    assert result.formula_cost == k and result.all_ok
+
+
 # ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------
@@ -113,11 +124,11 @@ def test_expected_cost_per_regime():
     from test_builder import DEMAND_3x12
 
     f_mat = bl.random_demand(4, 6, FQ, 1)
-    assert bl.expected_cost(bl.build_middle(f_mat, cyclic_assignment(6, 3, 2))) == 4
+    assert bl.expected_cost(bl.build_scheme(f_mat, cyclic_assignment(6, 3, 2))) == 4
     f_mat = bl.random_demand(2, 9, FQ, 2)
-    assert bl.expected_cost(bl.build_small(f_mat, cyclic_assignment(9, 3, 2))) == 4
+    assert bl.expected_cost(bl.build_scheme(f_mat, cyclic_assignment(9, 3, 2))) == 4
     f_mat = bl.random_demand(3, 3, FQ, 3)
-    assert bl.expected_cost(bl.build_large(f_mat, cyclic_assignment(3, 3, 2))) == 3
+    assert bl.expected_cost(bl.build_scheme(f_mat, cyclic_assignment(3, 3, 2))) == 3
     f_mat = bl.demand_from_rows(FQ, DEMAND_3x12)
     assert bl.expected_cost(bl.build_grouped(f_mat, grouped_assignment(12, 4, 3))) == 6
 

@@ -20,15 +20,15 @@ FQ = fl.Field()
 
 
 def sample_schemes():
-    yield "middle", bl.build_middle(
+    yield "middle", bl.build_scheme(
         bl.demand_from_rows(FQ, DEMAND_4x6), cyclic_assignment(6, 3, 2), padding_seed=3
     )
-    yield "small", bl.build_small(
+    yield "small", bl.build_scheme(
         bl.demand_from_rows(FQ, [[1] * 9, list(range(1, 10))]),
         cyclic_assignment(9, 3, 2),
         padding_seed=3,
     )
-    yield "large", bl.build_large(
+    yield "large", bl.build_scheme(
         bl.demand_from_rows(FQ, [[1, 1, 1], [1, 2, 3], [1, 4, 9]]),
         cyclic_assignment(3, 3, 2),
     )
@@ -44,7 +44,7 @@ def sample_schemes():
         2,
         seed=4,
     )
-    yield "large_wide", bl.build_large(  # K_c = t + 2
+    yield "large_wide", bl.build_scheme(  # K_c = t + 2
         bl.random_demand(6, 6, FQ, 14), cyclic_assignment(6, 3, 2)
     )
 
@@ -68,7 +68,7 @@ def test_round_trip_is_byte_stable_and_equivalent(name, scheme):
 
 
 def test_elements_serialized_as_decimal_strings():
-    scheme = bl.build_middle(
+    scheme = bl.build_scheme(
         bl.demand_from_rows(FQ, DEMAND_4x6), cyclic_assignment(6, 3, 2)
     )
     data = sz.scheme_to_dict(scheme)
@@ -83,7 +83,7 @@ def test_unknown_format_rejected():
 
 
 def test_tampered_assignment_rejected():
-    scheme = bl.build_middle(
+    scheme = bl.build_scheme(
         bl.demand_from_rows(FQ, DEMAND_4x6), cyclic_assignment(6, 3, 2)
     )
     data = sz.scheme_to_dict(scheme)
@@ -95,7 +95,7 @@ def test_tampered_assignment_rejected():
 def test_oversized_scheme_refuses_serialization():
     # The complete design of (18, 6, 2, 18), 18 564 6-subsets, in place of
     # the builder's 3 windows.
-    scheme = bl.build_large(bl.random_demand(18, 18, FQ, 5), cyclic_assignment(18, 6, 2))
+    scheme = bl.build_scheme(bl.random_demand(18, 18, FQ, 5), cyclic_assignment(18, 6, 2))
     complete = tuple(combinations(range(1, 19), 6))
     scheme = dataclasses.replace(
         scheme, mds=dataclasses.replace(scheme.mds, subsets=complete)
@@ -125,7 +125,7 @@ def test_legacy_complete_design_file_loads_verifies_and_decodes(tmp_path, capsys
     """
     text = LEGACY_LARGE.read_text()
     scheme = sz.loads(text)
-    windows = bl.build_large(scheme.demand, cyclic_assignment(6, 3, 2), 10)
+    windows = bl.build_scheme(scheme.demand, cyclic_assignment(6, 3, 2), l_symbols=10)
     assert sz.dumps(scheme) == sz.dumps(windows) != text
     assert sz.dumps(sz.loads(sz.dumps(scheme))) == sz.dumps(scheme)
     assert scheme.mds.code_length == 3 and scheme.mds.split_count == 2
