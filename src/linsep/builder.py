@@ -146,20 +146,16 @@ class MDSDescriptor:
         """Number of coded symbols, one sub-problem each."""
         return len(self.subsets)
 
-    def generator_rows(
-        self, indices, f: Field, out: np.ndarray | None = None
-    ) -> np.ndarray:
+    def generator_rows(self, indices, f: Field) -> np.ndarray:
         """Generator vectors of an array of 1-based lex indices, as one array.
 
         Entry ``e`` of index x's row is x^e mod q, built column by column as
-        running products, each below (q-1)^2.  The rows are written into
-        ``out`` (shape ``indices.shape + (m,)``) when it is given.
+        running products, each below (q-1)^2.
         """
         x = np.asarray(indices, dtype=np.int64) % f.q
         if not x.all():
             raise ShapeMismatch("code length must stay below the field modulus")
-        if out is None:
-            out = np.empty(x.shape + (self.split_count,), dtype=np.int64)
+        out = np.empty(x.shape + (self.split_count,), dtype=np.int64)
         out[..., 0] = 1
         for e in range(1, self.split_count):
             out[..., e] = out[..., e - 1] * x % f.q

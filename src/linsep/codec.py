@@ -1,24 +1,24 @@
 """Worker-side encoding, master-side decoding, and decodability verification.
 
 A worker's answer is one product: its encoding matrix ``Scheme.encoder(n)``
-times the message block split into m sub-messages, whatever the scheme kind.
-Its rows go sub-problem by sub-problem, per rows each, so sub-problem s owns
-answer rows [s per, (s + 1) per).  Decoding and verification share one
-system per responder set, built by ``_systems`` in task-coefficient space:
-per sub-problem the responders' rows of ``Scheme.code``, or for the grouped
+times the message block split into m sub-messages, whatever the scheme kind,
+with both cut to the datasets Z_n it holds.  Its rows go sub-problem by
+sub-problem, per rows each.  Decoding and verification share one system per
+responder set, built by ``_systems`` in task-coefficient space: per
+sub-problem the responders' rows of ``Scheme.code``, or for the grouped
 scheme the null vectors of the complements of the responder pairs.
-Verification ranks those systems; decode solves them beside the answer rows
-with one batched solve, ``field._solve_batch``, and keeps the rows of each
-sub-problem's demand (dropping padding).  Only the large regime adds a
-step, rebuilding every demand row from the MDS-coded symbols with one more
-batched solve.  The simulation harness cross-checks the result against a
-direct message-space multiplication, so the two paths stay independent.
+Verification ranks those systems.  Decoding is linear in the answers: it
+multiplies them by the demand rows of the systems' inverses, a map cached
+per scheme and responder set, and in the large regime by a per-scheme map
+that rebuilds every demand row from the MDS-coded symbols.  The simulation
+harness cross-checks the result by a direct message-space product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -26,23 +26,10 @@ import numpy as np
 
 from . import field as fl
 from .assignment import Assignment
-from .builder import DemandMatrix, MDSDescriptor, Scheme, build_scheme, grouped_tags
-from .errors import (
-    LinsepError,
-    RankDeficientDemand,
-    ShapeMismatch,
-    SingularMatrix,
-    WrongResponderCount,
-)
+from .builder import DemandMatrix, Scheme, build_scheme, grouped_tags
+from .errors import LinsepError, RankDeficientDemand, ShapeMismatch, WrongResponderCount
 from .field import (
-    ElementStream,
-    Field,
-    FMatrix,
-    derive_seed,
-    inverse,
-    mat_mul,
-    random_matrix,
-    rank,
+    ElementStream, Field, FMatrix, derive_seed, inverse, mat_mul, random_matrix, rank,
 )
 
 
@@ -94,6 +81,7 @@ def encode_worker(scheme: Scheme, n: int, w: MessageBlock) -> WorkerAnswer:
 
     The K x L block is split e-major into m = ``split_count`` sub-messages,
     an (m K) x (L/m) block whose row e K + k is sub-message e of message k.
+    E_n is zero outside the columns (e, k in Z_n), so only those are read.
     """
     k, m = scheme.params.K, scheme.split_count
     if not (1 <= n <= scheme.params.N):
@@ -106,8 +94,11 @@ def encode_worker(scheme: Scheme, n: int, w: MessageBlock) -> WorkerAnswer:
     if w.l % m or (w.l == 0 and scheme.params.L is not None):
         raise ShapeMismatch(f"message length {w.l} not divisible by {m}")
     lm = w.l // m
-    split = w.w.array.reshape(k, m, lm).transpose(1, 0, 2).reshape(m * k, lm)
-    return WorkerAnswer(n, mat_mul(scheme.encoder(n), FMatrix(w.w.field, split)))
+    held = np.array(scheme.assignment.z[n - 1], dtype=np.intp) - 1
+    width = m * len(held)
+    split = w.w.array[held].reshape(len(held), m, lm).swapaxes(0, 1).reshape(width, lm)
+    e_n = scheme.encoder(n).array.reshape(-1, m, k)[:, :, held].reshape(-1, width)
+    return WorkerAnswer(n, FMatrix(w.w.field, fl._mul_batch(e_n, split, w.w.field.q)))
 
 
 def _check_answers(scheme: Scheme, answers) -> list[WorkerAnswer]:
@@ -161,7 +152,7 @@ def _systems(scheme: Scheme, subsets, sampled=None) -> np.ndarray:
 
 
 def _answer_rows(scheme: Scheme, answers) -> np.ndarray:
-    """Right-hand sides of the responders' ``_systems``, ``(S, t, symbols)``.
+    """What the responders' ``_systems`` map to, ``(S, t, symbols)``.
 
     Sub-problem s takes each responder's answer rows of s, in responder
     order.  A grouped pair's row is the sum of the pair's shares of its
@@ -184,55 +175,64 @@ def _answer_rows(scheme: Scheme, answers) -> np.ndarray:
     return np.array(sums)[None]
 
 
-def _mds_reconstruct(mds: MDSDescriptor, parts, k_c: int, f: Field) -> FMatrix:
-    """Large regime: rebuild demand row j from the coded symbols containing j.
+_DECODE_CACHE = 64  # maps kept; a served (6, 4) scheme decodes from 15 sets
 
-    ``parts[i]`` holds the demand rows of subset i + 1, in subset order.  Row
-    j's m symbols and the Vandermonde rows of their subsets make one square
-    system; all K_c of them go through one batched solve.
+
+def _inverses(stack: np.ndarray, q: int, failure: str):
+    """Read-only inverses of a ``(B, t, t)`` stack, by one solve against I_t,
+    and None or ``failure`` naming the first singular matrix."""
+    eye = np.broadcast_to(np.eye(stack.shape[1], dtype=np.int64), stack.shape)
+    inv, ok = fl._solve_batch(np.concatenate([stack, eye], axis=2), q)
+    inv.setflags(write=False)
+    return inv, None if ok.all() else failure.format(ok.argmin() + 1)
+
+
+@lru_cache(maxsize=_DECODE_CACHE)
+def _responder_map(scheme: Scheme, responders: tuple[int, ...]):
+    """D_A by sub-problem, ``(S, t - padding_rows, t)``, and None or why not.
+
+    Sub-problem s's rows are the demand rows of the inverse of the
+    responders' system s of ``_systems``, so they map ``_answer_rows`` to it.
     """
-    holders = [[] for _ in range(k_c)]  # row j: (subset, position of j)
-    for i, subset in enumerate(mds.subsets):
-        for pos, j in enumerate(subset):
-            holders[j - 1].append((i, pos))
-    at = np.array(holders)
-    m = mds.split_count
-    aug = np.empty((k_c, m, m + parts.shape[2]), dtype=np.int64)
-    mds.generator_rows(at[:, :, 0] + 1, f, out=aug[:, :, :m])
-    aug[:, :, m:] = parts[at[:, :, 0], at[:, :, 1]]
-    x, ok = fl._solve_batch(aug, f.q)
-    if not ok.all():
-        raise SingularMatrix(
-            f"component {ok.argmin() + 1}: reconstruction stack is singular"
-        )
-    return FMatrix(f, x.reshape(k_c, -1))
+    failure = "sub-problem {}: stacked code rows are singular"
+    inv, detail = _inverses(_systems(scheme, [responders])[0], scheme.params.q, failure)
+    return inv[:, : inv.shape[1] - scheme.padding_rows], detail
+
+
+@lru_cache(maxsize=_DECODE_CACHE)
+def _reconstruction_map(scheme: Scheme):
+    """Large regime: each demand row's windows and their inverse Vandermonde.
+
+    Row j's m sub-messages are ``inv[j]`` times its rows in the m windows
+    holding it, at flat (window, position) indices ``at[j]``, in any order.
+    Returns ``at``, ``inv``, and None or why not.
+    """
+    failure = "component {}: reconstruction stack is singular"
+    windows = np.array(scheme.mds.subsets)
+    at = np.argsort(windows, axis=None).reshape(scheme.params.K_c, -1)
+    at.setflags(write=False)
+    vandermonde = scheme.mds.generator_rows(at // windows.shape[1] + 1, scheme.demand.field)
+    return (at, *_inverses(vandermonde, scheme.params.q, failure))
 
 
 def decode(scheme: Scheme, answers) -> DecodeReport:
     """Recover the requested combinations from exactly N_r worker answers."""
     answers = _check_answers(scheme, answers)
     responders = tuple(a.worker for a in answers)
-    f = fl.Field(scheme.params.q)
+    f, q = scheme.demand.field, scheme.params.q
     l_total = answers[0].x.cols * scheme.split_count
     if l_total == 0:
         raise ShapeMismatch("answers carry no symbols")
     cost = Fraction(sum(a.t_n for a in answers), l_total)
-    aug = np.concatenate(
-        [_systems(scheme, [responders])[0], _answer_rows(scheme, answers)], axis=2
-    )
-    x, ok = fl._solve_batch(aug, f.q)
-    try:
-        if not ok.all():
-            raise SingularMatrix(
-                f"sub-problem {ok.argmin() + 1}: stacked code rows are singular"
-            )
-        parts = x[:, : x.shape[1] - scheme.padding_rows]
-        if scheme.mds is None:
-            raw = FMatrix(f, parts.reshape(-1, parts.shape[2]))
-        else:
-            raw = _mds_reconstruct(scheme.mds, parts, scheme.params.K_c, f)
-    except SingularMatrix as exc:
-        return DecodeReport(responders, False, None, cost, str(exc))
+    d_a, detail = _responder_map(scheme, responders)
+    if detail is None and scheme.mds is not None:
+        at, inv, detail = _reconstruction_map(scheme)
+    if detail is not None:
+        return DecodeReport(responders, False, None, cost, detail)
+    parts = fl._mul_batch(d_a, _answer_rows(scheme, answers), q)
+    if scheme.mds is not None:
+        parts = fl._mul_batch(inv, parts.reshape(-1, parts.shape[2])[at], q)
+    raw = FMatrix(f, parts.reshape(-1, l_total))
     if scheme.recombine is not None:
         raw = mat_mul(scheme.recombine, raw)
     return DecodeReport(responders, True, raw, cost)
@@ -311,7 +311,7 @@ def verify_decodability(
     q = scheme.params.q
     sampled = None
     if scheme.mds is not None and len(scheme.code) > subproblem_cap:
-        stream = ElementStream(fl.Field(q), derive_seed(seed, "large-subproblems"))
+        stream = ElementStream(scheme.demand.field, derive_seed(seed, "large-subproblems"))
         sampled = _sample_distinct(len(scheme.code), subproblem_cap, stream)
     _, s, t, _ = _systems(scheme, subsets[:1], sampled).shape
     step = max(1, fl._BATCH_ELEMENTS // (s * t * t))

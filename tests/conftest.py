@@ -4,15 +4,21 @@
 kernels the library ran before its one batched elimination; the batched
 kernels are tested against them.  ``ref_encode`` is the per-sub-problem
 encode the library ran before every answer became one product by the
-worker's encoding matrix.  ``indices_containing`` and ``reconstruction_stack``
-name the windows that rebuild a large scheme's demand row and their
-Vandermonde stack.  ``grouped_by_tag`` reads a grouped scheme's arrays by tag.
+worker's encoding matrix.  ``ref_decode`` is the decode the library ran
+before it cached a decoding map per responder set: it solved the responders'
+systems beside their answers, block by block.  ``indices_containing`` and
+``reconstruction_stack`` name the windows that rebuild a large scheme's
+demand row and their Vandermonde stack.  ``grouped_by_tag`` reads a grouped
+scheme's arrays by tag.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
+from linsep import codec as cd
+from linsep import field as fl
 from linsep.errors import ShapeMismatch
 from linsep.field import FMatrix
 
@@ -99,6 +105,48 @@ def ref_encode(scheme, n, w):
         message_rows = ref_matmul(code[n - 1].tolist(), padded.tolist(), q)
         out.extend(ref_matmul(message_rows, block, q))
     return out
+
+
+def ref_decode(scheme, answers):
+    """``decode``'s report, by batched solves beside the answer rows.
+
+    One solve of the responders' ``_systems`` beside their ``_answer_rows``
+    keeps each sub-problem's demand rows; the large regime then solves, per
+    demand row, the Vandermonde rows of the m windows holding it beside the
+    row's symbols in them.
+    """
+    answers = cd._check_answers(scheme, answers)
+    responders = tuple(a.worker for a in answers)
+    f, q = scheme.demand.field, scheme.params.q
+    l_total = answers[0].x.cols * scheme.split_count
+    if l_total == 0:
+        raise ShapeMismatch("answers carry no symbols")
+    cost = Fraction(sum(a.t_n for a in answers), l_total)
+    aug = np.concatenate(
+        [cd._systems(scheme, [responders])[0], cd._answer_rows(scheme, answers)], axis=2
+    )
+    x, ok = fl._solve_batch(aug, q)
+    if not ok.all():
+        detail = f"sub-problem {ok.argmin() + 1}: stacked code rows are singular"
+        return cd.DecodeReport(responders, False, None, cost, detail)
+    raw = x[:, : x.shape[1] - scheme.padding_rows]
+    if scheme.mds is not None:
+        holders = [[] for _ in range(scheme.params.K_c)]  # row j: (window, position)
+        for i, subset in enumerate(scheme.mds.subsets):
+            for pos, j in enumerate(subset):
+                holders[j - 1].append((i, pos))
+        at = np.array(holders)
+        gen = scheme.mds.generator_rows(at[:, :, 0] + 1, f)
+        aug = np.concatenate([gen, raw[at[:, :, 0], at[:, :, 1]]], axis=2)
+        x, ok = fl._solve_batch(aug, q)
+        if not ok.all():
+            detail = f"component {ok.argmin() + 1}: reconstruction stack is singular"
+            return cd.DecodeReport(responders, False, None, cost, detail)
+        raw = x
+    raw = FMatrix(f, raw.reshape(-1, l_total))
+    if scheme.recombine is not None:
+        raw = fl.mat_mul(scheme.recombine, raw)
+    return cd.DecodeReport(responders, True, raw, cost)
 
 
 def indices_containing(mds, j):

@@ -10,6 +10,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import ceil
 
+import pytest
+
 from conftest import in_row_span, reconstruction_stack, ref_matmul
 from linsep import bounds as bd
 from linsep import builder as bl
@@ -140,6 +142,7 @@ def test_acceptance_2_bound_grid():
 # -- criterion 3: empirical decodability ------------------------------------
 
 
+@pytest.mark.slow
 def test_acceptance_3_empirical_decodability():
     # 50 uniform demands per grid point at q = 2^31 - 1, every responder
     # subset checked exactly.  Schemes with more than 16 coded sub-problems

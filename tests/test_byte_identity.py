@@ -7,12 +7,14 @@ full-recovery fallback and a ``--demand-file`` run, so that a refactor of the
 builder or codec cannot change a byte of them unnoticed.  So do the digests
 of every worker's answer and every responder subset's decode over the same
 sample schemes, which guard encode and decode without reading their internals.
-A last digest pins the grouped construction over seeded demands at several
-moduli, failures included.
+Another digest pins the grouped construction over seeded demands at several
+moduli, failures included, and a last one pins answers and decodes at moduli
+small enough that some responder subsets fail, with their details and order.
 """
 
 import hashlib
 import json
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -22,7 +24,7 @@ from linsep import codec as cd
 from linsep import field as fl
 from linsep import builder as bl
 from linsep import serialize as sz
-from linsep.assignment import grouped_assignment
+from linsep.assignment import cyclic_assignment, grouped_assignment
 from linsep.errors import LinsepError
 from test_serialize import sample_schemes
 
@@ -63,6 +65,14 @@ ANSWER_DIGESTS = {
 # 40 seeded (12, 4, 3, 3) demands at each of these moduli; 120 of the 160 build.
 GROUPED_MODULI = (7, 11, 101, 2**31 - 1)
 GROUPED_DIGEST = "a18fc4802d07b6f6049a3e117ee9de2b0a494d269ed9221a42218add25e1beb4"
+
+# Seeded schemes at q = 7 and 11: every regime, virtual slots, the grouped
+# placement and the fallback; some responder subsets fail in every regime.
+SMALL_Q_POINTS = (
+    (9, 3, 2, 2), (6, 3, 2, 3), (7, 3, 2, 4), (8, 4, 3, 4), (6, 3, 2, 5),
+    (6, 3, 2, 6), (7, 4, 2, 6),
+)
+SMALL_Q_DIGEST = "d770c4360c6df4cf500abf8584c42e15ffe0edcd0f92b0ab774cb67611bd41aa"
 
 DEMAND_ROWS = [[1, 2, 3, 4, 5, 6], [1, 1, 1, 1, 1, 1], [2, 3, 5, 7, 11, 13]]
 
@@ -150,3 +160,44 @@ def test_grouped_construction_unchanged():
                 item = type(exc).__name__
             h.update(f"{q} {seed} {item}\n".encode())
     assert h.hexdigest() == GROUPED_DIGEST
+
+
+def seeded_builds(q):
+    """(label, scheme) over ``SMALL_Q_POINTS``, the grouped point and the
+    fallback at modulus q; a build that fails typed gives its error instead."""
+    f = fl.Field(q)
+    builds = []
+    for k, n, n_r, k_c in SMALL_Q_POINTS:
+        for seed in range(4):
+            demand = bl.random_demand(k_c, k, f, fl.derive_seed(seed, "small-q-digest", k, k_c))
+            builds.append((f"{k} {n} {n_r} {k_c} {seed}", partial(
+                bl.build_auto, demand, n, n_r, padding_seed=seed, virtual_seed=seed)))
+    for seed in range(6):
+        demand = bl.random_demand(3, 12, f, fl.derive_seed(seed, "small-q-digest", "grouped"))
+        builds.append((f"grouped {seed}", partial(
+            bl.build_grouped, demand, grouped_assignment(12, 4, 3))))
+    for seed in range(2):
+        demand = bl.random_demand(2, 6, f, fl.derive_seed(seed, "small-q-digest", "fallback"))
+        builds.append((f"fallback {seed}", partial(
+            cd.fallback_full_recovery, demand, cyclic_assignment(6, 3, 2), seed=seed)))
+    for label, build in builds:
+        try:
+            yield label, build()
+        except LinsepError as exc:
+            yield label, exc
+
+
+def test_small_q_decodes_unchanged():
+    """Each scheme adds its ``_answers_digest``, or the build failure's class name."""
+    h = hashlib.sha256()
+    failing = 0
+    for q in (7, 11):
+        for label, scheme in seeded_builds(q):
+            if isinstance(scheme, LinsepError):
+                item = type(scheme).__name__
+            else:
+                failing += len(cd.verify_decodability(scheme))
+                item = _answers_digest(scheme)
+            h.update(f"{q} {label} {item}\n".encode())
+    assert failing
+    assert h.hexdigest() == SMALL_Q_DIGEST

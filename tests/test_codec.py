@@ -10,6 +10,7 @@ from conftest import (
     _rref,
     grouped_by_tag,
     indices_containing,
+    ref_decode,
     ref_encode,
     ref_matmul,
 )
@@ -26,6 +27,7 @@ from linsep.errors import (
     WrongResponderCount,
 )
 from test_builder import DEMAND_3x12, DEMAND_4x6
+from test_byte_identity import seeded_builds
 from test_serialize import sample_schemes
 
 FQ = fl.Field()
@@ -554,9 +556,12 @@ def test_batched_decode_matches_the_scalar_loop(monkeypatch):
             ))
         except GroupedSolveFailed:
             pass
-    # Either budget: one chunk per batched solve, or many across each one.
+    # Either budget: one chunk per batched solve, or many across each one;
+    # emptying the decoding caches makes each budget compute the maps.
     for budget in (fl._BATCH_ELEMENTS, 64):
         monkeypatch.setattr(fl, "_BATCH_ELEMENTS", budget)
+        cd._responder_map.cache_clear()
+        cd._reconstruction_map.cache_clear()
         details = set()
         for i, scheme in enumerate(cases):
             k, q = scheme.params.K, scheme.params.q
@@ -569,6 +574,96 @@ def test_batched_decode_matches_the_scalar_loop(monkeypatch):
                 details.add((scheme.grouped is not None, rep.detail))
         assert (False, "sub-problem 2: stacked code rows are singular") in details
         assert (True, "sub-problem 1: stacked code rows are singular") in details
+
+
+@pytest.mark.parametrize("q", [7, 11, 101, 2**31 - 1])
+def test_decode_matches_the_reference_solve_on_a_miss_and_a_hit(q):
+    """Decoding by cached maps gives the reference decode's report.
+
+    The first decode of each responder set computes its map, a cache miss,
+    and a repeat, with the answers in another order, reuses it; both return
+    the same report as solving beside the answers, singular sets included.
+    """
+    f = fl.Field(q)
+    kinds, failed = set(), 0
+    for i, (label, scheme) in enumerate(seeded_builds(q)):
+        if isinstance(scheme, LinsepError):
+            continue
+        p = scheme.params
+        kinds.add((scheme.regime, scheme.effective_demand is not None, scheme.recombine is not None))
+        w = cd.random_messages(p.K, p.L or 2, f, i)
+        answers = {n: cd.encode_worker(scheme, n, w) for n in range(1, p.N + 1)}
+        for a_set in all_subsets(scheme):
+            given = [answers[n] for n in a_set]
+            want = ref_decode(scheme, given)
+            info = cd._responder_map.cache_info()
+            assert cd.decode(scheme, given) == want, (label, a_set)
+            assert cd._responder_map.cache_info().misses == info.misses + 1
+            assert cd.decode(scheme, given[::-1]) == want, (label, a_set)
+            assert cd._responder_map.cache_info().hits == info.hits + 1
+            failed += not want.success
+    assert {r for r, _, _ in kinds} == {"small", "middle", "large", "grouped"}
+    assert ("middle", True, False) in kinds and ("large", True, False) in kinds
+    assert ("large", False, True) in kinds
+    assert failed or q > 11
+
+
+def _large_scheme():
+    return bl.build_scheme(bl.random_demand(5, 6, FQ, 8), cyclic_assignment(6, 3, 2))
+
+
+def test_a_repeated_responder_set_solves_nothing(monkeypatch):
+    """The second decode of a (scheme, responders) pair reuses its maps,
+    a singular set's failure detail included."""
+    calls, solve = [], fl._solve_batch
+
+    def counted(a, q):
+        calls.append(a.shape)
+        return solve(a, q)
+
+    monkeypatch.setattr(fl, "_solve_batch", counted)
+    f7 = fl.Field(7)
+    singular = None
+    for seed in range(20):
+        scheme = bl.build_auto(bl.random_demand(4, 8, f7, seed), 4, 3, padding_seed=seed)
+        failing = cd.verify_decodability(scheme)
+        if failing:
+            singular = scheme, failing[0]
+            break
+    assert singular is not None
+    for scheme, a_set, success in ((_large_scheme(), (1, 2), True), (*singular, False)):
+        w = cd.random_messages(scheme.params.K, scheme.params.L or 2, scheme.demand.field, 3)
+        answers = [cd.encode_worker(scheme, n, w) for n in a_set]
+        del calls[:]
+        first = cd.decode(scheme, answers)
+        assert calls and first.success == success and (first.detail is None) == success
+        del calls[:]
+        assert cd.decode(scheme, answers) == first
+        assert calls == []
+
+
+def test_the_decoding_cache_stays_at_its_bound():
+    scheme = bl.build_scheme(bl.random_demand(2, 8, FQ, 1), cyclic_assignment(8, 8, 4))
+    subsets = list(all_subsets(scheme))
+    assert len(subsets) > cd._DECODE_CACHE
+    w = cd.random_messages(8, 2, FQ, 2)
+    answers = {n: cd.encode_worker(scheme, n, w) for n in range(1, 9)}
+    for a_set in subsets:
+        assert cd.decode(scheme, [answers[n] for n in a_set]).success
+    assert cd._responder_map.cache_info().currsize == cd._DECODE_CACHE
+
+
+def test_cached_decoding_maps_are_read_only():
+    scheme = _large_scheme()
+    w = cd.random_messages(6, scheme.params.L, FQ, 4)
+    assert cd.decode(scheme, [cd.encode_worker(scheme, n, w) for n in (1, 3)]).success
+    d_a, detail = cd._responder_map(scheme, (1, 3))
+    at, inv, mds_detail = cd._reconstruction_map(scheme)
+    assert detail is None and mds_detail is None
+    for array in (d_a, at, inv):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 1
 
 
 # Large points with K_c >= t + 2, where the coded design is not every t-subset.
