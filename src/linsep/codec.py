@@ -2,11 +2,12 @@
 
 A worker's answer is one product: its encoding matrix ``Scheme.encoder(n)``
 times the message block split into m sub-messages, whatever the scheme kind,
-with both cut to the datasets Z_n it holds.  Its rows go sub-problem by
-sub-problem, per rows each.  Decoding and verification share one system per
-responder set, built by ``_systems`` in task-coefficient space: per
-sub-problem the responders' rows of ``Scheme.code``, or for the grouped
-scheme the null vectors of the complements of the responder pairs.
+with both cut to the datasets Z_n it holds; the cut E_n is cached per
+scheme and worker.  Its rows go sub-problem by sub-problem, per rows each.
+Decoding and verification share one system per responder set, built by
+``_systems`` in task-coefficient space: per sub-problem the responders'
+rows of ``Scheme.code``, or for the grouped scheme the null vectors of the
+complements of the responder pairs.
 Verification ranks those systems.  Decoding is linear in the answers: it
 multiplies them by the demand rows of the systems' inverses, a map cached
 per scheme and responder set, and in the large regime by a per-scheme map
@@ -94,11 +95,27 @@ def encode_worker(scheme: Scheme, n: int, w: MessageBlock) -> WorkerAnswer:
     if w.l % m or (w.l == 0 and scheme.params.L is not None):
         raise ShapeMismatch(f"message length {w.l} not divisible by {m}")
     lm = w.l // m
-    held = np.array(scheme.assignment.z[n - 1], dtype=np.intp) - 1
-    width = m * len(held)
-    split = w.w.array[held].reshape(len(held), m, lm).swapaxes(0, 1).reshape(width, lm)
-    e_n = scheme.encoder(n).array.reshape(-1, m, k)[:, :, held].reshape(-1, width)
+    held, e_n = _held_encoder(scheme, n)
+    split = w.w.array[held].reshape(len(held), m, lm).swapaxes(0, 1).reshape(e_n.shape[1], lm)
     return WorkerAnswer(n, FMatrix(w.w.field, fl._mul_batch(e_n, split, w.w.field.q)))
+
+
+_ENCODE_CACHE = 64  # cut encoders kept; a served (18, 6, 4, 14) scheme has 6 workers
+
+
+@lru_cache(maxsize=_ENCODE_CACHE)
+def _held_encoder(scheme: Scheme, n: int):
+    """Worker n's datasets Z_n, 0-based, and E_n cut to their columns.
+
+    Both are read-only.  The cut E_n is ``(rows, m |Z_n|)``, its columns
+    (e, k in Z_n) e-major; E_n is zero in every other column.
+    """
+    held = np.array(scheme.assignment.z[n - 1], dtype=np.intp) - 1
+    m, k = scheme.split_count, scheme.params.K
+    e_n = scheme.encoder(n).array.reshape(-1, m, k)[:, :, held].reshape(-1, m * len(held))
+    held.setflags(write=False)
+    e_n.setflags(write=False)
+    return held, e_n
 
 
 def _check_answers(scheme: Scheme, answers) -> list[WorkerAnswer]:

@@ -1,9 +1,18 @@
 """Exact dense linear algebra over a prime field F_q.
 
 Matrices are stored as immutable numpy ``int64`` arrays with every entry
-reduced into ``[0, q)``.  All reductions happen eagerly, so intermediate
-products never exceed ``(q-1)**2`` and stay inside 64-bit arithmetic; the
+reduced into ``[0, q)``.  All reductions happen eagerly, so an elementwise
+product never exceeds ``(q-1)**2`` and stays inside 64-bit arithmetic; the
 field constructor rejects moduli too large for that to hold.
+
+Every matrix product is one kernel, ``_mul_batch``.  It splits the left
+operand into 16-bit limbs, so a limb product sums terms below
+``2**16 * q``.  Small products sum them in int64, over inner slices short
+enough not to overflow.  Products of at least ``_FLOAT_MIN_WORK``
+multiply-adds per matrix run on float64 BLAS, over inner slices short
+enough, by ``_float_inner(q)``, that every sum stays an integer below
+``2**53`` and so is exact.  Either way the limb products are combined and
+reduced in int64; no product is ever rounded.
 
 One elimination, ``_eliminate``, serves every rank, RREF, null space and
 solve.  It runs over a ``(B, m, n)`` stack, and picks pivots per matrix:
@@ -285,19 +294,48 @@ def mat_mul(a: FMatrix, b: FMatrix) -> FMatrix:
 # Longest inner slice whose 16-bit-split products sum exactly in int64.
 _MUL_INNER = 32768
 
+# Products of at least this many multiply-adds per matrix (rows x cols x
+# inner) run on float64 BLAS; smaller ones are faster in int64.
+_FLOAT_MIN_WORK = 4096
+
+
+def _float_inner(q: int) -> int:
+    """Longest inner slice whose float64 limb products are exact at modulus q.
+
+    A limb product sums terms of at most ``(2^16 - 1)(q - 1)``.  While
+    ``inner * (2^16 - 1) * (q - 1) < 2^53`` every partial sum, in whatever
+    order or blocking BLAS adds them, is an integer below 2^53 and so exact
+    in float64: 64 terms at q = 2^31 - 1, 45 at ``_MAX_MODULUS``.
+    """
+    return (2**53 - 1) // (0xFFFF * (q - 1))
+
 
 def _mul_batch(left: np.ndarray, right: np.ndarray, q: int) -> np.ndarray:
     """``mat_mul`` on reduced arrays, broadcast over leading stack axes.
 
-    The left operand is split into 16-bit halves, so a product over at most
-    ``_MUL_INNER`` inner terms accumulates in int64 without overflow; a longer
+    The left operand is split into 16-bit limbs, ``a >> 16`` and
+    ``a & 0xFFFF``; each limb times the right operand is an exact integer
+    product, and the two combine as ``((hi % q) << 16) + lo`` mod q.  A
+    product of at least ``_FLOAT_MIN_WORK`` multiply-adds per matrix runs
+    both limbs as one float64 BLAS product over inner slices of at most
+    ``_float_inner(q)`` terms, which keeps it exact; a smaller one runs in
+    int64, where slices of ``_MUL_INNER`` terms cannot overflow.  A longer
     inner dimension adds the reduced products of consecutive slices.
     """
+    rows, inner = left.shape[-2:]
+    blas = rows * right.shape[-1] * inner >= _FLOAT_MIN_WORK
+    step = min(_MUL_INNER, _float_inner(q)) if blas else _MUL_INNER
     out = None
-    for lo in range(0, max(left.shape[-1], 1), _MUL_INNER):
-        a = left[..., lo : lo + _MUL_INNER]
-        b = right[..., lo : lo + _MUL_INNER, :]
-        part = ((((a >> 16) @ b) % q << 16) + ((a & 0xFFFF) @ b)) % q
+    for lo in range(0, max(inner, 1), step):
+        a = left[..., lo : lo + step]
+        b = right[..., lo : lo + step, :]
+        if blas:
+            limbs = np.concatenate([a >> 16, a & 0xFFFF], axis=-2).astype(np.float64)
+            both = (limbs @ b.astype(np.float64)).astype(np.int64)
+            hi, low = both[..., :rows, :], both[..., rows:, :]
+        else:
+            hi, low = (a >> 16) @ b, (a & 0xFFFF) @ b
+        part = ((hi % q << 16) + low) % q
         out = part if out is None else (out + part) % q
     return out
 

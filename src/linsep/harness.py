@@ -174,11 +174,13 @@ def run_trial(cfg: TrialConfig, demand: DemandMatrix | None = None,
     oracle = mat_mul(demand.matrix, messages.w)  # direct product, no scheme code
 
     subsets = _subsets_for(cfg)
+    # A worker's answer does not depend on who else responds: encode it once.
+    responders = dict.fromkeys(n for a_set in subsets for n in a_set)
+    answers = {n: encode_worker(scheme, n, messages) for n in responders}
     successes, matches, failure_seeds = [], [], []
     worst = Fraction(0)
     for a_set in subsets:
-        answers = [encode_worker(scheme, n, messages) for n in a_set]
-        report = decode(scheme, answers)
+        report = decode(scheme, [answers[n] for n in a_set])
         successes.append(report.success)
         ok = bool(report.success and report.recovered == oracle)
         matches.append(ok)

@@ -642,6 +642,30 @@ def test_a_repeated_responder_set_solves_nothing(monkeypatch):
         assert calls == []
 
 
+def test_a_repeated_worker_reuses_its_encoder(monkeypatch):
+    """The second encode of a (scheme, worker) pair builds no E_n, answers
+    as before, and the cached datasets and cut E_n are read-only."""
+    calls, encoder = [], bl.Scheme.encoder
+
+    def counted(self, n):
+        calls.append(n)
+        return encoder(self, n)
+
+    monkeypatch.setattr(bl.Scheme, "encoder", counted)
+    scheme = _large_scheme()
+    w = cd.random_messages(6, scheme.params.L, FQ, 5)
+    info = cd._held_encoder.cache_info()
+    first = cd.encode_worker(scheme, 2, w)
+    assert calls == [2] and cd._held_encoder.cache_info().misses == info.misses + 1
+    assert cd.encode_worker(scheme, 2, w) == first
+    assert calls == [2] and cd._held_encoder.cache_info().hits == info.hits + 1
+    assert first.x.to_lists() == ref_encode(scheme, 2, w)
+    for array in cd._held_encoder(scheme, 2):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 1
+
+
 def test_the_decoding_cache_stays_at_its_bound():
     scheme = bl.build_scheme(bl.random_demand(2, 8, FQ, 1), cyclic_assignment(8, 8, 4))
     subsets = list(all_subsets(scheme))

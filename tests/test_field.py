@@ -302,3 +302,65 @@ def test_matmul_has_no_inner_dimension_cap(fill):
         b = fl.random_matrix(inner, 2, f, seed=2).array
     got = fl.mat_mul(fl.FMatrix(f, a), fl.FMatrix(f, b))
     assert got.to_lists() == ref_matmul(a.tolist(), b.tolist(), q)
+
+
+# ---------------------------------------------------------------------------
+# The float64 limb path of the product kernel
+# ---------------------------------------------------------------------------
+
+EDGE_MODULI = (7, 101, 2**31 - 1, Q_MAX)
+
+
+def test_float_slice_is_the_longest_exact_one():
+    assert fl._float_inner(2**31 - 1) == 64 and fl._float_inner(Q_MAX) == 45
+    for q in EDGE_MODULI:
+        n = fl._float_inner(q)
+        assert n * 0xFFFF * (q - 1) < 2**53 <= (n + 1) * 0xFFFF * (q - 1)
+
+
+def _edge_operands(q, fill, inner, side, stack):
+    if fill == "top":
+        return np.full(stack + (side, inner), q - 1), np.full(stack + (inner, side), q - 1)
+    # Odd limb-product terms with an odd sum: past the float bound that sum
+    # is not a float64, so a slice one term too long would round it.
+    a = np.full(stack + (side, inner), ((q - 1) >> 16 << 16) - 1)
+    b = np.full(stack + (inner, side), q - 2)
+    if inner % 2 == 0:
+        b[..., -1, :] = q - 1
+    return a, b
+
+
+@pytest.mark.parametrize("stack", [(), (3,)], ids=["2d", "stacked"])
+@pytest.mark.parametrize("extra", [0, 1])
+@pytest.mark.parametrize(
+    "q, fill",
+    [(q, "top") for q in EDGE_MODULI] + [(2**31 - 1, "odd"), (Q_MAX, "odd")],
+)
+def test_float_products_are_exact_at_the_longest_slice(q, fill, extra, stack):
+    # The longest inner dimension one float product takes, and one more.
+    inner = min(fl._MUL_INNER, fl._float_inner(q)) + extra
+    side = int(np.sqrt(fl._FLOAT_MIN_WORK // inner)) + 1
+    assert side * side * inner >= fl._FLOAT_MIN_WORK  # the float path
+    a, b = _edge_operands(q, fill, inner, side, stack)
+    got = fl._mul_batch(a, b, q)
+    assert got.shape == stack + (side, side)
+    for i in np.ndindex(stack):
+        assert got[i].tolist() == ref_matmul(a[i].tolist(), b[i].tolist(), q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(EDGE_MODULI), st.sampled_from([(), (2,)]),
+    st.integers(1, 12), st.integers(1, 100), st.integers(1, 12),
+    st.booleans(), st.integers(0, 2**32),
+)
+def test_products_across_the_float_threshold(q, stack, rows, inner, cols, top, seed):
+    # rows * cols * inner from 1 to 14 400 straddles _FLOAT_MIN_WORK, and
+    # inner straddles the float slice at q = 2^31 - 1 and Q_MAX.
+    rng = np.random.default_rng(seed)
+    low = q - 1 - q // 8 if top else 0
+    a = rng.integers(low, q, stack + (rows, inner))
+    b = rng.integers(low, q, stack + (inner, cols))
+    got = fl._mul_batch(a, b, q)
+    for i in np.ndindex(stack):
+        assert got[i].tolist() == ref_matmul(a[i].tolist(), b[i].tolist(), q)

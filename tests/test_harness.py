@@ -24,6 +24,19 @@ def test_run_trial_worked_4x6_instance():
     assert result.failure_seeds == ()
 
 
+def test_run_trial_encodes_each_responder_once(monkeypatch):
+    calls, encode = [], hn.encode_worker
+
+    def counted(scheme, n, w):
+        calls.append(n)
+        return encode(scheme, n, w)
+
+    monkeypatch.setattr(hn, "encode_worker", counted)
+    result = hn.run_trial(hn.TrialConfig(k=8, n=4, n_r=3, k_c=3, demand_seed=1, message_seed=2))
+    assert len(result.subsets) == 4 and result.all_ok
+    assert sorted(calls) == [1, 2, 3, 4]
+
+
 def test_run_trial_single_combination_costs_threshold():
     cfg = hn.TrialConfig(k=3, n=3, n_r=2, k_c=1, l=2, demand_seed=3, message_seed=4)
     result = hn.run_trial(cfg)

@@ -110,3 +110,51 @@ def test_regime_named_outside_the_builder_is_reported():
     assert _regime_dispatch_outside_builder(trees) == [
         "codec.SMALL (line 1)", "codec.LARGE (line 2)",
     ]
+
+
+# Every exact product goes through the one kernel that keeps it exact.
+PRODUCT_NAMES = {"matmul", "dot", "tensordot", "einsum"}
+
+
+def _products_outside_the_kernel(trees: dict[str, ast.Module]) -> list[str]:
+    """``@`` and numpy product calls outside ``field._mul_batch``, by line."""
+    kernel = {
+        id(inner)
+        for module, tree in trees.items()
+        if module == "field"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_mul_batch"
+        for inner in ast.walk(node)
+    }
+    return [
+        f"{module} (line {line})"
+        for module, tree in trees.items()
+        for line in sorted(
+            node.lineno
+            for node in ast.walk(tree)
+            if id(node) not in kernel
+            and (
+                isinstance(getattr(node, "op", None), ast.MatMult)
+                or any(name in PRODUCT_NAMES for name in _named(node))
+            )
+        )
+    ]
+
+
+def test_only_the_product_kernel_multiplies_matrices():
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    assert _products_outside_the_kernel(trees) == []
+
+
+def test_product_outside_the_kernel_is_reported():
+    trees = {
+        "field": ast.parse(
+            "def _mul_batch(a, b):\n    return a @ b\n\ndef other(a, b):\n    return a @ b\n"
+        ),
+        "codec": ast.parse(
+            "from numpy import dot\nx = np.matmul(a, b)\nx @= b\ny = a.dot(b)\n"
+        ),
+    }
+    assert _products_outside_the_kernel(trees) == [
+        "field (line 5)", "codec (line 1)", "codec (line 2)", "codec (line 3)", "codec (line 4)",
+    ]
