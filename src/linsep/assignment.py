@@ -175,46 +175,3 @@ def grouped_assignment(
     return GroupedAssignment(
         K=K, N=N, N_r=N_r, kind=GROUPED, z=tuple(z), groups=tuple(groups)
     )
-
-
-def unique_group(a: Assignment, s: tuple[int, ...] | frozenset[int]) -> tuple[int, ...]:
-    """G_S: datasets assigned to exactly the workers in S (|S| = N - N_r + 1)."""
-    s_set = frozenset(s)
-    if len(s_set) != a.N - a.N_r + 1:
-        raise ShapeMismatch(
-            f"|S| must be N - N_r + 1 = {a.N - a.N_r + 1}, got {len(s_set)}"
-        )
-    return tuple(
-        k for k in range(1, a.K + 1) if frozenset(a.workers_holding(k)) == s_set
-    )
-
-
-@dataclass(frozen=True)
-class ReplicationReport:
-    violations: tuple[int, ...]  # datasets replicated fewer than N - N_r + 1 times
-    storage_ok: bool | None  # per-worker unique-group sums (cyclic kind only)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations and self.storage_ok is not False
-
-
-def validate_replication(a: Assignment, storage_cap: int = 100_000) -> ReplicationReport:
-    """Check the minimum-replication rule, plus unique-group sums when cyclic.
-
-    Every dataset must sit on at least N - N_r + 1 workers.  For cyclic
-    assignments the unique groups G_S additionally satisfy, for every worker n,
-    sum over S containing n of |G_S| == (K/N)(N - N_r + 1).
-    """
-    need = a.N - a.N_r + 1
-    violations = tuple(k for k in range(1, a.K + 1) if a.replication(k) < need)
-    storage_ok: bool | None = None
-    if a.kind == CYCLIC and comb(a.N, need) <= storage_cap:
-        per_worker = {n: 0 for n in range(1, a.N + 1)}
-        for s in combinations(range(1, a.N + 1), need):
-            size = len(unique_group(a, s))
-            for n in s:
-                per_worker[n] += size
-        want = (a.K // a.N) * need
-        storage_ok = all(v == want for v in per_worker.values())
-    return ReplicationReport(violations=violations, storage_ok=storage_ok)

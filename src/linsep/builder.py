@@ -222,7 +222,7 @@ class Scheme:
         """
         f = self.demand.field
         if self.grouped is not None:
-            return FMatrix(f, self.grouped.rows[n - 1, :2])
+            return FMatrix._of(f, self.grouped.rows[n - 1, :2])
         rows = fl._mul_batch(self.code[:, n - 1], self.padded, f.q)
         if self.regime == SMALL:
             demand = self.effective_demand
@@ -236,7 +236,7 @@ class Scheme:
         rows = rows.reshape(s * per, self.split_count, width)
         if self.effective_demand is not None:
             rows = rows[:, :, np.array(self.assignment.slot_of_dataset) - 1]
-        return FMatrix(f, rows.reshape(s * per, -1))
+        return FMatrix._of(f, rows.reshape(s * per, -1))
 
     @property
     def rows_sent(self) -> int:

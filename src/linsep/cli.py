@@ -6,10 +6,10 @@ scheme), ``simulate`` (end-to-end trials over a parameter grid, CSV out),
 and ``bounds`` (closed-form cost table over a grid, CSV out).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (including a
-bad flag value), 3 I/O error (including a malformed scheme file).  Failed
-trials are results, not errors: ``simulate`` exits 0 once its table is
-written, with the failures counted in the CSV and on the ``total failures:``
-line on stderr.
+bad flag value), 3 I/O error (including a malformed scheme or demand file).
+Failed trials are results, not errors: ``simulate`` exits 0 once its table
+is written, with the failures counted in the CSV and on the ``total
+failures:`` line on stderr.
 Every run prints its effective seed on stderr, and every output is a pure
 function of the flags and that seed.
 """
@@ -26,7 +26,7 @@ from . import serialize
 from .assignment import cyclic_assignment, general_assignment, grouped_assignment
 from .builder import DemandMatrix, Scheme, build_scheme, random_demand
 from .codec import verify_decodability
-from .errors import LinsepError, MalformedScheme
+from .errors import LinsepError, MalformedDemand, MalformedScheme
 from .field import DEFAULT_MODULUS, Field, derive_seed, from_rows
 from .harness import SWEEP_COLUMNS, GridPoint, sweep
 
@@ -112,13 +112,29 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _integer(x) -> int:
+    """A JSON integer or integer string; anything else is malformed."""
+    try:
+        if isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool)):
+            return int(x)
+    except ValueError:
+        pass
+    raise MalformedDemand(f"{x!r} is not an integer")
+
+
 def _load_demand(path: str, f: Field) -> DemandMatrix:
-    with open(path) as fh:
+    """The demand of a ``{"q": ..., "rows": [[...], ...]}`` file, entries mod q."""
+    with open(path, encoding="utf-8", errors="replace") as fh:
         raw = json.load(fh)
-    if "q" in raw and int(raw["q"]) != f.q:
+    rows = raw.get("rows") if isinstance(raw, dict) else None
+    if not isinstance(rows, list):
+        raise MalformedDemand('expected an object with a "rows" list')
+    if "q" in raw and _integer(raw["q"]) != f.q:
         raise LinsepError(f"demand file modulus {raw['q']} != requested {f.q}")
-    rows = [[int(x) for x in row] for row in raw["rows"]]
-    return DemandMatrix(from_rows(f, rows))
+    width = len(rows[0]) if rows and isinstance(rows[0], list) else 0
+    if not width or not all(isinstance(r, list) and len(r) == width for r in rows):
+        raise MalformedDemand("rows must be one or more nonempty lists of one length")
+    return DemandMatrix(from_rows(f, [[_integer(x) % f.q for x in r] for r in rows]))
 
 
 def _build_scheme(args, f: Field, seed: int) -> Scheme:
@@ -329,11 +345,14 @@ def main(argv=None) -> int:
         if args.command == "bounds":
             return cmd_bounds(args)
         return USAGE_ERROR
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return IO_ERROR
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
+        return IO_ERROR
+    except MalformedDemand as exc:
+        print(f"error: malformed demand file: {exc}", file=sys.stderr)
         return IO_ERROR
     except LinsepError as exc:
         print(f"error: {exc}", file=sys.stderr)

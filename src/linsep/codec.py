@@ -53,10 +53,6 @@ def random_messages(k: int, l: int, f: Field, seed: int) -> MessageBlock:
     return MessageBlock(random_matrix(k, l, f, seed))
 
 
-def zero_messages(k: int, l: int, f: Field) -> MessageBlock:
-    return MessageBlock(fl.zeros(k, l, f))
-
-
 @dataclass(frozen=True)
 class WorkerAnswer:
     worker: int
@@ -97,7 +93,7 @@ def encode_worker(scheme: Scheme, n: int, w: MessageBlock) -> WorkerAnswer:
     lm = w.l // m
     held, e_n = _held_encoder(scheme, n)
     split = w.w.array[held].reshape(len(held), m, lm).swapaxes(0, 1).reshape(e_n.shape[1], lm)
-    return WorkerAnswer(n, FMatrix(w.w.field, fl._mul_batch(e_n, split, w.w.field.q)))
+    return WorkerAnswer(n, FMatrix._of(w.w.field, fl._mul_batch(e_n, split, w.w.field.q)))
 
 
 _ENCODE_CACHE = 64  # cut encoders kept; a served (18, 6, 4, 14) scheme has 6 workers
@@ -249,7 +245,7 @@ def decode(scheme: Scheme, answers) -> DecodeReport:
     parts = fl._mul_batch(d_a, _answer_rows(scheme, answers), q)
     if scheme.mds is not None:
         parts = fl._mul_batch(inv, parts.reshape(-1, parts.shape[2])[at], q)
-    raw = FMatrix(f, parts.reshape(-1, l_total))
+    raw = FMatrix._of(f, parts.reshape(-1, l_total))
     if scheme.recombine is not None:
         raw = mat_mul(scheme.recombine, raw)
     return DecodeReport(responders, True, raw, cost)
@@ -322,6 +318,8 @@ def verify_decodability(
     stacks within ``field._BATCH_ELEMENTS`` entries (or one subset's).  The
     returned list is sorted, as the subsets are.
     """
+    if subproblem_cap < 1:
+        raise ShapeMismatch(f"sub-problem cap must be at least 1, got {subproblem_cap}")
     subsets = responder_subsets(
         scheme.params.N, scheme.params.N_r, mode, sample_count, seed, subset_cap
     )

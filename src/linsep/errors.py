@@ -13,8 +13,8 @@ class MalformedScheme(LinsepError):
     """A scheme file does not describe a scheme this version can load."""
 
 
-class InversionOfZero(LinsepError):
-    """Multiplicative inverse of 0 requested."""
+class MalformedDemand(LinsepError):
+    """A demand file is not a matrix of integers."""
 
 
 class SingularMatrix(LinsepError):

@@ -7,12 +7,13 @@ field constructor rejects moduli too large for that to hold.
 
 Every matrix product is one kernel, ``_mul_batch``.  It splits the left
 operand into 16-bit limbs, so a limb product sums terms below
-``2**16 * q``.  Small products sum them in int64, over inner slices short
-enough not to overflow.  Products of at least ``_FLOAT_MIN_WORK``
-multiply-adds per matrix run on float64 BLAS, over inner slices short
-enough, by ``_float_inner(q)``, that every sum stays an integer below
-``2**53`` and so is exact.  Either way the limb products are combined and
-reduced in int64; no product is ever rounded.
+``2**16 * q``.  Small products sum them in int64.  Products of at least
+``_FLOAT_MIN_WORK`` multiply-adds per matrix run on float64 BLAS, over
+inner slices short enough, by ``_float_inner(q)``, that every sum stays an
+integer below ``2**53`` and so is exact.  Either way the limb products are
+combined and reduced in int64; no product is ever rounded.  A kernel's
+output is already reduced, so the library wraps it with ``FMatrix._of``
+as it is; the public ``FMatrix`` constructor copies and reduces its data.
 
 One elimination, ``_eliminate``, serves every rank, RREF, null space and
 solve.  It runs over a ``(B, m, n)`` stack, and picks pivots per matrix:
@@ -24,10 +25,10 @@ inside int64 for every ``q <= _MAX_MODULUS``; the result is reduced before
 the next column.  The RREF normalizes pivot rows once, at the end, with
 inverses from a vectorized Fermat power whose products are again below
 ``(q-1)**2``.  Stacks are cut into chunks of at most ``_BATCH_ELEMENTS``
-entries, so temporaries stay a fixed size whatever B is.  ``rank``,
-``inverse`` and ``left_null_space`` are one-matrix calls of the batched
-kernels; the scalar kernels they replaced are kept in ``tests/conftest.py``
-as the reference the batched ones are tested against.
+entries, so temporaries stay a fixed size whatever B is.  ``rank`` and
+``inverse`` are the one-matrix calls of the batched kernels; the scalar
+kernels they replaced are kept in ``tests/conftest.py`` as the reference
+the batched ones are tested against.
 
 Convention: raw matrix row/column indices are 0-based (numpy style).
 Dataset and worker indices in the rest of the library are 1-based and are
@@ -41,7 +42,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BadModulus, InversionOfZero, ShapeMismatch, SingularMatrix
+from .errors import BadModulus, ShapeMismatch, SingularMatrix
 
 DEFAULT_MODULUS = 2**31 - 1  # Mersenne prime; failure probabilities ~ poly/q
 
@@ -91,14 +92,6 @@ class Field:
 
     def __repr__(self) -> str:
         return f"Field({self.q})"
-
-
-def ff_inv(x: int, field: Field) -> int:
-    """Multiplicative inverse of x in F_q.  Raises InversionOfZero on x == 0."""
-    x = x % field.q
-    if x == 0:
-        raise InversionOfZero("0 has no multiplicative inverse")
-    return pow(x, field.q - 2, field.q)
 
 
 # ---------------------------------------------------------------------------
@@ -187,43 +180,6 @@ def _as_array(field: Field, data, ndim: int) -> np.ndarray:
     return a
 
 
-class FVector:
-    """Immutable vector over F_q."""
-
-    __slots__ = ("field", "_a")
-
-    def __init__(self, field: Field, data):
-        self.field = field
-        self._a = _as_array(field, data, 1)
-
-    @property
-    def array(self) -> np.ndarray:
-        return self._a
-
-    def __len__(self) -> int:
-        return self._a.shape[0]
-
-    def __getitem__(self, i: int) -> int:
-        return int(self._a[i])
-
-    def to_list(self) -> list[int]:
-        return [int(x) for x in self._a]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FVector)
-            and self.field == other.field
-            and self._a.shape == other._a.shape
-            and bool(np.array_equal(self._a, other._a))
-        )
-
-    def __hash__(self):
-        return hash((self.field.q, self._a.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"FVector({self.to_list()} mod {self.field.q})"
-
-
 class FMatrix:
     """Immutable dense matrix over F_q."""
 
@@ -232,6 +188,16 @@ class FMatrix:
     def __init__(self, field: Field, data):
         self.field = field
         self._a = _as_array(field, data, 2)
+
+    @classmethod
+    def _of(cls, field: Field, reduced: np.ndarray) -> "FMatrix":
+        """Wrap kernel output or a read-only scheme array: reduced 2-D int64
+        that nothing else writes.  Made read-only; no copy, check or ``%``."""
+        m = cls.__new__(cls)
+        m.field = field
+        reduced.setflags(write=False)
+        m._a = reduced
+        return m
 
     @property
     def array(self) -> np.ndarray:
@@ -247,9 +213,6 @@ class FMatrix:
 
     def take_columns(self, cols: Sequence[int]) -> "FMatrix":
         return FMatrix(self.field, self._a[:, list(cols)])
-
-    def take_rows(self, rows: Sequence[int]) -> "FMatrix":
-        return FMatrix(self.field, self._a[list(rows), :])
 
     def to_lists(self) -> list[list[int]]:
         return [[int(x) for x in row] for row in self._a]
@@ -278,21 +241,14 @@ def identity(n: int, field: Field) -> FMatrix:
     return FMatrix(field, np.eye(n, dtype=np.int64))
 
 
-def zeros(rows: int, cols: int, field: Field) -> FMatrix:
-    return FMatrix(field, np.zeros((rows, cols), dtype=np.int64))
-
-
 def mat_mul(a: FMatrix, b: FMatrix) -> FMatrix:
     """Exact modular matrix product, for any inner dimension."""
     if a.field != b.field:
         raise ShapeMismatch("operands live in different fields")
     if a.cols != b.rows:
         raise ShapeMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    return FMatrix(a.field, _mul_batch(a.array, b.array, a.field.q))
+    return FMatrix._of(a.field, _mul_batch(a.array, b.array, a.field.q))
 
-
-# Longest inner slice whose 16-bit-split products sum exactly in int64.
-_MUL_INNER = 32768
 
 # Products of at least this many multiply-adds per matrix (rows x cols x
 # inner) run on float64 BLAS; smaller ones are faster in int64.
@@ -316,26 +272,23 @@ def _mul_batch(left: np.ndarray, right: np.ndarray, q: int) -> np.ndarray:
     The left operand is split into 16-bit limbs, ``a >> 16`` and
     ``a & 0xFFFF``; each limb times the right operand is an exact integer
     product, and the two combine as ``((hi % q) << 16) + lo`` mod q.  A
-    product of at least ``_FLOAT_MIN_WORK`` multiply-adds per matrix runs
-    both limbs as one float64 BLAS product over inner slices of at most
-    ``_float_inner(q)`` terms, which keeps it exact; a smaller one runs in
-    int64, where slices of ``_MUL_INNER`` terms cannot overflow.  A longer
-    inner dimension adds the reduced products of consecutive slices.
+    product of fewer than ``_FLOAT_MIN_WORK`` multiply-adds per matrix runs
+    in int64 in one piece: its inner dimension is below ``_FLOAT_MIN_WORK``
+    (or its output is empty), so a limb sum stays below ``2**60``.  A larger
+    one runs both limbs as one float64 BLAS product over inner slices of at
+    most ``_float_inner(q)`` terms, which keeps it exact, and adds the
+    reduced products of consecutive slices.
     """
     rows, inner = left.shape[-2:]
-    blas = rows * right.shape[-1] * inner >= _FLOAT_MIN_WORK
-    step = min(_MUL_INNER, _float_inner(q)) if blas else _MUL_INNER
+    if rows * right.shape[-1] * inner < _FLOAT_MIN_WORK:
+        return (((left >> 16) @ right % q << 16) + (left & 0xFFFF) @ right) % q
+    step = _float_inner(q)
     out = None
-    for lo in range(0, max(inner, 1), step):
+    for lo in range(0, inner, step):
         a = left[..., lo : lo + step]
-        b = right[..., lo : lo + step, :]
-        if blas:
-            limbs = np.concatenate([a >> 16, a & 0xFFFF], axis=-2).astype(np.float64)
-            both = (limbs @ b.astype(np.float64)).astype(np.int64)
-            hi, low = both[..., :rows, :], both[..., rows:, :]
-        else:
-            hi, low = (a >> 16) @ b, (a & 0xFFFF) @ b
-        part = ((hi % q << 16) + low) % q
+        limbs = np.concatenate([a >> 16, a & 0xFFFF], axis=-2).astype(np.float64)
+        both = (limbs @ right[..., lo : lo + step, :].astype(np.float64)).astype(np.int64)
+        part = ((both[..., :rows, :] % q << 16) + both[..., rows:, :]) % q
         out = part if out is None else (out + part) % q
     return out
 
@@ -356,17 +309,7 @@ def inverse(m: FMatrix) -> FMatrix:
     x, ok = _solve_batch(aug[None], m.field.q)
     if not ok[0]:
         raise SingularMatrix(f"{n}x{n} matrix has rank {rank(m)}")
-    return FMatrix(m.field, x[0])
-
-
-def left_null_space(m: FMatrix) -> list[FVector]:
-    """Canonical basis of {u : u M = 0}, one vector per free row of M^T.
-
-    One basis vector per free column of the RREF of M^T, in increasing
-    order, with that coordinate 1, the other free ones 0 and the pivot
-    coordinates solved from the RREF: a deterministic function of M.
-    """
-    return [FVector(m.field, v) for v in _left_null_batch(m.array[None], m.field.q)[0]]
+    return FMatrix._of(m.field, x[0])
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +418,9 @@ def _solve_batch(a: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
 def _left_null_batch(a: np.ndarray, q: int) -> list[np.ndarray]:
     """Canonical left null space of every matrix of a ``(B, m, n)`` stack.
 
-    Entry b holds, as rows, exactly the vectors ``left_null_space`` returns
-    for matrix b: one per free column of the RREF of its transpose.
+    Entry b holds the basis of ``{u : u M_b = 0}`` as rows, one per free
+    column of the RREF of ``M_b^T``, in increasing order: that coordinate 1,
+    the other free ones 0, the pivot coordinates solved from the RREF.
     """
     m = a.shape[1]
     out = []

@@ -9,9 +9,12 @@ before it cached a decoding map per responder set: it solved the responders'
 systems beside their answers, block by block.  ``indices_containing`` and
 ``reconstruction_stack`` name the windows that rebuild a large scheme's
 demand row and their Vandermonde stack.  ``grouped_by_tag`` reads a grouped
-scheme's arrays by tag.
+scheme's arrays by tag.  ``left_null_space``, ``zero_messages``,
+``unique_group`` and ``validate_replication`` are helpers the tests call
+and the library does not.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,8 +22,67 @@ import numpy as np
 
 from linsep import codec as cd
 from linsep import field as fl
+from linsep.assignment import CYCLIC
 from linsep.errors import ShapeMismatch
 from linsep.field import FMatrix
+
+
+def left_null_space(m):
+    """Rows of the canonical basis of {u : u M = 0}, from the batched kernel.
+
+    One vector per free column of the RREF of M^T, in increasing order, with
+    that coordinate 1, the other free ones 0 and the pivot coordinates
+    solved from the RREF: a deterministic function of M.
+    """
+    return fl._left_null_batch(m.array[None], m.field.q)[0].tolist()
+
+
+def zero_messages(k, l, f):
+    """The K x L all-zero message block."""
+    return cd.MessageBlock(FMatrix(f, np.zeros((k, l), dtype=np.int64)))
+
+
+def unique_group(a, s):
+    """G_S: datasets assigned to exactly the workers in S (|S| = N - N_r + 1)."""
+    s_set = frozenset(s)
+    if len(s_set) != a.N - a.N_r + 1:
+        raise ShapeMismatch(
+            f"|S| must be N - N_r + 1 = {a.N - a.N_r + 1}, got {len(s_set)}"
+        )
+    return tuple(
+        k for k in range(1, a.K + 1) if frozenset(a.workers_holding(k)) == s_set
+    )
+
+
+@dataclass(frozen=True)
+class ReplicationReport:
+    violations: tuple  # datasets replicated fewer than N - N_r + 1 times
+    storage_ok: bool | None  # per-worker unique-group sums (cyclic kind only)
+
+    @property
+    def ok(self):
+        return not self.violations and self.storage_ok is not False
+
+
+def validate_replication(a):
+    """Check the minimum-replication rule, plus unique-group sums when cyclic.
+
+    Every dataset must sit on at least N - N_r + 1 workers.  For cyclic
+    assignments the unique groups G_S additionally satisfy, for every worker n,
+    sum over S containing n of |G_S| == (K/N)(N - N_r + 1).
+    """
+    need = a.N - a.N_r + 1
+    violations = tuple(k for k in range(1, a.K + 1) if a.replication(k) < need)
+    storage_ok = None
+    if a.kind == CYCLIC:
+        per_worker = {n: 0 for n in range(1, a.N + 1)}
+        for s in combinations(range(1, a.N + 1), need):
+            size = len(unique_group(a, s))
+            for n in s:
+                per_worker[n] += size
+        want = (a.K // a.N) * need
+        storage_ok = all(v == want for v in per_worker.values())
+    return ReplicationReport(violations=violations, storage_ok=storage_ok)
 
 
 def ref_matmul(a, b, q):

@@ -2,6 +2,7 @@ from math import ceil, comb, floor
 
 import pytest
 
+from conftest import unique_group, validate_replication
 from linsep import assignment as asg
 from linsep.errors import ShapeMismatch, UnsupportedGroupedParams, UseGeneralAssignment
 
@@ -68,7 +69,7 @@ def test_general_3_6_4_real_slots_and_loads():
     assert a.effective_k == 6
     for zn in a.z:
         assert len(zn) <= 2  # ceil((N-N_r+1)/floor(N/b)) = ceil(3/2)
-    rep = asg.validate_replication(a)
+    rep = validate_replication(a)
     assert rep.violations == ()
 
 
@@ -93,7 +94,7 @@ def test_general_trailing_real_count_bound(K, N, N_r):
     bound = a_full * (N - N_r + 1) + ceil((N - N_r + 1) / floor(N / b))
     for zn in a.z:
         assert len(zn) <= bound
-    assert asg.validate_replication(a).violations == ()
+    assert validate_replication(a).violations == ()
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +122,7 @@ def test_grouped_singleton_groups():
     g = asg.grouped_assignment(6, 4, 3, group_size=1)
     assert all(len(members) == 1 for _, members in g.groups)
     assert all(len(zn) == 3 for zn in g.z)
-    assert asg.validate_replication(g).violations == ()
+    assert validate_replication(g).violations == ()
 
 
 def test_grouped_rejects_unsupported_shapes():
@@ -140,24 +141,24 @@ def test_grouped_rejects_unsupported_shapes():
 
 def test_unique_group_cyclic():
     a = asg.cyclic_assignment(6, 3, 2)
-    assert asg.unique_group(a, (1, 2)) == (2, 5)
-    assert asg.unique_group(a, (1, 3)) == (1, 4)
-    assert asg.unique_group(a, (2, 3)) == (3, 6)
+    assert unique_group(a, (1, 2)) == (2, 5)
+    assert unique_group(a, (1, 3)) == (1, 4)
+    assert unique_group(a, (2, 3)) == (3, 6)
 
 
 def test_unique_group_grouped():
     g = asg.grouped_assignment(12, 4, 3)
-    assert asg.unique_group(g, (3, 4)) == (11, 12)
+    assert unique_group(g, (3, 4)) == (11, 12)
 
 
 def test_unique_group_requires_right_cardinality():
     a = asg.cyclic_assignment(6, 3, 2)
     with pytest.raises(ShapeMismatch):
-        asg.unique_group(a, (1, 2, 3))
+        unique_group(a, (1, 2, 3))
 
 
 def test_validate_replication_cyclic_ok():
-    rep = asg.validate_replication(asg.cyclic_assignment(6, 3, 2))
+    rep = validate_replication(asg.cyclic_assignment(6, 3, 2))
     assert rep.violations == ()
     assert rep.storage_ok is True
     assert rep.ok
@@ -168,7 +169,7 @@ def test_validate_replication_flags_dropped_dataset():
     z = list(base.z)
     z[2] = tuple(k for k in z[2] if k != 1)  # drop dataset 1 from worker 3
     broken = asg.Assignment(K=6, N=3, N_r=2, kind="cyclic", z=tuple(z))
-    rep = asg.validate_replication(broken)
+    rep = validate_replication(broken)
     assert rep.violations == (1,)
     assert not rep.ok
 
@@ -178,7 +179,7 @@ def test_storage_constraint_enumeration(N):
     for n_r in range(1, N + 1):
         for mult in (1, 2):
             a = asg.cyclic_assignment(mult * N, N, n_r)
-            rep = asg.validate_replication(a)
+            rep = validate_replication(a)
             assert rep.storage_ok is True
 
 

@@ -120,6 +120,62 @@ def test_verify_usage_and_io_errors(tmp_path, capsys):
     assert code == 0 and "decodable" in out
 
 
+@pytest.mark.parametrize("text", [
+    '{"cols": 3}',
+    '[["1", "1", "1"], ["1", "2", "3"]]',
+    '{"rows": [["1", "1", "1"], ["1", "2"]]}',
+    '{"rows": ["111", "123"]}',
+    '{"rows": []}',
+    '{"rows": [[], []]}',
+    '{"rows": [["1", "1", "a"], ["1", "2", "3"]]}',
+    '{"rows": [[1, 1, 1e30], [1, 2, 3]]}',
+    '{"rows": [[1, 1, 1.5], [1, 2, 3]]}',
+    '{"rows": [[1, 1, true], [1, 2, 3]]}',
+    '{"q": "seven", "rows": [[1, 1, 1], [1, 2, 3]]}',
+    '{"q": 2147483647.0, "rows": [[1, 1, 1], [1, 2, 3]]}',
+], ids=[
+    "no_rows", "top_level_list", "ragged", "row_not_a_list", "no_row", "empty_rows", "word_entry",
+    "huge_float_entry", "fraction_entry", "boolean_entry", "word_q", "float_q",
+])
+def test_malformed_demand_file_is_an_io_error(tmp_path, capsys, text):
+    demand = tmp_path / "d.json"
+    demand.write_text(text)
+    point = ["-K", "3", "-N", "3", "--nr", "2", "--kc", "2", "--demand-file", str(demand)]
+    for argv in (
+        ["simulate", *point, "--trials", "1"],
+        ["build", *point, "--out", str(tmp_path / "s.json")],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 3 and "error: malformed demand file" in err, argv
+        assert "Traceback" not in err
+
+
+def test_unreadable_demand_file_is_an_io_error(tmp_path, capsys):
+    binary = tmp_path / "d.json"
+    binary.write_bytes(b'{"rows": [["1", "1", "1"], ["1", "2", "\xff"]]}')
+    for demand in (binary, tmp_path):
+        code, _, err = run(
+            capsys, "simulate", "-K", "3", "-N", "3", "--nr", "2", "--kc", "2",
+            "--trials", "1", "--demand-file", str(demand),
+        )
+        assert code == 3 and err.count("error: ") == 1, demand
+
+
+def test_demand_entries_of_any_size_reduce_mod_q(tmp_path, capsys):
+    q = fl.DEFAULT_MODULUS
+    rows = [[1, 1, 1], [1, 2, 3]]
+    shifted = [[x + k * q for x, k in zip(row, (10**30, -3, 1))] for row in rows]
+    (tmp_path / "big.json").write_text(json.dumps({"q": q, "rows": shifted}))
+    files = [write_demand(tmp_path / "plain.json", rows), str(tmp_path / "big.json")]
+    for i, demand in enumerate(files):
+        code, _, _ = run(
+            capsys, "build", "-K", "3", "-N", "3", "--nr", "2", "--kc", "2",
+            "--demand-file", demand, "--out", str(tmp_path / f"{i}.json"),
+        )
+        assert code == 0
+    assert (tmp_path / "0.json").read_bytes() == (tmp_path / "1.json").read_bytes()
+
+
 def test_simulate_single_point_fixed_demand(tmp_path, capsys):
     demand = write_demand(
         tmp_path / "d.json", [[1] * 9, list(range(1, 10))]

@@ -13,6 +13,7 @@ from conftest import (
     ref_decode,
     ref_encode,
     ref_matmul,
+    zero_messages,
 )
 from linsep import builder as bl
 from linsep import codec as cd
@@ -62,7 +63,7 @@ def decode_everywhere(scheme, demand, w):
 def test_encode_zero_messages_gives_zero_answers():
     f_mat = bl.demand_from_rows(FQ, DEMAND_4x6)
     s = bl.build_scheme(f_mat, cyclic_assignment(6, 3, 2))
-    w = cd.zero_messages(6, 4, FQ)
+    w = zero_messages(6, 4, FQ)
     for n in (1, 2, 3):
         assert not cd.encode_worker(s, n, w).x.array.any()
 
@@ -137,7 +138,7 @@ def test_encode_matches_the_per_subproblem_reference():
             (p.N + 1, cd.random_messages(p.K, m, f, 0)),
             (1, cd.random_messages(p.K + 1, m, f, 0)),
             (1, cd.MessageBlock(fl.random_matrix(p.K, m, fl.Field(11 if p.q == 7 else 7), 0))),
-            (1, cd.zero_messages(p.K, 0, f)),
+            (1, zero_messages(p.K, 0, f)),
         ]
         if m > 1:
             bad.append((1, cd.random_messages(p.K, m + 1, f, 0)))
@@ -238,7 +239,7 @@ def _one_column_more(a):
 
 
 def _one_row_fewer(a):
-    return cd.WorkerAnswer(a.worker, a.x.take_rows(range(a.x.rows - 1)))
+    return cd.WorkerAnswer(a.worker, fl.FMatrix(a.x.field, a.x.array[:-1]))
 
 
 @pytest.mark.parametrize(
@@ -330,6 +331,15 @@ def test_verify_exhaustive_cap():
     s = bl.build_scheme(f_mat, cyclic_assignment(8, 4, 3), padding_seed=2)
     with pytest.raises(ShapeMismatch):
         cd.verify_decodability(s, subset_cap=3)
+
+
+def test_verify_rejects_sub_problem_caps_below_one():
+    scheme = _large_scheme()
+    assert len(scheme.code) > 1
+    for cap in (0, -2):
+        with pytest.raises(ShapeMismatch):
+            cd.verify_decodability(scheme, subproblem_cap=cap)
+    assert cd.verify_decodability(scheme, subproblem_cap=1) == []
 
 
 def test_responder_subsets_rejects_sample_counts_below_one():
@@ -664,6 +674,48 @@ def test_a_repeated_worker_reuses_its_encoder(monkeypatch):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 1
+
+
+def _block(scheme, seed):
+    return cd.random_messages(scheme.params.K, scheme.params.L or 2, FQ, seed)
+
+
+def _served(scheme, w):
+    """Every worker's encoder, N_r answers to block w, and their decode."""
+    p = scheme.params
+    answers = [cd.encode_worker(scheme, n, w) for n in range(1, p.N_r + 1)]
+    return [scheme.encoder(n) for n in range(1, p.N + 1)], answers, cd.decode(scheme, answers)
+
+
+def test_serving_a_block_copies_and_reduces_nothing_again(monkeypatch):
+    """Encode and decode wrap what the kernels reduced: from a cold cache
+    or a warm one, they build no FMatrix from outside data."""
+    served = [(name, scheme, _block(scheme, 6)) for name, scheme in sample_schemes()]
+    for cache in (cd._held_encoder, cd._responder_map, cd._reconstruction_map):
+        cache.cache_clear()
+    calls, as_array = [], fl._as_array
+    monkeypatch.setattr(fl, "_as_array", lambda *args: calls.append(args) or as_array(*args))
+    for name, scheme, w in served + served:
+        *_, report = _served(scheme, w)
+        assert report.success and calls == [], name
+
+
+def test_kernel_output_is_reduced_read_only_int64():
+    """Products, inverses, encoders, answers and decoded blocks of every
+    scheme kind, the large regime and the fallback's recombination too."""
+    outputs = []
+    for _, scheme in sample_schemes():
+        encoders, answers, report = _served(scheme, _block(scheme, 7))
+        outputs += [*encoders, *(a.x for a in answers), report.recovered]
+    a = fl.random_matrix(5, 5, FQ, seed=3)
+    tall, wide = fl.random_matrix(40, 30, FQ, seed=4), fl.random_matrix(30, 20, FQ, seed=5)
+    outputs += [fl.mat_mul(a, a), fl.mat_mul(tall, wide), fl.inverse(a)]  # int64, float
+    for m in outputs:
+        assert m.array.dtype == np.int64 and m.array.ndim == 2
+        assert ((m.array >= 0) & (m.array < Q)).all()
+        assert not m.array.flags.writeable
+        with pytest.raises(ValueError):
+            m.array[0, 0] = 1
 
 
 def test_the_decoding_cache_stays_at_its_bound():

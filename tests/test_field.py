@@ -8,18 +8,25 @@ from conftest import (
     _rank_raw,
     _rref,
     in_row_span,
+    left_null_space,
     ref_matmul,
     ref_rank,
 )
 from linsep import field as fl
-from linsep.errors import InversionOfZero, ShapeMismatch, SingularMatrix
+from linsep.errors import ShapeMismatch, SingularMatrix
 
 F7 = fl.Field(7)
 FQ = fl.Field()  # default 2**31 - 1
+# The largest prime the field accepts: (q-1)^2 only just fits in int64.
+Q_MAX = next(p for p in range(fl._MAX_MODULUS, 2, -1) if fl.is_prime(p))
+
+
+def zeros(rows, cols, f):
+    return fl.FMatrix(f, np.zeros((rows, cols), dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
-# Field construction and scalar inverse
+# Field construction and elementwise inverse
 # ---------------------------------------------------------------------------
 
 
@@ -34,24 +41,31 @@ def test_default_modulus_is_prime():
     assert FQ.q == 2**31 - 1
 
 
+def fermat(x, q):
+    return [[pow(int(v), q - 2, q) for v in row] for row in np.atleast_2d(x)]
+
+
 def test_ff_inv_examples():
-    assert fl.ff_inv(1, F7) == 1
-    assert fl.ff_inv(2, F7) == 4
-    with pytest.raises(InversionOfZero):
-        fl.ff_inv(0, F7)
+    # The field inverse is ``_inv_vec``, elementwise over any shape.
+    assert fl._inv_vec(np.array([1, 2, 3, 6]), 7).tolist() == [1, 4, 5, 6]
+    assert fl._inv_vec(np.array([[2], [3]]), 7).tolist() == [[4], [5]]
 
 
 @pytest.mark.parametrize("q", [3, 7, 101, 9973])
 def test_ff_inv_exhaustive_small_fields(q):
-    f = fl.Field(q)
-    for x in range(1, q):
-        assert fl.ff_inv(x, f) * x % q == 1
+    x = np.arange(1, q, dtype=np.int64)
+    inv = fl._inv_vec(x, q)
+    assert inv.tolist() == fermat(x, q)[0]
+    assert (inv * x % q == 1).all()
 
 
 def test_ff_inv_sampled_large_field():
-    stream = fl.ElementStream(FQ, 7)
-    for x in stream.nonzero(200):
-        assert fl.ff_inv(x, FQ) * x % FQ.q == 1
+    for q in (FQ.q, Q_MAX):
+        x = np.array(fl.ElementStream(fl.Field(q), 7).nonzero(200)).reshape(20, 10)
+        x[0, :2] = 1, q - 1
+        inv = fl._inv_vec(x, q)
+        assert inv.tolist() == fermat(x, q)
+        assert (inv * x % q == 1).all()
 
 
 # ---------------------------------------------------------------------------
@@ -64,38 +78,47 @@ SUBMATRIX_36 = [[1, 1], [3, 6], [2, 4], [1, 0]]
 
 
 def test_left_null_space_of_identity_is_empty():
-    assert fl.left_null_space(fl.identity(2, F7)) == []
+    assert left_null_space(fl.identity(2, F7)) == []
 
 
 def test_left_null_space_known_span():
     m = fl.from_rows(FQ, SUBMATRIX_36)
-    basis = fl.left_null_space(m)
+    basis = left_null_space(m)
     assert len(basis) == 2
-    rows = [v.to_list() for v in basis]
     q = FQ.q
     for known in ([-6, 1, 0, 3], [0, -2, 3, 0]):
-        assert in_row_span([x % q for x in known], rows, q)
+        assert in_row_span([x % q for x in known], basis, q)
 
 
 def test_left_null_space_of_zero_matrix_spans_everything():
-    m = fl.zeros(3, 2, F7)
-    basis = fl.left_null_space(m)
+    basis = left_null_space(zeros(3, 2, F7))
     assert len(basis) == 3
-    assert ref_rank([v.to_list() for v in basis], 7) == 3
+    assert ref_rank(basis, 7) == 3
 
 
 def test_left_null_space_orthogonality_exact():
     m = fl.from_rows(FQ, SUBMATRIX_36)
-    for v in fl.left_null_space(m):
-        prod = fl.mat_mul(fl.FMatrix(FQ, v.array.reshape(1, -1)), m)
+    for v in left_null_space(m):
+        prod = fl.mat_mul(fl.FMatrix(FQ, [v]), m)
         assert prod.array.tolist() == [[0, 0]]
+
+
+def test_public_matrices_copy_and_reduce_their_data():
+    data = np.array([[-1, 8], [3, 13]])
+    m = fl.FMatrix(F7, data)
+    data[0, 0] = 5
+    assert m.to_lists() == [[6, 1], [3, 6]]
+    assert m.array.dtype == np.int64 and not m.array.flags.writeable
+    assert fl.FMatrix(F7, m.array).array is not m.array
+    with pytest.raises(ShapeMismatch):
+        fl.FMatrix(F7, [1, 2])
 
 
 def test_rank_examples():
     assert fl.rank(fl.identity(4, FQ)) == 4
     q = FQ.q
     assert fl.rank(fl.from_rows(FQ, [[1, q - 1], [1, q - 1]])) == 1
-    assert fl.rank(fl.zeros(2, 3, FQ)) == 0
+    assert fl.rank(zeros(2, 3, FQ)) == 0
 
 
 def test_inverse_examples():
@@ -112,8 +135,8 @@ def test_inverse_examples():
 
 def test_canonical_null_basis_is_stable():
     m = fl.random_matrix(6, 3, FQ, seed=42)
-    first = fl.left_null_space(m)
-    second = fl.left_null_space(m)
+    first = left_null_space(m)
+    second = left_null_space(m)
     assert first == second
 
 
@@ -137,11 +160,11 @@ small_matrices = st.integers(1, 6).flatmap(
 def test_rank_nullity_and_orthogonality(rows):
     f = fl.Field(101)
     m = fl.from_rows(f, rows)
-    basis = fl.left_null_space(m)
+    basis = left_null_space(m)
     assert fl.rank(m) + len(basis) == m.rows
     assert fl.rank(m) == ref_rank(rows, 101)
     for v in basis:
-        prod = fl.mat_mul(fl.FMatrix(f, v.array.reshape(1, -1)), m)
+        prod = fl.mat_mul(fl.FMatrix(f, [v]), m)
         assert not prod.array.any()
 
 
@@ -212,8 +235,6 @@ def test_derive_seed_separates_streams():
 # Batched kernels against the scalar ones
 # ---------------------------------------------------------------------------
 
-# The largest prime the field accepts: (q-1)^2 only just fits in int64.
-Q_MAX = next(p for p in range(fl._MAX_MODULUS, 2, -1) if fl.is_prime(p))
 BATCH_MODULI = (7, 101, 2**31 - 1, Q_MAX)
 
 
@@ -292,7 +313,7 @@ def test_batched_kernels_across_chunks(q):
 
 @pytest.mark.parametrize("fill", ["top", "random"])
 def test_matmul_has_no_inner_dimension_cap(fill):
-    # 40 000 inner terms: more than one int64-exact slice of the split product.
+    # 40 000 inner terms: hundreds of exact float slices of the split product.
     q, inner = Q_MAX, 40_000
     f = fl.Field(q)
     if fill == "top":
@@ -337,8 +358,9 @@ def _edge_operands(q, fill, inner, side, stack):
     [(q, "top") for q in EDGE_MODULI] + [(2**31 - 1, "odd"), (Q_MAX, "odd")],
 )
 def test_float_products_are_exact_at_the_longest_slice(q, fill, extra, stack):
-    # The longest inner dimension one float product takes, and one more.
-    inner = min(fl._MUL_INNER, fl._float_inner(q)) + extra
+    # The longest inner dimension one float product takes, and one more,
+    # capped at 32 768 terms where the float slice is longer (q = 7, 101).
+    inner = min(32768, fl._float_inner(q)) + extra
     side = int(np.sqrt(fl._FLOAT_MIN_WORK // inner)) + 1
     assert side * side * inner >= fl._FLOAT_MIN_WORK  # the float path
     a, b = _edge_operands(q, fill, inner, side, stack)

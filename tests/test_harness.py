@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import zero_messages
 from linsep import builder as bl
 from linsep import codec as cd
 from linsep import field as fl
@@ -46,7 +47,7 @@ def test_run_trial_single_combination_costs_threshold():
 def test_run_trial_zero_messages_recover_zero():
     cfg = hn.TrialConfig(k=6, n=3, n_r=2, k_c=4, l=2, demand_seed=5, message_seed=6)
     demand = bl.demand_from_rows(FQ, DEMAND_4x6)
-    zeros = cd.zero_messages(6, 2, FQ)
+    zeros = zero_messages(6, 2, FQ)
     result = hn.run_trial(cfg, demand=demand, messages=zeros)
     assert result.all_ok  # oracle is the zero matrix
     scheme = bl.build_auto(demand, 3, 2, padding_seed=cfg.padding_seed)

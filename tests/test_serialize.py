@@ -164,7 +164,7 @@ def _arrays(obj):
     """Every numpy array held by obj, through dataclasses, tuples and wrappers."""
     if isinstance(obj, np.ndarray):
         yield obj
-    elif isinstance(obj, (fl.FMatrix, fl.FVector)):
+    elif isinstance(obj, fl.FMatrix):
         yield obj.array
     elif dataclasses.is_dataclass(obj):
         for f in dataclasses.fields(obj):

@@ -5,7 +5,16 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "linsep").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "linsep").glob("*.py"))
+# What may keep a public name alive: the library, the demos, the benchmark
+# and the acceptance tests, which stand for the paper's claims.
+USERS = [
+    *SOURCES,
+    *sorted((ROOT / "demos").glob("*.py")),
+    *sorted((ROOT / "bench").glob("*.py")),
+    ROOT / "tests" / "test_acceptance.py",
+]
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -25,15 +34,21 @@ def _unused_imports(tree: ast.Module) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
-def _unreferenced_private_names(trees: dict[str, ast.Module]) -> list[str]:
-    """Underscore-prefixed functions, classes and methods no module names."""
+def _referenced(trees) -> set[str]:
+    """Names that a ``Name`` or ``Attribute`` node reads; strings do not count."""
     used = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+    return used
+
+
+def _unreferenced_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """Underscore-prefixed functions, classes and methods no module names."""
+    used = _referenced(trees.values())
     return [
         f"{module}.{node.name} (line {node.lineno})"
         for module, tree in trees.items()
@@ -66,6 +81,41 @@ def test_unreferenced_private_name_is_reported():
         "b": ast.parse("import a\na._kept()\nx._used()\n\ndef __dunder__():\n    pass\n"),
     }
     assert _unreferenced_private_names(trees) == ["a._Gone (line 4)"]
+
+
+def _test_only_public_names(trees: dict[str, ast.Module], users) -> list[str]:
+    """Public module-level functions and classes that no user's code names."""
+    used = _referenced(users)
+    return [
+        f"{module}.{node.name} (line {node.lineno})"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in used
+    ]
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    users = [ast.parse(path.read_text()) for path in USERS]
+    assert _test_only_public_names(trees, users) == []
+
+
+def test_public_name_only_tests_use_is_reported():
+    trees = {
+        "field": ast.parse(
+            "def used():\n    pass\n\ndef tested():\n    pass\n\n"
+            "class Gone:\n    def method(self):\n        pass\n\ndef _private():\n    pass\n"
+        ),
+    }
+    users = [
+        trees["field"],
+        ast.parse("import field\nfield.used()\nTRACED = ('tested', 'Gone')\n"),
+    ]
+    assert _test_only_public_names(trees, users) == [
+        "field.tested (line 4)", "field.Gone (line 7)",
+    ]
 
 
 # The regime constants; only the builder, which picks the regime, and the
