@@ -24,6 +24,11 @@ def mod1(b: int, a: int) -> int:
     return a if r == 0 else r
 
 
+def _check_threshold(N: int, N_r: int) -> None:
+    if not (1 <= N_r <= N):
+        raise ShapeMismatch(f"need 1 <= N_r <= N, got N_r={N_r}, N={N}")
+
+
 @dataclass(frozen=True)
 class Assignment:
     """Per-worker dataset index sets plus replication metadata.
@@ -43,16 +48,9 @@ class Assignment:
     slot_of_dataset: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        if not (1 <= self.N_r <= self.N):
-            raise ShapeMismatch(f"need 1 <= N_r <= N, got N_r={self.N_r}, N={self.N}")
+        _check_threshold(self.N, self.N_r)
         if len(self.z) != self.N:
             raise ShapeMismatch("one dataset set per worker required")
-
-    def workers_holding(self, k: int) -> tuple[int, ...]:
-        return tuple(n for n in range(1, self.N + 1) if k in self.z[n - 1])
-
-    def replication(self, k: int) -> int:
-        return len(self.workers_holding(k))
 
     def not_assigned(self, n: int) -> tuple[int, ...]:
         held = set(self.z[n - 1])
@@ -79,10 +77,9 @@ def _cyclic_sets(K: int, N: int, N_r: int) -> tuple[tuple[int, ...], ...]:
 
 def cyclic_assignment(K: int, N: int, N_r: int) -> Assignment:
     """Cyclic assignment: dataset k goes to workers mod1(k,N), ..., mod1(k-N+N_r,N)."""
+    _check_threshold(N, N_r)
     if K % N != 0:
         raise UseGeneralAssignment(f"N={N} does not divide K={K}")
-    if not (1 <= N_r <= N):
-        raise ShapeMismatch(f"need 1 <= N_r <= N, got {N_r}")
     return Assignment(K=K, N=N, N_r=N_r, kind=CYCLIC, z=_cyclic_sets(K, N, N_r))
 
 
@@ -115,6 +112,7 @@ def general_assignment(K: int, N: int, N_r: int) -> Assignment:
     cyclic block of N effective slots, which caps the number of trailing real
     datasets per worker at ceil((N-N_r+1)/floor(N/b)).
     """
+    _check_threshold(N, N_r)
     b = K % N
     if b == 0:
         return cyclic_assignment(K, N, N_r)
@@ -139,15 +137,14 @@ def general_assignment(K: int, N: int, N_r: int) -> Assignment:
     )
 
 
-def grouped_assignment(
-    K: int, N: int, N_r: int, group_size: int | None = None
-) -> GroupedAssignment:
+def grouped_assignment(K: int, N: int, N_r: int) -> GroupedAssignment:
     """Partition datasets into (N choose 2) groups, one per 2-subset of workers.
 
     Supported only for N - N_r + 1 == 2 with (N choose 2) dividing K; the
     2-subsets are enumerated in lexicographic order and dataset indices fill
     the groups consecutively.
     """
+    _check_threshold(N, N_r)
     if N - N_r + 1 != 2:
         raise UnsupportedGroupedParams(
             f"grouped assignment needs N - N_r + 1 == 2, got N={N}, N_r={N_r}"
@@ -156,10 +153,6 @@ def grouped_assignment(
     if K % n_groups != 0:
         raise UnsupportedGroupedParams(f"{n_groups} groups do not divide K={K}")
     size = K // n_groups
-    if group_size is not None and group_size != size:
-        raise UnsupportedGroupedParams(
-            f"group size {group_size} inconsistent with K/(N choose 2) = {size}"
-        )
     groups = []
     nxt = 1
     for t in combinations(range(1, N + 1), 2):

@@ -71,13 +71,7 @@ from .errors import (
     ShapeMismatch,
     UnsupportedGroupedParams,
 )
-from .field import (
-    DEFAULT_MODULUS,
-    Field,
-    FMatrix,
-    derive_seed,
-    random_matrix,
-)
+from .field import Field, FMatrix, derive_seed, random_matrix
 
 SMALL, MIDDLE, LARGE, GROUPED_REGIME = "small", "middle", "large", "grouped"
 
@@ -220,6 +214,8 @@ class Scheme:
         (s, e) is v_s[e] M_{s,n}; virtual slots, whose messages are zero, lose
         their columns.
         """
+        if not (1 <= n <= self.params.N):
+            raise ShapeMismatch(f"no worker {n} in a {self.params.N}-worker scheme")
         f = self.demand.field
         if self.grouped is not None:
             return FMatrix._of(f, self.grouped.rows[n - 1, :2])
@@ -583,21 +579,16 @@ def build_grouped(f_mat: DemandMatrix, g: GroupedAssignment) -> Scheme:
 
 
 def adversarial_fixture(
-    K: int,
-    N: int,
-    N_r: int,
-    responding_set: tuple[int, ...],
-    seed: int,
-    f: Field | None = None,
+    K: int, N: int, N_r: int, responding_set: tuple[int, ...], seed: int
 ) -> DemandMatrix:
     """Structured demand whose code for ``responding_set`` is a unit stack.
 
-    Block-diagonal with K/N blocks of N_r x N; inside each block, row i is
-    zero exactly on the datasets its designated responder does not hold (a
-    run of N_r - 1 adjacent columns) and uniform nonzero elsewhere.  The
-    designated responders' code rows are then exactly unit vectors.
+    Block-diagonal over the default field, with K/N blocks of N_r x N; inside
+    each block, row i is zero exactly on the datasets its designated
+    responder does not hold (a run of N_r - 1 adjacent columns) and uniform
+    nonzero elsewhere.  The designated responders' code rows are then exactly
+    unit vectors.
     """
-    f = f or Field(DEFAULT_MODULUS)
     if K % N != 0:
         raise ShapeMismatch("fixture needs N to divide K")
     resp = tuple(sorted(set(responding_set)))
@@ -605,6 +596,7 @@ def adversarial_fixture(
         raise ShapeMismatch(f"responding set must be N_r={N_r} distinct workers")
     blocks = K // N
     base = cyclic_assignment(N, N, N_r)
+    f = Field()
     stream = fl.ElementStream(f, derive_seed(seed, "fixture"))
     arr = np.zeros((blocks * N_r, K), dtype=np.int64)
     for blk in range(blocks):

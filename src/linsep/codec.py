@@ -81,8 +81,7 @@ def encode_worker(scheme: Scheme, n: int, w: MessageBlock) -> WorkerAnswer:
     E_n is zero outside the columns (e, k in Z_n), so only those are read.
     """
     k, m = scheme.params.K, scheme.split_count
-    if not (1 <= n <= scheme.params.N):
-        raise ShapeMismatch(f"no worker {n} in a {scheme.params.N}-worker scheme")
+    held, e_n = _held_encoder(scheme, n)  # raises for a worker outside 1..N
     if w.k != k:
         raise ShapeMismatch(f"message block has {w.k} rows, scheme expects {k}")
     if w.w.field.q != scheme.params.q:
@@ -91,7 +90,6 @@ def encode_worker(scheme: Scheme, n: int, w: MessageBlock) -> WorkerAnswer:
     if w.l % m or (w.l == 0 and scheme.params.L is not None):
         raise ShapeMismatch(f"message length {w.l} not divisible by {m}")
     lm = w.l // m
-    held, e_n = _held_encoder(scheme, n)
     split = w.w.array[held].reshape(len(held), m, lm).swapaxes(0, 1).reshape(e_n.shape[1], lm)
     return WorkerAnswer(n, FMatrix._of(w.w.field, fl._mul_batch(e_n, split, w.w.field.q)))
 
@@ -106,9 +104,10 @@ def _held_encoder(scheme: Scheme, n: int):
     Both are read-only.  The cut E_n is ``(rows, m |Z_n|)``, its columns
     (e, k in Z_n) e-major; E_n is zero in every other column.
     """
+    e_n = scheme.encoder(n).array
     held = np.array(scheme.assignment.z[n - 1], dtype=np.intp) - 1
     m, k = scheme.split_count, scheme.params.K
-    e_n = scheme.encoder(n).array.reshape(-1, m, k)[:, :, held].reshape(-1, m * len(held))
+    e_n = e_n.reshape(-1, m, k)[:, :, held].reshape(-1, m * len(held))
     held.setflags(write=False)
     e_n.setflags(write=False)
     return held, e_n
@@ -280,15 +279,18 @@ def _sample_distinct(total: int, count: int, stream: ElementStream) -> list[int]
     return sorted(seen)
 
 
+_SUBSET_CAP = 10**6  # responder subsets an exhaustive list may enumerate
+
+
 def responder_subsets(
     n: int, n_r: int, mode: str = "exhaustive", sample_count: int | None = None,
-    seed: int = 0, subset_cap: int = 10**6,
+    seed: int = 0,
 ) -> list[tuple[int, ...]]:
     total = comb(n, n_r)
     if mode == "exhaustive":
-        if total > subset_cap:
+        if total > _SUBSET_CAP:
             raise ShapeMismatch(
-                f"{total} responder subsets exceed the exhaustive cap {subset_cap}"
+                f"{total} responder subsets exceed the exhaustive cap {_SUBSET_CAP}"
             )
         return list(combinations(range(1, n + 1), n_r))
     if mode == "sample":
@@ -305,24 +307,22 @@ def verify_decodability(
     mode: str = "exhaustive",
     sample_count: int | None = None,
     seed: int = 0,
-    subset_cap: int = 10**6,
     subproblem_cap: int = 200,
 ) -> list[tuple[int, ...]]:
     """Responder subsets with a system of ``_systems`` that is not invertible.
 
-    Exhaustive over responder subsets (or a seeded sample of ``sample_count``
-    of them).  Large-regime schemes with more than ``subproblem_cap`` coded
-    sub-problems (one per window of the design, K_c/gcd(K_c, t) of them) are
-    checked on a deterministic seeded sample of sub-problems.  The stacks go
-    through the batched rank a block of subsets at a time, each block's
-    stacks within ``field._BATCH_ELEMENTS`` entries (or one subset's).  The
-    returned list is sorted, as the subsets are.
+    Exhaustive over responder subsets, at most ``_SUBSET_CAP`` of them (or a
+    seeded sample of ``sample_count`` of them).  Large-regime schemes with
+    more than ``subproblem_cap`` coded sub-problems (one per window of the
+    design, K_c/gcd(K_c, t) of them) are checked on a deterministic seeded
+    sample of sub-problems.  The stacks go through the batched rank a block
+    of subsets at a time, each block's stacks within
+    ``field._BATCH_ELEMENTS`` entries (or one subset's).  The returned list
+    is sorted, as the subsets are.
     """
     if subproblem_cap < 1:
         raise ShapeMismatch(f"sub-problem cap must be at least 1, got {subproblem_cap}")
-    subsets = responder_subsets(
-        scheme.params.N, scheme.params.N_r, mode, sample_count, seed, subset_cap
-    )
+    subsets = responder_subsets(scheme.params.N, scheme.params.N_r, mode, sample_count, seed)
     q = scheme.params.q
     sampled = None
     if scheme.mds is not None and len(scheme.code) > subproblem_cap:
@@ -344,13 +344,15 @@ def verify_decodability(
 # ---------------------------------------------------------------------------
 
 
+_FALLBACK_ATTEMPTS = 16  # seeded K x K demands tried before giving up
+
+
 def fallback_full_recovery(
     f_mat: DemandMatrix,
     a: Assignment,
     l_symbols: int | None = None,
     *,
     seed: int = 0,
-    max_attempts: int = 16,
 ) -> Scheme:
     """Scheme that recovers every message individually, then any K_c demand.
 
@@ -368,7 +370,7 @@ def fallback_full_recovery(
     if k_c == k:
         return build_scheme(f_mat, a, l_symbols=l_symbols)
     f = f_mat.field
-    for attempt in range(max_attempts):
+    for attempt in range(_FALLBACK_ATTEMPTS):
         g = random_matrix(k, k, f, derive_seed(seed, "full-recovery", attempt))
         if rank(g) != k:
             continue

@@ -1,10 +1,11 @@
 """End-to-end experiment runner.
 
 A trial builds the assignment and scheme for one parameter point, draws
-uniform messages, omits stragglers subset by subset, decodes, and audits
-both correctness (against a direct demand-times-messages product computed
-without any scheme machinery) and the measured communication cost (against
-the closed-form value).  Everything is replayable from the recorded seeds.
+uniform messages, decodes from every responder subset of N_r workers, and
+audits both correctness (against a direct demand-times-messages product
+computed without any scheme machinery) and the measured communication cost
+(against the closed-form value).  Everything is replayable from the recorded
+seeds.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from . import bounds
-from .assignment import cyclic_assignment, general_assignment, grouped_assignment
+from .assignment import general_assignment, grouped_assignment
 from .builder import (
     DemandMatrix,
     Scheme,
@@ -22,17 +23,11 @@ from .builder import (
     expected_cost,
     random_demand,
 )
-from .codec import (
-    MessageBlock,
-    decode,
-    encode_worker,
-    random_messages,
-    responder_subsets,
-)
+from .codec import decode, encode_worker, random_messages, responder_subsets
 from .errors import ShapeMismatch
 from .field import DEFAULT_MODULUS, Field, derive_seed, mat_mul
 
-AUTO, GROUPED_KIND, FALLBACK = "auto", "grouped", "fallback"
+AUTO, GROUPED_KIND = "auto", "grouped"
 
 
 @dataclass(frozen=True)
@@ -43,23 +38,16 @@ class TrialConfig:
     k_c: int
     l: int | None = None  # None: smallest length the scheme supports
     q: int = DEFAULT_MODULUS
-    scheme_kind: str = AUTO  # auto | grouped | fallback
-    straggler_mode: str = "exhaustive"  # exhaustive | fixed | random
-    fixed_set: tuple[int, ...] = ()
-    random_count: int = 0
+    scheme_kind: str = AUTO  # auto | grouped
     demand_seed: int = 0
     message_seed: int = 0
     padding_seed: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k, "n": self.n, "n_r": self.n_r, "k_c": self.k_c,
-            "l": self.l, "q": self.q, "scheme_kind": self.scheme_kind,
-            "straggler_mode": self.straggler_mode,
-            "fixed_set": list(self.fixed_set), "random_count": self.random_count,
-            "demand_seed": self.demand_seed, "message_seed": self.message_seed,
-            "padding_seed": self.padding_seed,
-        }
+        # Every trial tests every responder subset; the constant straggler
+        # keys keep trial logs byte-identical to those of earlier versions.
+        constant = {"straggler_mode": "exhaustive", "fixed_set": [], "random_count": 0}
+        return {**vars(self), **constant}
 
     @classmethod
     def seeded(cls, base: int, **point) -> "TrialConfig":
@@ -107,21 +95,14 @@ _PLACEMENTS = {AUTO: general_assignment, GROUPED_KIND: grouped_assignment}
 
 
 def _build_for(cfg: TrialConfig, demand: DemandMatrix) -> Scheme:
-    if cfg.scheme_kind in _PLACEMENTS:
-        return build_scheme(
-            demand, _PLACEMENTS[cfg.scheme_kind](cfg.k, cfg.n, cfg.n_r),
-            l_symbols=cfg.l,
-            padding_seed=cfg.padding_seed,
-            virtual_seed=derive_seed(cfg.padding_seed, "virtual"),
-        )
-    if cfg.scheme_kind == FALLBACK:
-        from .codec import fallback_full_recovery
-
-        return fallback_full_recovery(
-            demand, cyclic_assignment(cfg.k, cfg.n, cfg.n_r), cfg.l,
-            seed=derive_seed(cfg.padding_seed, "fallback"),
-        )
-    raise ShapeMismatch(f"unknown scheme kind {cfg.scheme_kind!r}")
+    if cfg.scheme_kind not in _PLACEMENTS:
+        raise ShapeMismatch(f"unknown scheme kind {cfg.scheme_kind!r}")
+    return build_scheme(
+        demand, _PLACEMENTS[cfg.scheme_kind](cfg.k, cfg.n, cfg.n_r),
+        l_symbols=cfg.l,
+        padding_seed=cfg.padding_seed,
+        virtual_seed=derive_seed(cfg.padding_seed, "virtual"),
+    )
 
 
 def _message_length(cfg: TrialConfig, scheme: Scheme) -> int:
@@ -131,36 +112,17 @@ def _message_length(cfg: TrialConfig, scheme: Scheme) -> int:
 
 
 def _formula_cost(cfg: TrialConfig) -> int:
-    if cfg.scheme_kind == FALLBACK:
-        return cfg.k
     if cfg.scheme_kind == GROUPED_KIND:
         return 2 * cfg.n_r
     p = bounds.Params(K=cfg.k, N=cfg.n, N_r=cfg.n_r, K_c=cfg.k_c)
     return bounds.achievable_cost_general(p)
 
 
-def _subsets_for(cfg: TrialConfig) -> list[tuple[int, ...]]:
-    if cfg.straggler_mode == "exhaustive":
-        return responder_subsets(cfg.n, cfg.n_r, "exhaustive")
-    if cfg.straggler_mode == "fixed":
-        if len(set(cfg.fixed_set)) != cfg.n_r:
-            raise ShapeMismatch("fixed responder set must have N_r distinct workers")
-        return [tuple(sorted(cfg.fixed_set))]
-    if cfg.straggler_mode == "random":
-        return responder_subsets(
-            cfg.n, cfg.n_r, "sample",
-            sample_count=cfg.random_count or 1,
-            seed=derive_seed(cfg.message_seed, "stragglers"),
-        )
-    raise ShapeMismatch(f"unknown straggler mode {cfg.straggler_mode!r}")
+def run_trial(cfg: TrialConfig, demand: DemandMatrix | None = None) -> TrialResult:
+    """Build, encode, decode, and audit one parameter point, from every N_r responders.
 
-
-def run_trial(cfg: TrialConfig, demand: DemandMatrix | None = None,
-              messages: MessageBlock | None = None) -> TrialResult:
-    """Build, encode, decode, and audit one parameter point.
-
-    ``demand`` and ``messages`` override the seeded draws (used to replay
-    fixed instances); everything else is a pure function of the config.
+    ``demand`` overrides the seeded demand draw (used to replay a fixed
+    instance); everything else is a pure function of the config.
     """
     f = Field(cfg.q)
     if demand is None:
@@ -169,11 +131,10 @@ def run_trial(cfg: TrialConfig, demand: DemandMatrix | None = None,
         raise ShapeMismatch("supplied demand disagrees with the config")
     scheme = _build_for(cfg, demand)
     l = _message_length(cfg, scheme)
-    if messages is None:
-        messages = random_messages(cfg.k, l, f, derive_seed(cfg.message_seed, "messages"))
+    messages = random_messages(cfg.k, l, f, derive_seed(cfg.message_seed, "messages"))
     oracle = mat_mul(demand.matrix, messages.w)  # direct product, no scheme code
 
-    subsets = _subsets_for(cfg)
+    subsets = responder_subsets(cfg.n, cfg.n_r)
     # A worker's answer does not depend on who else responds: encode it once.
     responders = dict.fromkeys(n for a_set in subsets for n in a_set)
     answers = {n: encode_worker(scheme, n, messages) for n in responders}
@@ -239,7 +200,6 @@ def sweep(grid, trials_per_point: int, seed: int, on_trial=None, *,
     for pt in grid:
         failures = 0
         measured = Fraction(0)
-        regime = ""
         for trial in range(trials_per_point):
             base = derive_seed(seed, pt.k, pt.n, pt.n_r, pt.k_c, pt.scheme_kind, trial)
             cfg = TrialConfig.seeded(
@@ -249,20 +209,16 @@ def sweep(grid, trials_per_point: int, seed: int, on_trial=None, *,
             result = run_trial(cfg, demand=demand)
             if on_trial is not None:
                 on_trial(result)
-            regime = result.regime
             measured = max(measured, result.measured_cost)
             if not result.all_ok:
                 failures += 1
         p = bounds.Params(K=pt.k, N=pt.n, N_r=pt.n_r, K_c=pt.k_c)
         verdict = bounds.optimality_class(p)
-        formula = _formula_cost(
-            TrialConfig(k=pt.k, n=pt.n, n_r=pt.n_r, k_c=pt.k_c, scheme_kind=pt.scheme_kind)
-        )
         table.append({
             "K": pt.k, "N": pt.n, "N_r": pt.n_r, "K_c": pt.k_c,
-            "regime": regime, "trials": trials_per_point, "failures": failures,
-            "measured_cost": str(measured),
-            "formula_cost": formula, "converse": verdict.converse, "status": verdict.status,
+            "regime": result.regime, "trials": trials_per_point, "failures": failures,
+            "measured_cost": str(measured), "formula_cost": result.formula_cost,
+            "converse": verdict.converse, "status": verdict.status,
             "seed": seed,
         })
     return table

@@ -10,8 +10,9 @@ systems beside their answers, block by block.  ``indices_containing`` and
 ``reconstruction_stack`` name the windows that rebuild a large scheme's
 demand row and their Vandermonde stack.  ``grouped_by_tag`` reads a grouped
 scheme's arrays by tag.  ``left_null_space``, ``zero_messages``,
-``unique_group`` and ``validate_replication`` are helpers the tests call
-and the library does not.
+``workers_holding``, ``replication``, ``unique_group`` and
+``validate_replication`` are helpers the tests call and the library does
+not.
 """
 
 from dataclasses import dataclass
@@ -42,6 +43,16 @@ def zero_messages(k, l, f):
     return cd.MessageBlock(FMatrix(f, np.zeros((k, l), dtype=np.int64)))
 
 
+def workers_holding(a, k):
+    """The workers whose dataset set Z_n holds dataset k, in increasing order."""
+    return tuple(n for n in range(1, a.N + 1) if k in a.z[n - 1])
+
+
+def replication(a, k):
+    """How many workers hold dataset k."""
+    return len(workers_holding(a, k))
+
+
 def unique_group(a, s):
     """G_S: datasets assigned to exactly the workers in S (|S| = N - N_r + 1)."""
     s_set = frozenset(s)
@@ -50,7 +61,7 @@ def unique_group(a, s):
             f"|S| must be N - N_r + 1 = {a.N - a.N_r + 1}, got {len(s_set)}"
         )
     return tuple(
-        k for k in range(1, a.K + 1) if frozenset(a.workers_holding(k)) == s_set
+        k for k in range(1, a.K + 1) if frozenset(workers_holding(a, k)) == s_set
     )
 
 
@@ -72,7 +83,7 @@ def validate_replication(a):
     sum over S containing n of |G_S| == (K/N)(N - N_r + 1).
     """
     need = a.N - a.N_r + 1
-    violations = tuple(k for k in range(1, a.K + 1) if a.replication(k) < need)
+    violations = tuple(k for k in range(1, a.K + 1) if replication(a, k) < need)
     storage_ok = None
     if a.kind == CYCLIC:
         per_worker = {n: 0 for n in range(1, a.N + 1)}

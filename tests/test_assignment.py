@@ -2,7 +2,7 @@ from math import ceil, comb, floor
 
 import pytest
 
-from conftest import unique_group, validate_replication
+from conftest import replication, unique_group, validate_replication, workers_holding
 from linsep import assignment as asg
 from linsep.errors import ShapeMismatch, UnsupportedGroupedParams, UseGeneralAssignment
 
@@ -45,7 +45,7 @@ def test_cyclic_holder_identity_and_total_load(K, N, N_r):
     a = asg.cyclic_assignment(K, N, N_r)
     for k in range(1, K + 1):
         expected = {asg.mod1(k - i, N) for i in range(N - N_r + 1)}
-        assert set(a.workers_holding(k)) == expected
+        assert set(workers_holding(a, k)) == expected
     assert sum(len(zn) for zn in a.z) == K * (N - N_r + 1)
     assert all(len(zn) == (K // N) * (N - N_r + 1) for zn in a.z)
 
@@ -115,11 +115,11 @@ def test_grouped_12_4_3_groups_and_loads():
     assert g.z[0] == (1, 2, 3, 4, 5, 6)
     assert all(len(zn) == 6 for zn in g.z)
     for k in range(1, 13):
-        assert g.replication(k) == 2
+        assert replication(g, k) == 2
 
 
 def test_grouped_singleton_groups():
-    g = asg.grouped_assignment(6, 4, 3, group_size=1)
+    g = asg.grouped_assignment(6, 4, 3)
     assert all(len(members) == 1 for _, members in g.groups)
     assert all(len(zn) == 3 for zn in g.z)
     assert validate_replication(g).violations == ()
@@ -130,8 +130,6 @@ def test_grouped_rejects_unsupported_shapes():
         asg.grouped_assignment(12, 4, 2)  # N - N_r + 1 = 3
     with pytest.raises(UnsupportedGroupedParams):
         asg.grouped_assignment(10, 4, 3)  # 6 groups don't divide 10
-    with pytest.raises(UnsupportedGroupedParams):
-        asg.grouped_assignment(12, 4, 3, group_size=3)
 
 
 # ---------------------------------------------------------------------------

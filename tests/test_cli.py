@@ -400,6 +400,14 @@ def _pairless_grouped(data):
     (["build", "-K", "6", "-N", "3", "--nr", "2", "--kc", "5", "-L", "0",
       "--out", "{tmp}/zero.json"], 2),
     (["verify", "--scheme", "{negative_length}"], 3),
+    (["build", "-K", "6", "-N", "0", "--nr", "1", "--kc", "1",
+      "--out", "{tmp}/s.json"], 2),
+    (["build", "-K", "6", "-N", "0", "--nr", "1", "--kc", "1",
+      "--assignment", "cyclic", "--out", "{tmp}/s.json"], 2),
+    (["verify", "-K", "6", "-N", "0", "--nr", "0", "--kc", "1",
+      "--assignment", "general"], 2),
+    (["build", "-K", "6", "-N", "1", "--nr", "0", "--kc", "1",
+      "--assignment", "grouped", "--out", "{tmp}/s.json"], 2),
 ])
 def test_bad_input_exits_with_documented_code_and_no_traceback(
     tmp_path, argv, expected

@@ -148,6 +148,15 @@ def test_encode_matches_the_per_subproblem_reference():
     assert ("large", True, False) in kinds and ("large", False, True) in kinds
 
 
+@pytest.mark.parametrize("name,scheme", list(sample_schemes()))
+def test_encoder_rejects_workers_outside_the_scheme(name, scheme):
+    n_workers = scheme.params.N
+    for n in (0, n_workers + 1):
+        with pytest.raises(ShapeMismatch, match=f"no worker {n} in a {n_workers}-worker"):
+            scheme.encoder(n)
+    assert scheme.encoder(n_workers).rows == scheme.rows_sent
+
+
 def _constraint_schemes():
     yield "small", bl.build_scheme(
         bl.random_demand(2, 9, FQ, seed=6), cyclic_assignment(9, 3, 2), padding_seed=1
@@ -326,11 +335,12 @@ def test_verify_sample_mode_deterministic():
     assert one == two == []
 
 
-def test_verify_exhaustive_cap():
+def test_verify_exhaustive_cap(monkeypatch):
     f_mat = bl.random_demand(4, 8, FQ, seed=5)
     s = bl.build_scheme(f_mat, cyclic_assignment(8, 4, 3), padding_seed=2)
+    monkeypatch.setattr(cd, "_SUBSET_CAP", 3)  # 4 responder subsets
     with pytest.raises(ShapeMismatch):
-        cd.verify_decodability(s, subset_cap=3)
+        cd.verify_decodability(s)
 
 
 def test_verify_rejects_sub_problem_caps_below_one():

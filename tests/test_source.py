@@ -7,8 +7,8 @@ import pytest
 
 ROOT = Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "linsep").glob("*.py"))
-# What may keep a public name alive: the library, the demos, the benchmark
-# and the acceptance tests, which stand for the paper's claims.
+# What may keep a public name or an option alive: the library, the demos, the
+# benchmark and the acceptance tests, which stand for the paper's claims.
 USERS = [
     *SOURCES,
     *sorted((ROOT / "demos").glob("*.py")),
@@ -83,16 +83,36 @@ def test_unreferenced_private_name_is_reported():
     assert _unreferenced_private_names(trees) == ["a._Gone (line 4)"]
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _public_defs(tree: ast.Module):
+    """(class name or None, node) of every public module-level function and
+    class, and of every public method and property of those classes."""
+    for node in tree.body:
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)) and not node.name.startswith("_"):
+            yield None, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, FUNCTIONS) and not item.name.startswith("_"):
+                        yield node.name, item
+
+
+def _qualified(module: str, owner: str | None, node: ast.AST) -> str:
+    return ".".join(filter(None, (module, owner, node.name))) + f" (line {node.lineno})"
+
+
 def _test_only_public_names(trees: dict[str, ast.Module], users) -> list[str]:
-    """Public module-level functions and classes that no user's code names."""
+    """Public functions, classes, methods and properties no user's code names.
+
+    A class that no user names is reported once, not with its members.
+    """
     used = _referenced(users)
     return [
-        f"{module}.{node.name} (line {node.lineno})"
+        _qualified(module, owner, node)
         for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in used
+        for owner, node in _public_defs(tree)
+        if node.name not in used and (owner is None or owner in used)
     ]
 
 
@@ -115,6 +135,105 @@ def test_public_name_only_tests_use_is_reported():
     ]
     assert _test_only_public_names(trees, users) == [
         "field.tested (line 4)", "field.Gone (line 7)",
+    ]
+
+
+def test_public_method_only_tests_use_is_reported():
+    trees = {
+        "assignment": ast.parse(
+            "class Assignment:\n"
+            "    def holders(self, k):\n        pass\n\n"
+            "    def replication(self, k):\n        return len(self.holders(k))\n\n"
+            "    @property\n    def width(self):\n        pass\n\n"
+            "    @property\n    def load(self):\n        pass\n\n"
+            "    def _private(self):\n        pass\n"
+        ),
+    }
+    users = [
+        trees["assignment"],
+        ast.parse("from assignment import Assignment\nAssignment().width\n"),
+    ]
+    assert _test_only_public_names(trees, users) == [
+        "assignment.Assignment.replication (line 5)", "assignment.Assignment.load (line 13)",
+    ]
+
+
+def _calls(users) -> dict[str, list[ast.Call]]:
+    """Every call in the users, by the name or attribute it calls."""
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in users:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                for name in _named(node.func):
+                    calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _defaulted(fn: ast.FunctionDef, method: bool) -> list[tuple[str, int | None]]:
+    """Each parameter with a default, with the index of the positional
+    argument that reaches it in a call (None: keyword-only)."""
+    bound = method and not any(_named(d) == ["staticmethod"] for d in fn.decorator_list)
+    positional = [*fn.args.posonlyargs, *fn.args.args][int(bound):]
+    first = len(positional) - len(fn.args.defaults)
+    return [(a.arg, i) for i, a in enumerate(positional) if i >= first] + [
+        (a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None
+    ]
+
+
+def _passes(call: ast.Call, param: str, position: int | None) -> bool:
+    """Whether a call passes ``param``; ``*args`` or ``**kwargs`` may pass any."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if position is not None and len(call.args) > position:
+        return True
+    return any(k.arg in (None, param) for k in call.keywords)
+
+
+def _options_no_user_sets(trees: dict[str, ast.Module], users) -> list[str]:
+    """Defaulted parameters of public functions and methods that no call passes.
+
+    Calls match by the name they call, so a parameter that some call of
+    another function of the same name passes counts as set.
+    """
+    calls = _calls(users)
+    return [
+        f"{_qualified(module, owner, node)}: {param}"
+        for module, tree in trees.items()
+        for owner, node in _public_defs(tree)
+        if isinstance(node, FUNCTIONS)
+        for param, position in _defaulted(node, owner is not None)
+        if not any(_passes(call, param, position) for call in calls.get(node.name, ()))
+    ]
+
+
+def test_every_option_is_set_by_a_user_outside_the_tests():
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    users = [ast.parse(path.read_text()) for path in USERS]
+    assert _options_no_user_sets(trees, users) == []
+
+
+def test_option_only_tests_set_is_reported():
+    trees = {
+        "codec": ast.parse(
+            "def verify(scheme, mode='all', seed=0, cap=10, *, strict=False, tries=3):\n"
+            "    pass\n\n"
+            "class Scheme:\n"
+            "    def encoder(self, n, check=True):\n        pass\n\n"
+            "    @staticmethod\n    def make(k, q=7):\n        pass\n\n"
+            "def _private(x=1):\n    pass\n\n"
+            "def build(k, seed=0):\n    pass\n"
+        ),
+    }
+    users = [
+        trees["codec"],
+        ast.parse(
+            "import codec\ncodec.verify(s, 'some', tries=2)\n"
+            "s.encoder(1)\nScheme.make(3, 5)\nbuild(3, **options)\n"
+        ),
+    ]
+    assert _options_no_user_sets(trees, users) == [
+        "codec.verify (line 1): seed", "codec.verify (line 1): cap",
+        "codec.verify (line 1): strict", "codec.Scheme.encoder (line 5): check",
     ]
 
 
