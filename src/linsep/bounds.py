@@ -36,9 +36,9 @@ class Params:
         if self.K < 1 or self.N < 1:
             raise ShapeMismatch("K and N must be positive")
         if not (1 <= self.N_r <= self.N):
-            raise ShapeMismatch(f"need 1 <= N_r <= N, got N_r={self.N_r}")
+            raise ShapeMismatch(f"need 1 <= N_r <= N, got N_r={self.N_r}, N={self.N}")
         if not (1 <= self.K_c <= self.K):
-            raise ShapeMismatch(f"need 1 <= K_c <= K, got K_c={self.K_c}")
+            raise ShapeMismatch(f"need 1 <= K_c <= K, got K_c={self.K_c}, K={self.K}")
 
     @property
     def a(self) -> int:

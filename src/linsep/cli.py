@@ -138,6 +138,7 @@ def _load_demand(path: str, f: Field) -> DemandMatrix:
 
 
 def _build_scheme(args, f: Field, seed: int) -> Scheme:
+    bd.Params(K=args.K, N=args.N, N_r=args.nr, K_c=args.kc)  # raises on a bad point
     if args.demand_file:
         demand = _load_demand(args.demand_file, f)
         if demand.k != args.K or demand.k_c != args.kc:
@@ -179,24 +180,21 @@ def cmd_build(args, seed: int) -> int:
     f = Field(args.q)
     scheme = _build_scheme(args, f, seed)
     text = serialize.dumps(scheme)
-    try:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return IO_ERROR
+    with open(args.out, "w") as fh:
+        fh.write(text)
     print(f"regime: {scheme.regime}")
     print(f"workers: {scheme.params.N} x {scheme.rows_sent} rows")
     print(f"wrote {args.out}")
     return 0
 
 
-def _parse_mode(mode: str) -> tuple[str, int | None]:
+def _parse_mode(mode: str) -> int | None:
+    """The sample count of a ``--mode``; None for an exhaustive check."""
     if mode == "exhaustive":
-        return "exhaustive", None
+        return None
     if mode.startswith("sample:"):
         try:
-            return "sample", int(mode.split(":", 1)[1])
+            return int(mode.split(":", 1)[1])
         except ValueError:
             pass
     raise LinsepError(f"unknown mode {mode!r} (use exhaustive or sample:<count>)")
@@ -210,32 +208,20 @@ _SCHEME_FLAGS = {
 
 
 def cmd_verify(args, seed: int) -> int:
-    mode, count = _parse_mode(args.mode)
+    count = _parse_mode(args.mode)
     if args.scheme:
         for dest, flag in _SCHEME_FLAGS.items():
             if getattr(args, dest) is not None:
                 raise LinsepError(f"{flag} cannot be combined with --scheme")
-        try:
-            with open(args.scheme, "rb") as fh:
-                text = fh.read()
-        except OSError as exc:
-            print(f"error: cannot read {args.scheme}: {exc}", file=sys.stderr)
-            return IO_ERROR
-        try:
-            scheme = serialize.loads(text)
-        except MalformedScheme as exc:
-            print(f"error: malformed scheme file: {exc}", file=sys.stderr)
-            return IO_ERROR
+        with open(args.scheme, "rb") as fh:
+            scheme = serialize.loads(fh.read())
     else:
         if None in (args.K, args.N, args.nr, args.kc):
-            print("error: verify needs --scheme or -K/-N/--nr/--kc", file=sys.stderr)
-            return USAGE_ERROR
+            raise LinsepError("verify needs --scheme or -K/-N/--nr/--kc")
         args.q = DEFAULT_MODULUS if args.q is None else args.q
         args.assignment = args.assignment or "auto"
         scheme = _build_scheme(args, Field(args.q), seed)
-    failures = verify_decodability(
-        scheme, mode=mode, sample_count=count, seed=derive_seed(seed, "verify")
-    )
+    failures = verify_decodability(scheme, count, seed=derive_seed(seed, "verify"))
     if failures:
         for sub in failures:
             print(f"FAIL subset={{{','.join(map(str, sub))}}} seed={seed}")
@@ -245,30 +231,26 @@ def cmd_verify(args, seed: int) -> int:
     return 0
 
 
-def _write_csv(rows: list[dict], columns, out_path: str | None) -> int:
+def _write_csv(rows: list[dict], columns, out_path: str | None) -> None:
     def emit(fh):
         writer = csv.DictWriter(fh, fieldnames=list(columns), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
 
     if out_path:
-        try:
-            with open(out_path, "w", newline="") as fh:
-                emit(fh)
-        except OSError as exc:
-            print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
-            return IO_ERROR
+        with open(out_path, "w", newline="") as fh:
+            emit(fh)
     else:
         emit(sys.stdout)
-    return 0
 
 
 def _grid_points(args) -> list[GridPoint]:
     """Every valid (K, N, N_r, K_c) of the flag lists, as simulate points.
 
-    Every placement but the grouped one runs as the auto scheme, which is the
-    cyclic one where N divides K; ``--assignment cyclic`` requires that it
-    does at every point.
+    Invalid combinations are skipped; a grid with none left is a usage
+    error.  Every placement but the grouped one runs as the auto scheme,
+    which is the cyclic one where N divides K; ``--assignment cyclic``
+    requires that it does at every point.
     """
     assignment = getattr(args, "assignment", None)
     kind = "grouped" if assignment == "grouped" else "auto"
@@ -280,6 +262,8 @@ def _grid_points(args) -> list[GridPoint]:
         for k_c in args.kc
         if 1 <= n_r <= n and 1 <= k_c <= k
     ]
+    if not points:
+        raise LinsepError("the grid has no point with 1 <= N_r <= N and 1 <= K_c <= K")
     if assignment == "cyclic":
         for pt in points:
             cyclic_assignment(pt.k, pt.n, pt.n_r)  # raises where N does not divide K
@@ -289,13 +273,7 @@ def _grid_points(args) -> list[GridPoint]:
 def cmd_simulate(args, seed: int) -> int:
     f = Field(args.q)  # a bad modulus is a usage error even with no trials
     points = _grid_points(args)
-    log_fh = None
-    if args.trial_log:
-        try:
-            log_fh = open(args.trial_log, "w")
-        except OSError as exc:
-            print(f"error: cannot write {args.trial_log}: {exc}", file=sys.stderr)
-            return IO_ERROR
+    log_fh = open(args.trial_log, "w") if args.trial_log else None
     try:
         demand = None
         if args.demand_file:
@@ -307,9 +285,7 @@ def cmd_simulate(args, seed: int) -> int:
     finally:
         if log_fh:
             log_fh.close()
-    code = _write_csv(rows, SWEEP_COLUMNS, args.out)
-    if code:
-        return code
+    _write_csv(rows, SWEEP_COLUMNS, args.out)
     total_failures = sum(int(r["failures"]) for r in rows)
     print(f"total failures: {total_failures}", file=sys.stderr)
     return 0
@@ -323,9 +299,8 @@ def cmd_bounds(args) -> int:
             "K": pt.k, "N": pt.n, "N_r": pt.n_r, "K_c": pt.k_c,
             "converse": v.converse, "achievable": v.achievable, "status": v.status,
         })
-    return _write_csv(
-        rows, ("K", "N", "N_r", "K_c", "converse", "achievable", "status"), args.out
-    )
+    _write_csv(rows, ("K", "N", "N_r", "K_c", "converse", "achievable", "status"), args.out)
+    return 0
 
 
 def main(argv=None) -> int:
@@ -353,6 +328,9 @@ def main(argv=None) -> int:
         return IO_ERROR
     except MalformedDemand as exc:
         print(f"error: malformed demand file: {exc}", file=sys.stderr)
+        return IO_ERROR
+    except MalformedScheme as exc:
+        print(f"error: malformed scheme file: {exc}", file=sys.stderr)
         return IO_ERROR
     except LinsepError as exc:
         print(f"error: {exc}", file=sys.stderr)

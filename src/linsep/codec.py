@@ -9,8 +9,9 @@ Decoding and verification share one system per responder set, built by
 rows of ``Scheme.code``, or for the grouped scheme the null vectors of the
 complements of the responder pairs.
 Verification ranks those systems.  Decoding is linear in the answers: it
-multiplies them by the demand rows of the systems' inverses, a map cached
-per scheme and responder set, and in the large regime by a per-scheme map
+multiplies them by the demand rows of the systems' inverses (for the grouped
+scheme, times the sums of each responder pair's shares), a map cached per
+scheme and responder set, and in the large regime by a per-scheme map
 that rebuilds every demand row from the MDS-coded symbols.  The simulation
 harness cross-checks the result by a direct message-space product.
 """
@@ -163,30 +164,6 @@ def _systems(scheme: Scheme, subsets, sampled=None) -> np.ndarray:
     return rows.reshape(b, s, n_r * per, t)
 
 
-def _answer_rows(scheme: Scheme, answers) -> np.ndarray:
-    """What the responders' ``_systems`` map to, ``(S, t, symbols)``.
-
-    Sub-problem s takes each responder's answer rows of s, in responder
-    order.  A grouped pair's row is the sum of the pair's shares of its
-    complement's combination: a responder's three shares are its two sent
-    rows and their combination by its relation.
-    """
-    if scheme.grouped is None:
-        s, _, per, _ = scheme.code.shape
-        return np.concatenate([a.x.array.reshape(s, per, -1) for a in answers], axis=1)
-    q, relations = scheme.params.q, scheme.grouped.relations
-    shares = {}
-    for a in answers:
-        third = (relations[a.worker - 1, :, None] * a.x.array % q).sum(axis=0) % q
-        shares[a.worker] = np.vstack([a.x.array, third])
-    sums = []
-    for pair in combinations(shares, 2):
-        tag = _complement(scheme, pair)
-        rows = [shares[n][grouped_tags(scheme.params.N, n).index(tag)] for n in pair]
-        sums.append(sum(rows) % q)
-    return np.array(sums)[None]
-
-
 _DECODE_CACHE = 64  # maps kept; a served (6, 4) scheme decodes from 15 sets
 
 
@@ -199,16 +176,43 @@ def _inverses(stack: np.ndarray, q: int, failure: str):
     return inv, None if ok.all() else failure.format(ok.argmin() + 1)
 
 
+def _pair_sums(scheme: Scheme, responders: tuple[int, ...]) -> np.ndarray:
+    """Grouped scheme: the pair sums as weights on the responders' sent rows.
+
+    Row i of the ``(C(N_r, 2), 2 N_r)`` result sums the shares that pair i
+    of ``responders``, in pair order, holds of its complement's combination.
+    A responder's shares 0 and 1 are its two sent rows, and share 2 is their
+    combination by its relation (a, b).
+    """
+    n, relations = scheme.params.N, scheme.grouped.relations
+    shares = np.concatenate([np.broadcast_to(np.eye(2, dtype=np.int64), (n, 2, 2)),
+                             relations[:, None]], axis=1)  # (N, 3, 2)
+    out = np.zeros((comb(len(responders), 2), 2 * len(responders)), dtype=np.int64)
+    for i, pair in enumerate(combinations(range(len(responders)), 2)):
+        tag = _complement(scheme, [responders[j] for j in pair])
+        for j in pair:
+            share = grouped_tags(n, responders[j]).index(tag)
+            out[i, 2 * j : 2 * j + 2] = shares[responders[j] - 1, share]
+    return out
+
+
 @lru_cache(maxsize=_DECODE_CACHE)
 def _responder_map(scheme: Scheme, responders: tuple[int, ...]):
-    """D_A by sub-problem, ``(S, t - padding_rows, t)``, and None or why not.
+    """D_A by sub-problem, ``(S, t - padding_rows, rows)``, and None or why not.
 
-    Sub-problem s's rows are the demand rows of the inverse of the
-    responders' system s of ``_systems``, so they map ``_answer_rows`` to it.
+    It maps the responders' answer rows of sub-problem s, in responder
+    order, to the demand rows of s: they are the demand rows of the inverse
+    of the responders' system s of ``_systems``, times ``_pair_sums`` for
+    the grouped scheme.
     """
     failure = "sub-problem {}: stacked code rows are singular"
-    inv, detail = _inverses(_systems(scheme, [responders])[0], scheme.params.q, failure)
-    return inv[:, : inv.shape[1] - scheme.padding_rows], detail
+    q = scheme.params.q
+    inv, detail = _inverses(_systems(scheme, [responders])[0], q, failure)
+    d_a = inv[:, : inv.shape[1] - scheme.padding_rows]
+    if scheme.grouped is not None:
+        d_a = fl._mul_batch(d_a, _pair_sums(scheme, responders), q)
+        d_a.setflags(write=False)
+    return d_a, detail
 
 
 @lru_cache(maxsize=_DECODE_CACHE)
@@ -232,7 +236,8 @@ def decode(scheme: Scheme, answers) -> DecodeReport:
     answers = _check_answers(scheme, answers)
     responders = tuple(a.worker for a in answers)
     f, q = scheme.demand.field, scheme.params.q
-    l_total = answers[0].x.cols * scheme.split_count
+    cols = answers[0].x.cols
+    l_total = cols * scheme.split_count
     if l_total == 0:
         raise ShapeMismatch("answers carry no symbols")
     cost = Fraction(sum(a.t_n for a in answers), l_total)
@@ -241,7 +246,9 @@ def decode(scheme: Scheme, answers) -> DecodeReport:
         at, inv, detail = _reconstruction_map(scheme)
     if detail is not None:
         return DecodeReport(responders, False, None, cost, detail)
-    parts = fl._mul_batch(d_a, _answer_rows(scheme, answers), q)
+    rows = [a.x.array.reshape(len(d_a), -1, cols) for a in answers]
+    # Stacked as a temporary: held through the reconstruction, it cost ~8 % a block.
+    parts = fl._mul_batch(d_a, np.concatenate(rows, axis=1), q)
     if scheme.mds is not None:
         parts = fl._mul_batch(inv, parts.reshape(-1, parts.shape[2])[at], q)
     raw = FMatrix._of(f, parts.reshape(-1, l_total))
@@ -283,36 +290,33 @@ _SUBSET_CAP = 10**6  # responder subsets an exhaustive list may enumerate
 
 
 def responder_subsets(
-    n: int, n_r: int, mode: str = "exhaustive", sample_count: int | None = None,
-    seed: int = 0,
+    n: int, n_r: int, sample_count: int | None = None, seed: int = 0
 ) -> list[tuple[int, ...]]:
+    """Every N_r-subset of the N workers, or a seeded sample of ``sample_count``."""
     total = comb(n, n_r)
-    if mode == "exhaustive":
+    if sample_count is None:
         if total > _SUBSET_CAP:
             raise ShapeMismatch(
                 f"{total} responder subsets exceed the exhaustive cap {_SUBSET_CAP}"
             )
         return list(combinations(range(1, n + 1), n_r))
-    if mode == "sample":
-        if sample_count is not None and sample_count < 1:
-            raise ShapeMismatch(f"sample count must be at least 1, got {sample_count}")
-        count = min(sample_count or 1, total)
-        stream = ElementStream(fl.Field(fl.DEFAULT_MODULUS), derive_seed(seed, "subsets"))
-        return [_unrank_combination(n, n_r, i) for i in _sample_distinct(total, count, stream)]
-    raise ShapeMismatch(f"unknown verification mode {mode!r}")
+    if sample_count < 1:
+        raise ShapeMismatch(f"sample count must be at least 1, got {sample_count}")
+    stream = ElementStream(fl.Field(fl.DEFAULT_MODULUS), derive_seed(seed, "subsets"))
+    indices = _sample_distinct(total, min(sample_count, total), stream)
+    return [_unrank_combination(n, n_r, i) for i in indices]
 
 
 def verify_decodability(
     scheme: Scheme,
-    mode: str = "exhaustive",
     sample_count: int | None = None,
     seed: int = 0,
     subproblem_cap: int = 200,
 ) -> list[tuple[int, ...]]:
     """Responder subsets with a system of ``_systems`` that is not invertible.
 
-    Exhaustive over responder subsets, at most ``_SUBSET_CAP`` of them (or a
-    seeded sample of ``sample_count`` of them).  Large-regime schemes with
+    Exhaustive over responder subsets, at most ``_SUBSET_CAP`` of them, or
+    a seeded sample of ``sample_count`` of them.  Large-regime schemes with
     more than ``subproblem_cap`` coded sub-problems (one per window of the
     design, K_c/gcd(K_c, t) of them) are checked on a deterministic seeded
     sample of sub-problems.  The stacks go through the batched rank a block
@@ -322,7 +326,7 @@ def verify_decodability(
     """
     if subproblem_cap < 1:
         raise ShapeMismatch(f"sub-problem cap must be at least 1, got {subproblem_cap}")
-    subsets = responder_subsets(scheme.params.N, scheme.params.N_r, mode, sample_count, seed)
+    subsets = responder_subsets(scheme.params.N, scheme.params.N_r, sample_count, seed)
     q = scheme.params.q
     sampled = None
     if scheme.mds is not None and len(scheme.code) > subproblem_cap:

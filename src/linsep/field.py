@@ -328,14 +328,13 @@ def _chunks(a: np.ndarray, q: int):
         yield a[lo : lo + step] % q
 
 
-def _eliminate(a: np.ndarray, q: int, full: bool) -> np.ndarray:
+def _eliminate(a: np.ndarray, q: int) -> np.ndarray:
     """Fraction-free elimination of a reduced stack in place; pivot columns.
 
     Per matrix and column, the pivot is the first nonzero row at or below
-    the matrix's current row, swapped up to it.  Rows below the
-    pivot (and above it too when ``full``) become ``row * pivot - factor *
-    pivot row``.  Returns the ``(B, m)`` pivot columns, -1 past each matrix's
-    rank.
+    the matrix's current row, swapped up to it.  Every other row becomes
+    ``row * pivot - factor * pivot row``.  Returns the ``(B, m)`` pivot
+    columns, -1 past each matrix's rank.
     """
     b, m, n = a.shape
     pivots = np.full((b, m), -1, dtype=np.intp)
@@ -353,7 +352,7 @@ def _eliminate(a: np.ndarray, q: int, full: bool) -> np.ndarray:
         prow = sub[k, p]
         sub[k, p] = sub[k, rr]
         sub[k, rr] = prow
-        hit = rows != rr[:, None] if full else rows > rr[:, None]
+        hit = rows != rr[:, None]
         factor = np.where(hit, sub[:, :, c], 0)
         scale = np.where(hit, prow[:, c, None], 1)
         a[idx] = (sub * scale[:, :, None] - factor[:, :, None] * prow[:, None, :]) % q
@@ -380,13 +379,13 @@ def _inv_vec(x: np.ndarray, q: int) -> np.ndarray:
 def _rank_batch(a: np.ndarray, q: int) -> np.ndarray:
     """Ranks of every matrix of a ``(B, m, n)`` stack."""
     return np.concatenate(
-        [(_eliminate(c, q, False) >= 0).sum(axis=1) for c in _chunks(a, q)]
+        [(_eliminate(c, q) >= 0).sum(axis=1) for c in _chunks(a, q)]
     )
 
 
 def _rref_chunk(c: np.ndarray, q: int) -> np.ndarray:
     """RREF of a reduced chunk in place; its pivot columns, -1 padded."""
-    piv = _eliminate(c, q, True)
+    piv = _eliminate(c, q)
     lead = np.ones(piv.shape, dtype=np.int64)
     bb, ii = np.nonzero(piv >= 0)
     lead[bb, ii] = c[bb, ii, piv[bb, ii]]

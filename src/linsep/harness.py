@@ -225,22 +225,16 @@ def sweep(grid, trials_per_point: int, seed: int, on_trial=None, *,
 
 
 def kc_for_free_check(n: int, n_r: int, trials: int, seed: int) -> dict:
-    """Verify the flat-cost window when K = N.
+    """Verify the flat-cost window when K = N, by a ``sweep`` over K_c.
 
     For every demand size up to N_r the measured cost should sit at N_r
     (extra combinations cost nothing); at N_r + 1 it should jump to K_c.
+    With no trials nothing is verified, and ``ok`` is False.
     """
-    costs = {}
-    ok = True
-    upper = min(n_r + 1, n)
-    for k_c in range(1, upper + 1):
-        worst = Fraction(0)
-        for trial in range(trials):
-            base = derive_seed(seed, "free", k_c, trial)
-            result = run_trial(TrialConfig.seeded(base, k=n, n=n, n_r=n_r, k_c=k_c))
-            ok = ok and result.all_ok
-            worst = max(worst, result.measured_cost)
-        costs[k_c] = worst
-        expected = n_r if k_c <= n_r else k_c
-        ok = ok and worst == expected
+    grid = [GridPoint(n, n, n_r, k_c) for k_c in range(1, min(n_r + 1, n) + 1)]
+    rows = sweep(grid, trials, seed)
+    costs = {r["K_c"]: Fraction(r["measured_cost"]) for r in rows}
+    ok = trials >= 1 and all(
+        r["failures"] == 0 and costs[r["K_c"]] == max(n_r, r["K_c"]) for r in rows
+    )
     return {"N": n, "N_r": n_r, "costs": costs, "ok": ok}

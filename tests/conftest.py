@@ -24,6 +24,7 @@ import numpy as np
 from linsep import codec as cd
 from linsep import field as fl
 from linsep.assignment import CYCLIC
+from linsep.builder import grouped_tags
 from linsep.errors import ShapeMismatch
 from linsep.field import FMatrix
 
@@ -180,11 +181,36 @@ def ref_encode(scheme, n, w):
     return out
 
 
+def _ref_answer_rows(scheme, answers):
+    """What the responders' ``_systems`` map to, ``(S, t, symbols)``.
+
+    Sub-problem s takes each responder's answer rows of s, in responder
+    order.  A grouped pair's row is the sum of the pair's shares of its
+    complement's combination: a responder's three shares are its two sent
+    rows and their combination by its relation.
+    """
+    if scheme.grouped is None:
+        s, _, per, _ = scheme.code.shape
+        return np.concatenate([a.x.array.reshape(s, per, -1) for a in answers], axis=1)
+    q, relations = scheme.params.q, scheme.grouped.relations
+    shares = {}
+    for a in answers:
+        third = (relations[a.worker - 1, :, None] * a.x.array % q).sum(axis=0) % q
+        shares[a.worker] = np.vstack([a.x.array, third])
+    sums = []
+    for pair in combinations(shares, 2):
+        tag = tuple(x for x in range(1, scheme.params.N + 1) if x not in pair)
+        rows = [shares[n][grouped_tags(scheme.params.N, n).index(tag)] for n in pair]
+        sums.append(sum(rows) % q)
+    return np.array(sums)[None]
+
+
 def ref_decode(scheme, answers):
     """``decode``'s report, by batched solves beside the answer rows.
 
-    One solve of the responders' ``_systems`` beside their ``_answer_rows``
-    keeps each sub-problem's demand rows; the large regime then solves, per
+    One solve of the responders' ``_systems`` beside their answer rows, with
+    a grouped scheme's pair sums formed block by block, keeps each
+    sub-problem's demand rows; the large regime then solves, per
     demand row, the Vandermonde rows of the m windows holding it beside the
     row's symbols in them.
     """
@@ -196,7 +222,7 @@ def ref_decode(scheme, answers):
         raise ShapeMismatch("answers carry no symbols")
     cost = Fraction(sum(a.t_n for a in answers), l_total)
     aug = np.concatenate(
-        [cd._systems(scheme, [responders])[0], cd._answer_rows(scheme, answers)], axis=2
+        [cd._systems(scheme, [responders])[0], _ref_answer_rows(scheme, answers)], axis=2
     )
     x, ok = fl._solve_batch(aug, q)
     if not ok.all():

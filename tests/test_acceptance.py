@@ -271,7 +271,7 @@ def test_acceptance_8_property_suites():
         scheme = bl.build_auto(demand, n, n_r, padding_seed=fl.derive_seed(seed, "p"))
         l = scheme.params.L or 1 + trial % 3
         w = cd.random_messages(k, l, FQ, fl.derive_seed(seed, "w"))
-        a_set = cd.responder_subsets(n, n_r, "sample", 1, seed=seed)[0]
+        a_set = cd.responder_subsets(n, n_r, 1, seed=seed)[0]
         rep = cd.decode(scheme, [cd.encode_worker(scheme, x, w) for x in a_set])
         assert rep.success, (k, n, n_r, k_c, a_set)
         oracle = ref_matmul(demand.matrix.to_lists(), w.w.to_lists(), Q)

@@ -161,6 +161,46 @@ def test_unreadable_demand_file_is_an_io_error(tmp_path, capsys):
         assert code == 3 and err.count("error: ") == 1, demand
 
 
+POINT = ("-K", "3", "-N", "3", "--nr", "2", "--kc", "2")
+
+
+@pytest.mark.parametrize("argv", [
+    ("build", *POINT, "--out"),
+    ("simulate", *POINT, "--trials", "1", "--out"),
+    ("simulate", *POINT, "--trials", "1", "--trial-log"),
+    ("bounds", *POINT, "--out"),
+], ids=["build-out", "simulate-out", "simulate-trial-log", "bounds-out"])
+def test_unwritable_output_is_an_io_error(tmp_path, capsys, argv):
+    """A path under a missing directory exits 3 with one error line naming it."""
+    path = str(tmp_path / "missing" / "out")
+    code, out, err = run(capsys, *argv, path)
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert code == 3 and out == ""
+    assert len(errors) == 1 and path in errors[0] and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "-K", "6", "-N", "0", "--nr", "1", "--kc", "1", "--trials", "1"),
+    ("bounds", "-K", "3", "-N", "4", "--nr", "5", "--kc", "9"),
+], ids=["simulate", "bounds"])
+def test_a_grid_with_no_valid_point_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "error: the grid has no point" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("build", "-K", "0", "-N", "1", "--nr", "1", "--kc", "1", "--out", "{out}"),
+     "error: K and N must be positive"),
+    (("verify", "-K", "6", "-N", "3", "--nr", "2", "--kc", "0"),
+     "error: need 1 <= K_c <= K, got K_c=0, K=6"),
+], ids=["build-K", "verify-kc"])
+def test_a_zero_count_is_named_by_its_parameter(tmp_path, capsys, argv, message):
+    path = tmp_path / "s.json"
+    code, out, err = run(capsys, *(a.format(out=path) for a in argv))
+    assert code == 2 and out == "" and message in err
+    assert "random_matrix" not in err and not path.exists()
+
+
 def test_demand_entries_of_any_size_reduce_mod_q(tmp_path, capsys):
     q = fl.DEFAULT_MODULUS
     rows = [[1, 1, 1], [1, 2, 3]]

@@ -330,8 +330,8 @@ def test_verify_flags_known_bad_demand():
 def test_verify_sample_mode_deterministic():
     f_mat = bl.random_demand(4, 8, FQ, seed=5)
     s = bl.build_scheme(f_mat, cyclic_assignment(8, 4, 3), padding_seed=2)
-    one = cd.verify_decodability(s, mode="sample", sample_count=3, seed=11)
-    two = cd.verify_decodability(s, mode="sample", sample_count=3, seed=11)
+    one = cd.verify_decodability(s, sample_count=3, seed=11)
+    two = cd.verify_decodability(s, sample_count=3, seed=11)
     assert one == two == []
 
 
@@ -355,12 +355,10 @@ def test_verify_rejects_sub_problem_caps_below_one():
 def test_responder_subsets_rejects_sample_counts_below_one():
     for count in (0, -3):
         with pytest.raises(ShapeMismatch):
-            cd.responder_subsets(3, 2, "sample", count)
-    assert len(cd.responder_subsets(3, 2, "sample")) == 1
+            cd.responder_subsets(3, 2, count)
 
 
-def _scalar_verify(scheme, mode="exhaustive", sample_count=None, seed=0,
-                   subproblem_cap=200):
+def _scalar_verify(scheme, sample_count=None, seed=0, subproblem_cap=200):
     """The per-subset loop verification ran before it was batched.
 
     Every sub-problem's code rows are rebuilt with one scalar null-space call
@@ -368,9 +366,7 @@ def _scalar_verify(scheme, mode="exhaustive", sample_count=None, seed=0,
     stack is ranked on its own with ``_rank_raw``; both are the scalar
     reference kernels of ``conftest``.
     """
-    subsets = cd.responder_subsets(
-        scheme.params.N, scheme.params.N_r, mode, sample_count, seed
-    )
+    subsets = cd.responder_subsets(scheme.params.N, scheme.params.N_r, sample_count, seed)
     q, p = scheme.params.q, scheme.params
     total = len(scheme.padded)
     indices = range(total)
@@ -421,7 +417,7 @@ def test_batched_verify_matches_the_scalar_loop():
             for kwargs in (
                 {},
                 {"subproblem_cap": 3, "seed": seed},
-                {"mode": "sample", "sample_count": 2, "seed": seed},
+                {"sample_count": 2, "seed": seed},
             ):
                 got = cd.verify_decodability(scheme, **kwargs)
                 assert got == _scalar_verify(scheme, **kwargs), (k, n, n_r, k_c, seed)
@@ -434,7 +430,7 @@ def test_batched_verify_matches_the_scalar_loop():
     )
     assert cd.verify_decodability(s) == _scalar_verify(s) == [(1, 3)]
     for count in (1, 2, 3):
-        kwargs = {"mode": "sample", "sample_count": count, "seed": 5}
+        kwargs = {"sample_count": count, "seed": 5}
         assert cd.verify_decodability(s, **kwargs) == _scalar_verify(s, **kwargs)
 
 
@@ -632,6 +628,10 @@ def _large_scheme():
     return bl.build_scheme(bl.random_demand(5, 6, FQ, 8), cyclic_assignment(6, 3, 2))
 
 
+def _grouped_scheme():
+    return bl.build_grouped(bl.demand_from_rows(FQ, DEMAND_3x12), grouped_assignment(12, 4, 3))
+
+
 def test_a_repeated_responder_set_solves_nothing(monkeypatch):
     """The second decode of a (scheme, responders) pair reuses its maps,
     a singular set's failure detail included."""
@@ -651,7 +651,9 @@ def test_a_repeated_responder_set_solves_nothing(monkeypatch):
             singular = scheme, failing[0]
             break
     assert singular is not None
-    for scheme, a_set, success in ((_large_scheme(), (1, 2), True), (*singular, False)):
+    cases = ((_large_scheme(), (1, 2), True), (_grouped_scheme(), (1, 3, 4), True),
+             (*singular, False))
+    for scheme, a_set, success in cases:
         w = cd.random_messages(scheme.params.K, scheme.params.L or 2, scheme.demand.field, 3)
         answers = [cd.encode_worker(scheme, n, w) for n in a_set]
         del calls[:]
@@ -740,13 +742,17 @@ def test_the_decoding_cache_stays_at_its_bound():
 
 
 def test_cached_decoding_maps_are_read_only():
-    scheme = _large_scheme()
+    scheme, grouped = _large_scheme(), _grouped_scheme()
     w = cd.random_messages(6, scheme.params.L, FQ, 4)
     assert cd.decode(scheme, [cd.encode_worker(scheme, n, w) for n in (1, 3)]).success
     d_a, detail = cd._responder_map(scheme, (1, 3))
     at, inv, mds_detail = cd._reconstruction_map(scheme)
     assert detail is None and mds_detail is None
-    for array in (d_a, at, inv):
+    w = cd.random_messages(12, 2, FQ, 4)
+    assert cd.decode(grouped, [cd.encode_worker(grouped, n, w) for n in (1, 2, 4)]).success
+    grouped_d_a, detail = cd._responder_map(grouped, (1, 2, 4))
+    assert detail is None
+    for array in (d_a, at, inv, grouped_d_a):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 1

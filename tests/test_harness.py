@@ -147,3 +147,4 @@ def test_kc_for_free_check_windows():
     assert rep["ok"] and rep["costs"] == {1: 3, 2: 3, 3: 3, 4: 4}
     rep = hn.kc_for_free_check(3, 3, trials=1, seed=9)
     assert rep["ok"] and rep["costs"] == {1: 3, 2: 3, 3: 3}
+    assert not hn.kc_for_free_check(3, 2, trials=0, seed=7)["ok"]

@@ -327,3 +327,48 @@ def test_product_outside_the_kernel_is_reported():
     assert _products_outside_the_kernel(trees) == [
         "field (line 5)", "codec (line 1)", "codec (line 2)", "codec (line 3)", "codec (line 4)",
     ]
+
+
+# Only ``cli.main`` turns an error into an exit code; a command raises.
+ERROR_CODES = {"IO_ERROR", "USAGE_ERROR"}
+
+
+def _error_codes_outside_main(trees: dict[str, ast.Module]) -> list[str]:
+    """Reads of ``ERROR_CODES`` outside ``cli.main``, by module and line."""
+    main = {
+        id(inner)
+        for module, tree in trees.items()
+        if module == "cli"
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "main"
+        for inner in ast.walk(node)
+    }
+    return [
+        f"{module}.{name} (line {line})"
+        for module, tree in trees.items()
+        for line, name in sorted(
+            (node.lineno, name)
+            for node in ast.walk(tree)
+            if id(node) not in main and not isinstance(getattr(node, "ctx", None), ast.Store)
+            for name in _named(node)
+            if name in ERROR_CODES
+        )
+    ]
+
+
+def test_only_the_cli_entry_point_reports_an_error():
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    assert _error_codes_outside_main(trees) == []
+
+
+def test_error_reported_outside_the_entry_point_is_reported():
+    trees = {
+        "cli": ast.parse(
+            "USAGE_ERROR, IO_ERROR = 2, 3\n\ndef cmd(args):\n    return IO_ERROR\n\n"
+            "def main():\n    return USAGE_ERROR\n"
+        ),
+        "codec": ast.parse("from .cli import USAGE_ERROR\nx = cli.IO_ERROR\n"),
+    }
+    assert _error_codes_outside_main(trees) == [
+        "cli.IO_ERROR (line 4)", "codec.USAGE_ERROR (line 1)", "codec.IO_ERROR (line 2)",
+    ]
