@@ -254,8 +254,11 @@ def _grid_points(args) -> list[GridPoint]:
     """
     assignment = getattr(args, "assignment", None)
     kind = "grouped" if assignment == "grouped" else "auto"
+    length = getattr(args, "L", None)
+    if length is not None and length < 1:
+        raise LinsepError(f"-L must be at least 1, got {length}")
     points = [
-        GridPoint(k=k, n=n, n_r=n_r, k_c=k_c, scheme_kind=kind, l=getattr(args, "L", None))
+        GridPoint(k=k, n=n, n_r=n_r, k_c=k_c, scheme_kind=kind, l=length)
         for k in args.K
         for n in args.N
         for n_r in args.nr
@@ -273,6 +276,8 @@ def _grid_points(args) -> list[GridPoint]:
 def cmd_simulate(args, seed: int) -> int:
     f = Field(args.q)  # a bad modulus is a usage error even with no trials
     points = _grid_points(args)
+    if args.trials < 0:
+        raise LinsepError(f"--trials must be at least 0, got {args.trials}")
     log_fh = open(args.trial_log, "w") if args.trial_log else None
     try:
         demand = None

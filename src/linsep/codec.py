@@ -10,10 +10,15 @@ rows of ``Scheme.code``, or for the grouped scheme the null vectors of the
 complements of the responder pairs.
 Verification ranks those systems.  Decoding is linear in the answers: it
 multiplies them by the demand rows of the systems' inverses (for the grouped
-scheme, times the sums of each responder pair's shares), a map cached per
-scheme and responder set, and in the large regime by a per-scheme map
-that rebuilds every demand row from the MDS-coded symbols.  The simulation
-harness cross-checks the result by a direct message-space product.
+scheme, times the sums of each responder pair's shares), and in the large
+regime by a per-scheme map that rebuilds every demand row from the
+MDS-coded symbols.  Both go over a batch axis of responder sets:
+``decode_subsets`` takes many sets a block at a time, inverts every system
+of a block in one solve, a map cached per scheme and block of sets, and
+multiplies all the block's answers in one product; ``decode`` is its batch
+of one.  Verification ranks its systems in blocks of the same size.  The
+simulation harness decodes every responder set of a trial in one call and
+cross-checks each result by a direct message-space product.
 """
 
 from __future__ import annotations
@@ -115,25 +120,35 @@ def _held_encoder(scheme: Scheme, n: int):
 
 
 def _check_answers(scheme: Scheme, answers) -> list[WorkerAnswer]:
+    """Exactly N_r answers, from distinct workers of the scheme, sorted by worker."""
     if len(answers) != scheme.params.N_r:
         raise WrongResponderCount(
             f"need exactly {scheme.params.N_r} answers, got {len(answers)}"
         )
-    ids = [a.worker for a in answers]
-    if len(set(ids)) != len(ids):
-        raise WrongResponderCount("answers must come from distinct workers")
-    if not all(1 <= i <= scheme.params.N for i in ids):
-        raise ShapeMismatch("answer from a worker outside the scheme")
-    rows = scheme.rows_sent
+    return sorted(_answers_by_worker(scheme, answers).values(), key=lambda a: a.worker)
+
+
+def _answers_by_worker(scheme: Scheme, answers) -> dict[int, WorkerAnswer]:
+    """The answers by worker: from distinct workers of the scheme, each of
+    ``rows_sent`` rows over the scheme's field, all of one width."""
+    by_worker: dict[int, WorkerAnswer] = {}
     for a in answers:
+        if a.worker in by_worker:
+            raise WrongResponderCount("answers must come from distinct workers")
+        if not 1 <= a.worker <= scheme.params.N:
+            raise ShapeMismatch("answer from a worker outside the scheme")
+        by_worker[a.worker] = a
+    rows = scheme.rows_sent
+    cols = next((a.x.cols for a in by_worker.values()), 0)
+    for a in by_worker.values():
         if a.x.field.q != scheme.params.q:
             raise ShapeMismatch(f"answer of worker {a.worker} is over another field")
-        if a.x.rows != rows or a.x.cols != answers[0].x.cols:
+        if a.x.rows != rows or a.x.cols != cols:
             raise ShapeMismatch(
                 f"answer of worker {a.worker} is {a.x.rows} x {a.x.cols}, "
-                f"not {rows} x {answers[0].x.cols}"
+                f"not {rows} x {cols}"
             )
-    return sorted(answers, key=lambda a: a.worker)
+    return by_worker
 
 
 def _complement(scheme: Scheme, pair) -> tuple[int, ...]:
@@ -164,16 +179,29 @@ def _systems(scheme: Scheme, subsets, sampled=None) -> np.ndarray:
     return rows.reshape(b, s, n_r * per, t)
 
 
-_DECODE_CACHE = 64  # maps kept; a served (6, 4) scheme decodes from 15 sets
+def _blocks(scheme: Scheme, subsets, sampled=None) -> list:
+    """``subsets`` in consecutive blocks whose ``_systems`` each fit in
+    ``field._BATCH_ELEMENTS`` entries, or hold one subset."""
+    if scheme.grouped is not None:
+        s, t = 1, scheme.grouped.null_vectors.shape[1]
+    else:
+        s, t = len(scheme.code if sampled is None else sampled), scheme.code.shape[3]
+    step = max(1, fl._BATCH_ELEMENTS // (s * t * t))
+    return [subsets[lo : lo + step] for lo in range(0, len(subsets), step)]
 
 
-def _inverses(stack: np.ndarray, q: int, failure: str):
+# Maps kept, each for one block of responder sets, keyed by the tuple of its
+# sets; a served (6, 4) scheme decodes from 15 sets, one set per call.
+_DECODE_CACHE = 64
+
+
+def _inverses(stack: np.ndarray, q: int):
     """Read-only inverses of a ``(B, t, t)`` stack, by one solve against I_t,
-    and None or ``failure`` naming the first singular matrix."""
+    and the ``(B,)`` flags of which matrices are invertible."""
     eye = np.broadcast_to(np.eye(stack.shape[1], dtype=np.int64), stack.shape)
     inv, ok = fl._solve_batch(np.concatenate([stack, eye], axis=2), q)
     inv.setflags(write=False)
-    return inv, None if ok.all() else failure.format(ok.argmin() + 1)
+    return inv, ok
 
 
 def _pair_sums(scheme: Scheme, responders: tuple[int, ...]) -> np.ndarray:
@@ -197,22 +225,28 @@ def _pair_sums(scheme: Scheme, responders: tuple[int, ...]) -> np.ndarray:
 
 
 @lru_cache(maxsize=_DECODE_CACHE)
-def _responder_map(scheme: Scheme, responders: tuple[int, ...]):
-    """D_A by sub-problem, ``(S, t - padding_rows, rows)``, and None or why not.
+def _responder_maps(scheme: Scheme, subsets: tuple[tuple[int, ...], ...]):
+    """D_A of every responder set A of ``subsets``, and per set None or why not.
 
-    It maps the responders' answer rows of sub-problem s, in responder
-    order, to the demand rows of s: they are the demand rows of the inverse
-    of the responders' system s of ``_systems``, times ``_pair_sums`` for
-    the grouped scheme.
+    The maps are sub-problem-major, ``(S, B, t - padding_rows, rows)``: D_A
+    at sub-problem s maps A's answer rows of s, in responder order, to the
+    demand rows of s.  They are the demand rows of the inverses of A's
+    systems of ``_systems``, all B sets' inverted in one solve, times A's
+    ``_pair_sums`` for the grouped scheme.  Read-only.
     """
-    failure = "sub-problem {}: stacked code rows are singular"
     q = scheme.params.q
-    inv, detail = _inverses(_systems(scheme, [responders])[0], q, failure)
-    d_a = inv[:, : inv.shape[1] - scheme.padding_rows]
+    systems = _systems(scheme, subsets)
+    b, s, t, _ = systems.shape
+    inv, ok = _inverses(systems.reshape(b * s, t, t), q)
+    d_a = inv.reshape(b, s, t, t)[:, :, : t - scheme.padding_rows].swapaxes(0, 1)
     if scheme.grouped is not None:
-        d_a = fl._mul_batch(d_a, _pair_sums(scheme, responders), q)
-        d_a.setflags(write=False)
-    return d_a, detail
+        d_a = fl._mul_batch(d_a, np.stack([_pair_sums(scheme, a) for a in subsets]), q)
+    d_a.setflags(write=False)
+    details = tuple(
+        None if good.all() else f"sub-problem {good.argmin() + 1}: stacked code rows are singular"
+        for good in ok.reshape(b, s)
+    )
+    return d_a, details
 
 
 @lru_cache(maxsize=_DECODE_CACHE)
@@ -223,38 +257,82 @@ def _reconstruction_map(scheme: Scheme):
     holding it, at flat (window, position) indices ``at[j]``, in any order.
     Returns ``at``, ``inv``, and None or why not.
     """
-    failure = "component {}: reconstruction stack is singular"
     windows = np.array(scheme.mds.subsets)
     at = np.argsort(windows, axis=None).reshape(scheme.params.K_c, -1)
     at.setflags(write=False)
     vandermonde = scheme.mds.generator_rows(at // windows.shape[1] + 1, scheme.demand.field)
-    return (at, *_inverses(vandermonde, scheme.params.q, failure))
+    inv, ok = _inverses(vandermonde, scheme.params.q)
+    detail = None if ok.all() else f"component {ok.argmin() + 1}: reconstruction stack is singular"
+    return at, inv, detail
 
 
 def decode(scheme: Scheme, answers) -> DecodeReport:
     """Recover the requested combinations from exactly N_r worker answers."""
     answers = _check_answers(scheme, answers)
     responders = tuple(a.worker for a in answers)
+    return _decode_blocks(scheme, dict(zip(responders, answers)), [responders])[0]
+
+
+def decode_subsets(scheme: Scheme, answers, subsets) -> list[DecodeReport]:
+    """Decode from each responder set of ``subsets``, one report per set.
+
+    ``answers`` holds the answer of every worker the sets name, in any
+    order.  Report i is ``decode`` of set i's answers.
+    """
+    n_r = scheme.params.N_r
+    subsets = [tuple(sorted(a_set)) for a_set in subsets]
+    for a_set in subsets:
+        if len(a_set) != n_r:
+            raise WrongResponderCount(f"need exactly {n_r} answers, got {len(a_set)}")
+        if len(set(a_set)) != n_r:
+            raise WrongResponderCount("answers must come from distinct workers")
+    by_worker = _answers_by_worker(scheme, answers)
+    missing = {n for a_set in subsets for n in a_set} - by_worker.keys()
+    if missing:
+        raise ShapeMismatch(f"no answer from worker {min(missing)}")
+    return _decode_blocks(scheme, by_worker, subsets) if subsets else []
+
+
+def _decode_blocks(scheme: Scheme, by_worker: dict, subsets: list) -> list[DecodeReport]:
+    """The reports of checked, sorted responder sets, from checked answers.
+
+    The sets go through in blocks, sized as ``verify_decodability`` sizes
+    its blocks, so that temporaries stay a fixed size for any number of
+    sets.  Per block, one gather stacks the sets' answer rows
+    sub-problem-major, one product multiplies them by the block's
+    ``_responder_maps``, and in the large regime one more rebuilds the
+    demand rows from the coded symbols, and for the fallback one more
+    recombines them.
+    """
+    n_r = scheme.params.N_r
     f, q = scheme.demand.field, scheme.params.q
-    cols = answers[0].x.cols
+    first = by_worker[subsets[0][0]]
+    cols = first.x.cols
     l_total = cols * scheme.split_count
     if l_total == 0:
         raise ShapeMismatch("answers carry no symbols")
-    cost = Fraction(sum(a.t_n for a in answers), l_total)
-    d_a, detail = _responder_map(scheme, responders)
-    if detail is None and scheme.mds is not None:
-        at, inv, detail = _reconstruction_map(scheme)
-    if detail is not None:
-        return DecodeReport(responders, False, None, cost, detail)
-    rows = [a.x.array.reshape(len(d_a), -1, cols) for a in answers]
-    # Stacked as a temporary: held through the reconstruction, it cost ~8 % a block.
-    parts = fl._mul_batch(d_a, np.concatenate(rows, axis=1), q)
+    cost = Fraction(n_r * first.t_n, l_total)  # every answer has one shape
+    mds_detail = None
     if scheme.mds is not None:
-        parts = fl._mul_batch(inv, parts.reshape(-1, parts.shape[2])[at], q)
-    raw = FMatrix._of(f, parts.reshape(-1, l_total))
-    if scheme.recombine is not None:
-        raw = mat_mul(scheme.recombine, raw)
-    return DecodeReport(responders, True, raw, cost)
+        at, inv, mds_detail = _reconstruction_map(scheme)
+    reports = []
+    for block in _blocks(scheme, subsets):
+        d_a, details = _responder_maps(scheme, tuple(block))
+        s, b = d_a.shape[:2]
+        rows = [by_worker[n].x.array.reshape(s, -1, cols) for a_set in block for n in a_set]
+        # Stacked as a temporary: held through the reconstruction, it cost ~8 % a block.
+        parts = fl._mul_batch(d_a, np.concatenate(rows, axis=1).reshape(s, b, -1, cols), q)
+        parts = parts.swapaxes(0, 1)
+        if scheme.mds is not None:
+            parts = fl._mul_batch(inv, parts.reshape(b, -1, cols)[:, at], q)
+        parts = parts.reshape(b, -1, l_total)
+        if scheme.recombine is not None:
+            parts = fl._mul_batch(scheme.recombine.array, parts, q)
+        for a_set, detail, raw in zip(block, details, parts):
+            detail = detail or mds_detail
+            recovered = None if detail else FMatrix._of(f, raw)
+            reports.append(DecodeReport(a_set, detail is None, recovered, cost, detail))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +410,11 @@ def verify_decodability(
     if scheme.mds is not None and len(scheme.code) > subproblem_cap:
         stream = ElementStream(scheme.demand.field, derive_seed(seed, "large-subproblems"))
         sampled = _sample_distinct(len(scheme.code), subproblem_cap, stream)
-    _, s, t, _ = _systems(scheme, subsets[:1], sampled).shape
-    step = max(1, fl._BATCH_ELEMENTS // (s * t * t))
     failing = []
-    for lo in range(0, len(subsets), step):
-        block = subsets[lo : lo + step]
-        ranks = fl._rank_batch(_systems(scheme, block, sampled).reshape(-1, t, t), q)
-        ok = (ranks.reshape(len(block), s) == t).all(axis=1)
+    for block in _blocks(scheme, subsets, sampled):
+        systems = _systems(scheme, block, sampled)
+        b, s, t, _ = systems.shape
+        ok = (fl._rank_batch(systems.reshape(-1, t, t), q).reshape(b, s) == t).all(axis=1)
         failing.extend(a_set for a_set, good in zip(block, ok) if not good)
     return failing
 

@@ -23,7 +23,7 @@ from .builder import (
     expected_cost,
     random_demand,
 )
-from .codec import decode, encode_worker, random_messages, responder_subsets
+from .codec import decode_subsets, encode_worker, random_messages, responder_subsets
 from .errors import ShapeMismatch
 from .field import DEFAULT_MODULUS, Field, derive_seed, mat_mul
 
@@ -137,11 +137,10 @@ def run_trial(cfg: TrialConfig, demand: DemandMatrix | None = None) -> TrialResu
     subsets = responder_subsets(cfg.n, cfg.n_r)
     # A worker's answer does not depend on who else responds: encode it once.
     responders = dict.fromkeys(n for a_set in subsets for n in a_set)
-    answers = {n: encode_worker(scheme, n, messages) for n in responders}
+    answers = [encode_worker(scheme, n, messages) for n in responders]
     successes, matches, failure_seeds = [], [], []
     worst = Fraction(0)
-    for a_set in subsets:
-        report = decode(scheme, [answers[n] for n in a_set])
+    for a_set, report in zip(subsets, decode_subsets(scheme, answers, subsets)):
         successes.append(report.success)
         ok = bool(report.success and report.recovered == oracle)
         matches.append(ok)

@@ -193,7 +193,13 @@ def test_a_grid_with_no_valid_point_is_a_usage_error(capsys, argv):
      "error: K and N must be positive"),
     (("verify", "-K", "6", "-N", "3", "--nr", "2", "--kc", "0"),
      "error: need 1 <= K_c <= K, got K_c=0, K=6"),
-], ids=["build-K", "verify-kc"])
+    (("simulate", "-K", "6", "-N", "3", "--nr", "2", "--kc", "2", "-L", "0", "--trials", "1"),
+     "error: -L must be at least 1, got 0"),
+    (("simulate", "-K", "6", "-N", "3", "--nr", "2", "--kc", "5", "-L", "-3", "--trials", "1"),
+     "error: -L must be at least 1, got -3"),
+    (("simulate", "-K", "6", "-N", "3", "--nr", "2", "--kc", "2", "--trials", "-1"),
+     "error: --trials must be at least 0, got -1"),
+], ids=["build-K", "verify-kc", "simulate-L", "simulate-large-L", "simulate-trials"])
 def test_a_zero_count_is_named_by_its_parameter(tmp_path, capsys, argv, message):
     path = tmp_path / "s.json"
     code, out, err = run(capsys, *(a.format(out=path) for a in argv))
@@ -448,6 +454,8 @@ def _pairless_grouped(data):
       "--assignment", "general"], 2),
     (["build", "-K", "6", "-N", "1", "--nr", "0", "--kc", "1",
       "--assignment", "grouped", "--out", "{tmp}/s.json"], 2),
+    (["simulate", "-K", "6", "-N", "3", "--nr", "2", "--kc", "2",
+      "--trials", "-1"], 2),
 ])
 def test_bad_input_exits_with_documented_code_and_no_traceback(
     tmp_path, argv, expected

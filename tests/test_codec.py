@@ -239,6 +239,29 @@ def test_decode_requires_exactly_n_r_distinct_answers():
         cd.decode(s, [a1, a2, cd.encode_worker(s, 3, w)])
 
 
+def test_decode_subsets_rejects_a_set_it_cannot_decode_typed():
+    """A set naming a worker with no answer, a repeated worker or too few
+    workers raises a typed error, wherever it stands among good sets."""
+    s = bl.build_scheme(bl.demand_from_rows(FQ, DEMAND_4x6), cyclic_assignment(6, 3, 2))
+    w = cd.random_messages(6, 2, FQ, 3)
+    answers = [cd.encode_worker(s, n, w) for n in (1, 2)]
+    assert cd.decode_subsets(s, answers, [(2, 1)]) == [cd.decode(s, answers)]
+    assert cd.decode_subsets(s, answers, []) == []
+    bad = [
+        ((1, 3), ShapeMismatch),
+        ((1, 4), ShapeMismatch),
+        ((1, 1), WrongResponderCount),
+        ((1,), WrongResponderCount),
+        ((1, 2, 3), WrongResponderCount),
+    ]
+    for a_set, error in bad:
+        for subsets in ([a_set], [(1, 2), a_set]):
+            with pytest.raises(error):
+                cd.decode_subsets(s, answers, subsets)
+    with pytest.raises(WrongResponderCount):
+        cd.decode_subsets(s, answers + answers[:1], [(1, 2)])
+
+
 def _over_field_7(a):
     return cd.WorkerAnswer(a.worker, fl.FMatrix(fl.Field(7), a.x.array % 7))
 
@@ -573,20 +596,27 @@ def test_batched_decode_matches_the_scalar_loop(monkeypatch):
         except GroupedSolveFailed:
             pass
     # Either budget: one chunk per batched solve, or many across each one;
-    # emptying the decoding caches makes each budget compute the maps.
+    # emptying the decoding caches makes each budget compute the maps.  One
+    # decode_subsets call over every responder set gives each set's decode;
+    # at budget 64 its sets span several blocks.
     for budget in (fl._BATCH_ELEMENTS, 64):
         monkeypatch.setattr(fl, "_BATCH_ELEMENTS", budget)
-        cd._responder_map.cache_clear()
+        cd._responder_maps.cache_clear()
         cd._reconstruction_map.cache_clear()
         details = set()
         for i, scheme in enumerate(cases):
-            k, q = scheme.params.K, scheme.params.q
-            w = cd.random_messages(k, scheme.params.L or 2, fl.Field(q), i)
-            for a_set in all_subsets(scheme):
-                answers = [cd.encode_worker(scheme, n, w) for n in a_set]
-                rep = cd.decode(scheme, answers)
+            p = scheme.params
+            w = cd.random_messages(p.K, p.L or 2, fl.Field(p.q), i)
+            answers = {n: cd.encode_worker(scheme, n, w) for n in range(1, p.N + 1)}
+            subsets = list(all_subsets(scheme))
+            batched = cd.decode_subsets(scheme, list(answers.values())[::-1], subsets)
+            assert len(batched) == len(subsets)
+            for a_set, batch_rep in zip(subsets, batched):
+                given = [answers[n] for n in a_set]
+                rep = cd.decode(scheme, given)
                 got = (rep.success, rep.recovered and rep.recovered.to_lists(), rep.detail)
-                assert got == _scalar_decode(scheme, answers), (scheme.params, a_set)
+                assert got == _scalar_decode(scheme, given), (p, a_set)
+                assert batch_rep == rep, (p, a_set)
                 details.add((scheme.grouped is not None, rep.detail))
         assert (False, "sub-problem 2: stacked code rows are singular") in details
         assert (True, "sub-problem 1: stacked code rows are singular") in details
@@ -612,11 +642,11 @@ def test_decode_matches_the_reference_solve_on_a_miss_and_a_hit(q):
         for a_set in all_subsets(scheme):
             given = [answers[n] for n in a_set]
             want = ref_decode(scheme, given)
-            info = cd._responder_map.cache_info()
+            info = cd._responder_maps.cache_info()
             assert cd.decode(scheme, given) == want, (label, a_set)
-            assert cd._responder_map.cache_info().misses == info.misses + 1
+            assert cd._responder_maps.cache_info().misses == info.misses + 1
             assert cd.decode(scheme, given[::-1]) == want, (label, a_set)
-            assert cd._responder_map.cache_info().hits == info.hits + 1
+            assert cd._responder_maps.cache_info().hits == info.hits + 1
             failed += not want.success
     assert {r for r, _, _ in kinds} == {"small", "middle", "large", "grouped"}
     assert ("middle", True, False) in kinds and ("large", True, False) in kinds
@@ -703,7 +733,7 @@ def test_serving_a_block_copies_and_reduces_nothing_again(monkeypatch):
     """Encode and decode wrap what the kernels reduced: from a cold cache
     or a warm one, they build no FMatrix from outside data."""
     served = [(name, scheme, _block(scheme, 6)) for name, scheme in sample_schemes()]
-    for cache in (cd._held_encoder, cd._responder_map, cd._reconstruction_map):
+    for cache in (cd._held_encoder, cd._responder_maps, cd._reconstruction_map):
         cache.cache_clear()
     calls, as_array = [], fl._as_array
     monkeypatch.setattr(fl, "_as_array", lambda *args: calls.append(args) or as_array(*args))
@@ -738,19 +768,19 @@ def test_the_decoding_cache_stays_at_its_bound():
     answers = {n: cd.encode_worker(scheme, n, w) for n in range(1, 9)}
     for a_set in subsets:
         assert cd.decode(scheme, [answers[n] for n in a_set]).success
-    assert cd._responder_map.cache_info().currsize == cd._DECODE_CACHE
+    assert cd._responder_maps.cache_info().currsize == cd._DECODE_CACHE
 
 
 def test_cached_decoding_maps_are_read_only():
     scheme, grouped = _large_scheme(), _grouped_scheme()
     w = cd.random_messages(6, scheme.params.L, FQ, 4)
     assert cd.decode(scheme, [cd.encode_worker(scheme, n, w) for n in (1, 3)]).success
-    d_a, detail = cd._responder_map(scheme, (1, 3))
+    d_a, (detail,) = cd._responder_maps(scheme, ((1, 3),))
     at, inv, mds_detail = cd._reconstruction_map(scheme)
     assert detail is None and mds_detail is None
     w = cd.random_messages(12, 2, FQ, 4)
     assert cd.decode(grouped, [cd.encode_worker(grouped, n, w) for n in (1, 2, 4)]).success
-    grouped_d_a, detail = cd._responder_map(grouped, (1, 2, 4))
+    grouped_d_a, (detail,) = cd._responder_maps(grouped, ((1, 2, 4),))
     assert detail is None
     for array in (d_a, at, inv, grouped_d_a):
         assert not array.flags.writeable

@@ -36,6 +36,26 @@ def test_run_trial_encodes_each_responder_once(monkeypatch):
     assert sorted(calls) == [1, 2, 3, 4]
 
 
+def test_a_trial_solves_its_decode_maps_once(monkeypatch):
+    """Every responder set's decode map comes from one solve, beside the
+    build's own solves, wherever the sets fit one batch."""
+    calls, solve = [], fl._solve_batch
+
+    def counted(a, q):
+        calls.append(a.shape)
+        return solve(a, q)
+
+    monkeypatch.setattr(fl, "_solve_batch", counted)
+    cfg = hn.TrialConfig(k=8, n=4, n_r=2, k_c=3, demand_seed=1, message_seed=2)
+    demand = bl.random_demand(3, 8, FQ, fl.derive_seed(cfg.demand_seed, "demand"))
+    hn._build_for(cfg, demand)
+    built = len(calls)
+    del calls[:]
+    result = hn.run_trial(cfg)
+    assert result.regime == "middle" and len(result.subsets) == 6 and result.all_ok
+    assert len(calls) == built + 1
+
+
 def test_run_trial_single_combination_costs_threshold():
     cfg = hn.TrialConfig(k=3, n=3, n_r=2, k_c=1, l=2, demand_seed=3, message_seed=4)
     result = hn.run_trial(cfg)
