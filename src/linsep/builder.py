@@ -268,9 +268,10 @@ class _Draws:
     ``padding(j, ...)`` gives the rows appended below the demand of middle
     sub-problem j (0 for a middle scheme, 1..K_c for the small regime's), or
     None when it needs none; ``virtual(...)`` gives the virtual-slot
-    coefficients.  Both are drawn from the seeds unless ``stored_padding``
-    (rows by j) and ``stored_effective`` (the effective demand) hold those of
-    a scheme file.
+    coefficients, an array on the effective demand's 0-based columns
+    ``cols``.  Both are drawn from the seeds unless ``stored_padding`` (rows
+    by j) and ``stored_effective`` (the effective demand) hold those of a
+    scheme file.
     """
 
     padding_seed: int = 0
@@ -286,10 +287,11 @@ class _Draws:
         seed = derive_seed(self.padding_seed, "sub", j) if j else self.padding_seed
         return random_matrix(rows, width, f, derive_seed(seed, "padding"))
 
-    def virtual(self, k_c: int, slots: Sequence[int], f: Field) -> FMatrix:
+    def virtual(self, k_c: int, cols: Sequence[int], f: Field) -> np.ndarray:
         if self.stored_effective is not None:
-            return self.stored_effective.take_columns([s - 1 for s in slots])
-        return random_matrix(k_c, len(slots), f, derive_seed(self.virtual_seed, "virtual"))
+            return self.stored_effective.array[:, cols]
+        seed = derive_seed(self.virtual_seed, "virtual")
+        return random_matrix(k_c, len(cols), f, seed).array
 
 
 def build_scheme(
@@ -362,11 +364,11 @@ def _null_code(padded: np.ndarray, a: Assignment, f: Field) -> tuple[np.ndarray,
     cols = np.array([a.not_assigned(n) for n in range(1, a.N + 1)], dtype=np.intp)
     cols = cols.reshape(a.N, -1) - 1
     blocks = padded[:, :, cols].transpose(0, 2, 1, 3).reshape(s * a.N, t, cols.shape[1])
-    bases = fl._left_null_batch(blocks, f.q)
-    assert all(len(b) >= per for b in bases), "null space smaller than guaranteed"
-    code = np.stack([b[:per] for b in bases]).reshape(s, a.N, per, t)
+    code, nullity = fl._left_null_batch(blocks, f.q, per)
+    assert (nullity >= per).all(), "null space smaller than guaranteed"
+    code = code.reshape(s, a.N, per, t)
     code.setflags(write=False)
-    return code, any(len(b) != per for b in bases)
+    return code, bool((nullity != per).any())
 
 
 def cyclic_design(k_c: int, t: int) -> tuple[tuple[int, ...], ...]:
@@ -458,15 +460,12 @@ def _effective_demand(f_mat: DemandMatrix, a: Assignment, draws: _Draws) -> FMat
     depend on the virtual coefficients; drawing them uniformly keeps every
     column sub-matrix generic, which the null-space construction needs.
     """
-    f = f_mat.field
     arr = np.zeros((f_mat.k_c, a.effective_k), dtype=np.int64)
-    for k, slot in enumerate(a.slot_of_dataset, start=1):
-        arr[:, slot - 1] = f_mat.matrix.array[:, k - 1]
-    virtual_slots = sorted(set(range(1, a.effective_k + 1)) - set(a.slot_of_dataset))
-    fill = draws.virtual(f_mat.k_c, virtual_slots, f)
-    for i, slot in enumerate(virtual_slots):
-        arr[:, slot - 1] = fill.array[:, i]
-    return FMatrix(f, arr)
+    real = [slot - 1 for slot in a.slot_of_dataset]
+    virtual = sorted(set(range(a.effective_k)) - set(real))
+    arr[:, real] = f_mat.matrix.array
+    arr[:, virtual] = draws.virtual(f_mat.k_c, virtual, f_mat.field)
+    return FMatrix._of(f_mat.field, arr)
 
 
 # ---------------------------------------------------------------------------
@@ -509,11 +508,11 @@ def build_grouped(f_mat: DemandMatrix, g: GroupedAssignment) -> Scheme:
     q, demand = f_mat.field.q, f_mat.matrix.array
     tags = grouped_tags(g.N)
     cols = np.array([members for _, members in g.groups]) - 1  # H_T, by tag
-    bases = fl._left_null_batch(demand[:, cols].transpose(1, 0, 2), q)
-    for t, basis in zip(tags, bases):
-        if not len(basis):
-            raise GroupedSolveFailed(f"demand columns of group {t} have full rank")
-    nulls = np.stack([basis[0] for basis in bases])
+    nulls, nullity = fl._left_null_batch(demand[:, cols].transpose(1, 0, 2), q, 1)
+    if not nullity.all():
+        full = tags[nullity.argmin()]
+        raise GroupedSolveFailed(f"demand columns of group {full} have full rank")
+    nulls = nulls.reshape(len(tags), k_c)
     combined = fl._mul_batch(nulls, demand, q)
 
     # Share r of worker i + 1 is of tag mine[i, r].  Lex order puts each
@@ -597,7 +596,7 @@ def adversarial_fixture(
     blocks = K // N
     base = cyclic_assignment(N, N, N_r)
     f = Field()
-    stream = fl.ElementStream(f, derive_seed(seed, "fixture"))
+    stream = fl.ElementStream(f.q, derive_seed(seed, "fixture"))
     arr = np.zeros((blocks * N_r, K), dtype=np.int64)
     for blk in range(blocks):
         for i, worker in enumerate(resp):

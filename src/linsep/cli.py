@@ -125,7 +125,10 @@ def _integer(x) -> int:
 def _load_demand(path: str, f: Field) -> DemandMatrix:
     """The demand of a ``{"q": ..., "rows": [[...], ...]}`` file, entries mod q."""
     with open(path, encoding="utf-8", errors="replace") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except RecursionError:
+            raise MalformedDemand("JSON nested too deeply") from None
     rows = raw.get("rows") if isinstance(raw, dict) else None
     if not isinstance(rows, list):
         raise MalformedDemand('expected an object with a "rows" list')

@@ -14,11 +14,13 @@ scheme, times the sums of each responder pair's shares), and in the large
 regime by a per-scheme map that rebuilds every demand row from the
 MDS-coded symbols.  Both go over a batch axis of responder sets:
 ``decode_subsets`` takes many sets a block at a time, inverts every system
-of a block in one solve, a map cached per scheme and block of sets, and
-multiplies all the block's answers in one product; ``decode`` is its batch
-of one.  Verification ranks its systems in blocks of the same size.  The
-simulation harness decodes every responder set of a trial in one call and
-cross-checks each result by a direct message-space product.
+of a block with ``field``'s batched inverse, a map cached per scheme and
+block of sets, and multiplies all the block's answers in one product;
+``decode`` is its batch of one, checked and decoded by the same code.
+Verification ranks its systems in blocks of the same size, and samples
+subsets and sub-problems by one seeded sampler.  The simulation harness
+decodes every responder set of a trial in one call and cross-checks each
+result by a direct message-space product.
 """
 
 from __future__ import annotations
@@ -119,15 +121,6 @@ def _held_encoder(scheme: Scheme, n: int):
     return held, e_n
 
 
-def _check_answers(scheme: Scheme, answers) -> list[WorkerAnswer]:
-    """Exactly N_r answers, from distinct workers of the scheme, sorted by worker."""
-    if len(answers) != scheme.params.N_r:
-        raise WrongResponderCount(
-            f"need exactly {scheme.params.N_r} answers, got {len(answers)}"
-        )
-    return sorted(_answers_by_worker(scheme, answers).values(), key=lambda a: a.worker)
-
-
 def _answers_by_worker(scheme: Scheme, answers) -> dict[int, WorkerAnswer]:
     """The answers by worker: from distinct workers of the scheme, each of
     ``rows_sent`` rows over the scheme's field, all of one width."""
@@ -195,15 +188,6 @@ def _blocks(scheme: Scheme, subsets, sampled=None) -> list:
 _DECODE_CACHE = 64
 
 
-def _inverses(stack: np.ndarray, q: int):
-    """Read-only inverses of a ``(B, t, t)`` stack, by one solve against I_t,
-    and the ``(B,)`` flags of which matrices are invertible."""
-    eye = np.broadcast_to(np.eye(stack.shape[1], dtype=np.int64), stack.shape)
-    inv, ok = fl._solve_batch(np.concatenate([stack, eye], axis=2), q)
-    inv.setflags(write=False)
-    return inv, ok
-
-
 def _pair_sums(scheme: Scheme, responders: tuple[int, ...]) -> np.ndarray:
     """Grouped scheme: the pair sums as weights on the responders' sent rows.
 
@@ -237,7 +221,7 @@ def _responder_maps(scheme: Scheme, subsets: tuple[tuple[int, ...], ...]):
     q = scheme.params.q
     systems = _systems(scheme, subsets)
     b, s, t, _ = systems.shape
-    inv, ok = _inverses(systems.reshape(b * s, t, t), q)
+    inv, ok = fl._inverse_batch(systems.reshape(b * s, t, t), q)
     d_a = inv.reshape(b, s, t, t)[:, :, : t - scheme.padding_rows].swapaxes(0, 1)
     if scheme.grouped is not None:
         d_a = fl._mul_batch(d_a, np.stack([_pair_sums(scheme, a) for a in subsets]), q)
@@ -261,23 +245,28 @@ def _reconstruction_map(scheme: Scheme):
     at = np.argsort(windows, axis=None).reshape(scheme.params.K_c, -1)
     at.setflags(write=False)
     vandermonde = scheme.mds.generator_rows(at // windows.shape[1] + 1, scheme.demand.field)
-    inv, ok = _inverses(vandermonde, scheme.params.q)
+    inv, ok = fl._inverse_batch(vandermonde, scheme.params.q)
     detail = None if ok.all() else f"component {ok.argmin() + 1}: reconstruction stack is singular"
     return at, inv, detail
 
 
 def decode(scheme: Scheme, answers) -> DecodeReport:
-    """Recover the requested combinations from exactly N_r worker answers."""
-    answers = _check_answers(scheme, answers)
-    responders = tuple(a.worker for a in answers)
-    return _decode_blocks(scheme, dict(zip(responders, answers)), [responders])[0]
+    """Recover the requested combinations from exactly N_r worker answers:
+    ``decode_subsets`` of the one set that answered."""
+    return decode_subsets(scheme, answers, [[a.worker for a in answers]])[0]
 
 
 def decode_subsets(scheme: Scheme, answers, subsets) -> list[DecodeReport]:
     """Decode from each responder set of ``subsets``, one report per set.
 
     ``answers`` holds the answer of every worker the sets name, in any
-    order.  Report i is ``decode`` of set i's answers.
+    order.  The sets go through in blocks, sized as ``verify_decodability``
+    sizes its blocks, so that temporaries stay a fixed size for any number
+    of sets.  Per block, one gather stacks the sets' answer rows
+    sub-problem-major, one product multiplies them by the block's
+    ``_responder_maps``, and in the large regime one more rebuilds the
+    demand rows from the coded symbols, and for the fallback one more
+    recombines them.
     """
     n_r = scheme.params.N_r
     subsets = [tuple(sorted(a_set)) for a_set in subsets]
@@ -290,21 +279,8 @@ def decode_subsets(scheme: Scheme, answers, subsets) -> list[DecodeReport]:
     missing = {n for a_set in subsets for n in a_set} - by_worker.keys()
     if missing:
         raise ShapeMismatch(f"no answer from worker {min(missing)}")
-    return _decode_blocks(scheme, by_worker, subsets) if subsets else []
-
-
-def _decode_blocks(scheme: Scheme, by_worker: dict, subsets: list) -> list[DecodeReport]:
-    """The reports of checked, sorted responder sets, from checked answers.
-
-    The sets go through in blocks, sized as ``verify_decodability`` sizes
-    its blocks, so that temporaries stay a fixed size for any number of
-    sets.  Per block, one gather stacks the sets' answer rows
-    sub-problem-major, one product multiplies them by the block's
-    ``_responder_maps``, and in the large regime one more rebuilds the
-    demand rows from the coded symbols, and for the fallback one more
-    recombines them.
-    """
-    n_r = scheme.params.N_r
+    if not subsets:
+        return []
     f, q = scheme.demand.field, scheme.params.q
     first = by_worker[subsets[0][0]]
     cols = first.x.cols
@@ -353,14 +329,13 @@ def _unrank_combination(n: int, r: int, index: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _sample_distinct(total: int, count: int, stream: ElementStream) -> list[int]:
-    # Uniform distinct indices in [0, total); fine for count << total.
+def _sample_distinct(total: int, count: int, seed: int) -> list[int]:
+    """``count`` uniform distinct indices in [0, total), sorted, drawn from a
+    seeded stream mod ``total``; fine for count << total."""
+    stream = ElementStream(total, seed)
     seen: set[int] = set()
-    limit = (1 << 64) - ((1 << 64) % total)
     while len(seen) < count:
-        r = stream._next64()
-        if r < limit:
-            seen.add(r % total)
+        seen.add(stream.take(1)[0])
     return sorted(seen)
 
 
@@ -380,8 +355,7 @@ def responder_subsets(
         return list(combinations(range(1, n + 1), n_r))
     if sample_count < 1:
         raise ShapeMismatch(f"sample count must be at least 1, got {sample_count}")
-    stream = ElementStream(fl.Field(fl.DEFAULT_MODULUS), derive_seed(seed, "subsets"))
-    indices = _sample_distinct(total, min(sample_count, total), stream)
+    indices = _sample_distinct(total, min(sample_count, total), derive_seed(seed, "subsets"))
     return [_unrank_combination(n, n_r, i) for i in indices]
 
 
@@ -408,8 +382,9 @@ def verify_decodability(
     q = scheme.params.q
     sampled = None
     if scheme.mds is not None and len(scheme.code) > subproblem_cap:
-        stream = ElementStream(scheme.demand.field, derive_seed(seed, "large-subproblems"))
-        sampled = _sample_distinct(len(scheme.code), subproblem_cap, stream)
+        sampled = _sample_distinct(
+            len(scheme.code), subproblem_cap, derive_seed(seed, "large-subproblems")
+        )
     failing = []
     for block in _blocks(scheme, subsets, sampled):
         systems = _systems(scheme, block, sampled)

@@ -24,11 +24,13 @@ their difference lies strictly between ``-(q-1)**2`` and ``(q-1)**2``,
 inside int64 for every ``q <= _MAX_MODULUS``; the result is reduced before
 the next column.  The RREF normalizes pivot rows once, at the end, with
 inverses from a vectorized Fermat power whose products are again below
-``(q-1)**2``.  Stacks are cut into chunks of at most ``_BATCH_ELEMENTS``
-entries, so temporaries stay a fixed size whatever B is.  ``rank`` and
-``inverse`` are the one-matrix calls of the batched kernels; the scalar
-kernels they replaced are kept in ``tests/conftest.py`` as the reference
-the batched ones are tested against.
+``(q-1)**2``.  One walk, ``_by_chunk``, cuts every stack into chunks of at
+most ``_BATCH_ELEMENTS`` entries, so temporaries stay a fixed size whatever
+B is.  The batched kernels return arrays of fixed shape: ranks, solutions
+with invertibility flags, inverses, and the first ``count`` null vectors
+with the nullities.  ``rank`` and ``inverse`` are their one-matrix calls;
+the scalar kernels they replaced are kept in ``tests/conftest.py`` as the
+reference the batched ones are tested against.
 
 Convention: raw matrix row/column indices are 0-based (numpy style).
 Dataset and worker indices in the rest of the library are 1-based and are
@@ -38,7 +40,7 @@ converted at the boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -102,8 +104,9 @@ class Field:
 #   z ^= z >> 30; z *= 0xBF58476D1CE4E5B9;
 #   z ^= z >> 27; z *= 0x94D049BB133111EB;
 #   z ^= z >> 31;
-# Field elements are drawn by rejection sampling so they are exactly uniform
-# on [0, q).  Any implementation of splitmix64 reproduces the streams.
+# Residues are drawn by rejection sampling so they are exactly uniform on
+# [0, q), for a field modulus q or for a count q of indices to sample from.
+# Any implementation of splitmix64 reproduces the streams.
 # ---------------------------------------------------------------------------
 
 _MASK64 = (1 << 64) - 1
@@ -135,25 +138,21 @@ def derive_seed(seed: int, *parts: int | str) -> int:
 
 
 class ElementStream:
-    """Stream of uniform field elements from a splitmix64 seed."""
+    """Stream of uniform residues mod ``q`` from a splitmix64 seed."""
 
-    def __init__(self, field: Field, seed: int):
-        self.field = field
+    def __init__(self, q: int, seed: int):
+        self.q = q
         self._state = seed & _MASK64
         # Largest multiple of q below 2^64; draws at or above it are rejected.
-        self._limit = (1 << 64) - ((1 << 64) % field.q)
-
-    def _next64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        return _mix64(self._state)
+        self._limit = (1 << 64) - ((1 << 64) % q)
 
     def take(self, count: int) -> list[int]:
-        q = self.field.q
         out = []
         while len(out) < count:
-            r = self._next64()
+            self._state = (self._state + _GOLDEN) & _MASK64
+            r = _mix64(self._state)
             if r < self._limit:
-                out.append(r % q)
+                out.append(r % self.q)
         return out
 
     def nonzero(self, count: int) -> list[int]:
@@ -210,9 +209,6 @@ class FMatrix:
     @property
     def cols(self) -> int:
         return self._a.shape[1]
-
-    def take_columns(self, cols: Sequence[int]) -> "FMatrix":
-        return FMatrix(self.field, self._a[:, list(cols)])
 
     def to_lists(self) -> list[list[int]]:
         return [[int(x) for x in row] for row in self._a]
@@ -304,12 +300,10 @@ def inverse(m: FMatrix) -> FMatrix:
     """Matrix inverse; raises SingularMatrix when rank < n."""
     if m.rows != m.cols:
         raise ShapeMismatch("only square matrices have inverses")
-    n = m.rows
-    aug = np.concatenate([m.array, np.eye(n, dtype=np.int64)], axis=1)
-    x, ok = _solve_batch(aug[None], m.field.q)
+    inv, ok = _inverse_batch(m.array[None], m.field.q)
     if not ok[0]:
-        raise SingularMatrix(f"{n}x{n} matrix has rank {rank(m)}")
-    return FMatrix._of(m.field, x[0])
+        raise SingularMatrix(f"{m.rows}x{m.rows} matrix has rank {rank(m)}")
+    return FMatrix._of(m.field, inv[0])
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +314,13 @@ def inverse(m: FMatrix) -> FMatrix:
 _BATCH_ELEMENTS = 8192
 
 
-def _chunks(a: np.ndarray, q: int):
-    """Reduced copies of consecutive slices of the stack, each in budget."""
+def _by_chunk(a: np.ndarray, q: int, step: Callable) -> tuple[np.ndarray, ...]:
+    """``step`` on reduced copies of consecutive slices of the stack, each in
+    budget; each of the arrays it returns is joined along B."""
     b, m, n = a.shape
-    step = max(1, _BATCH_ELEMENTS // max(1, m * n))
-    for lo in range(0, b, step):
-        yield a[lo : lo + step] % q
+    size = max(1, _BATCH_ELEMENTS // max(1, m * n))
+    parts = [step(a[lo : lo + size] % q) for lo in range(0, b, size)]
+    return tuple(np.concatenate(out) for out in zip(*parts))
 
 
 def _eliminate(a: np.ndarray, q: int) -> np.ndarray:
@@ -378,9 +373,7 @@ def _inv_vec(x: np.ndarray, q: int) -> np.ndarray:
 
 def _rank_batch(a: np.ndarray, q: int) -> np.ndarray:
     """Ranks of every matrix of a ``(B, m, n)`` stack."""
-    return np.concatenate(
-        [(_eliminate(c, q) >= 0).sum(axis=1) for c in _chunks(a, q)]
-    )
+    return _by_chunk(a, q, lambda c: ((_eliminate(c, q) >= 0).sum(axis=1),))[0]
 
 
 def _rref_chunk(c: np.ndarray, q: int) -> np.ndarray:
@@ -402,28 +395,36 @@ def _solve_batch(a: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     is False.  Each chunk goes to RREF: ``A`` is invertible exactly when the
     pivots are ``0..n-1``, and then the last ``c`` columns are ``x``.
     """
-    b, n, width = a.shape
-    x = np.empty((b, n, width - n), dtype=np.int64)
-    ok = np.empty(b, dtype=bool)
-    lo = 0
-    for c in _chunks(a, q):
-        hi = lo + len(c)
-        ok[lo:hi] = (_rref_chunk(c, q) == np.arange(n)).all(axis=1)
-        x[lo:hi] = c[:, :, n:]
-        lo = hi
-    return x, ok
+    n = a.shape[1]
+
+    def step(c):
+        ok = (_rref_chunk(c, q) == np.arange(n)).all(axis=1)
+        return c[:, :, n:], ok
+
+    return _by_chunk(a, q, step)
 
 
-def _left_null_batch(a: np.ndarray, q: int) -> list[np.ndarray]:
-    """Canonical left null space of every matrix of a ``(B, m, n)`` stack.
+def _inverse_batch(a: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only inverses of a ``(B, n, n)`` stack, by one solve against I_n,
+    and the ``(B,)`` flags of which matrices are invertible."""
+    eye = np.broadcast_to(np.eye(a.shape[1], dtype=np.int64), a.shape)
+    inv, ok = _solve_batch(np.concatenate([a, eye], axis=2), q)
+    inv.setflags(write=False)
+    return inv, ok
 
-    Entry b holds the basis of ``{u : u M_b = 0}`` as rows, one per free
-    column of the RREF of ``M_b^T``, in increasing order: that coordinate 1,
-    the other free ones 0, the pivot coordinates solved from the RREF.
+
+def _left_null_batch(a: np.ndarray, q: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """First ``count`` canonical left null vectors of every matrix of a
+    ``(B, m, n)`` stack, ``(B, count, m)``, and the ``(B,)`` nullities.
+
+    The canonical basis of ``{u : u M_b = 0}`` has one row per free column
+    of the RREF of ``M_b^T``, in increasing order: that coordinate 1, the
+    other free ones 0, the pivot coordinates solved from the RREF.  Rows
+    past a matrix's nullity are meaningless.
     """
     m = a.shape[1]
-    out = []
-    for red in _chunks(a.transpose(0, 2, 1), q):
+
+    def step(red):
         piv = _rref_chunk(red, q)
         b = red.shape[0]
         basis = np.broadcast_to(np.eye(m, dtype=np.int64), (b, m, m)).copy()
@@ -431,14 +432,16 @@ def _left_null_batch(a: np.ndarray, q: int) -> list[np.ndarray]:
         basis[bb, :, piv[bb, ii]] = (-red[bb, ii, :]) % q
         free = np.ones((b, m), dtype=bool)
         free[bb, piv[bb, ii]] = False
-        out.extend(basis[j][free[j]] for j in range(b))
-    return out
+        first = np.argsort(~free, axis=1, kind="stable")[:, :count]
+        return basis[np.arange(b)[:, None], first], free.sum(axis=1)
+
+    return _by_chunk(a.transpose(0, 2, 1), q, step)
 
 
 def random_matrix(rows: int, cols: int, field: Field, seed: int) -> FMatrix:
     """Uniform i.i.d. matrix over F_q; deterministic for a fixed seed."""
     if rows < 1 or cols < 1:
         raise ShapeMismatch("random_matrix requires rows, cols >= 1")
-    stream = ElementStream(field, seed)
+    stream = ElementStream(field.q, seed)
     data = np.array(stream.take(rows * cols), dtype=np.int64).reshape(rows, cols)
     return FMatrix(field, data)

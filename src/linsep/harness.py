@@ -77,16 +77,12 @@ class TrialResult:
         return all(self.successes) and all(self.matches) and self.cost_match
 
     def to_json(self) -> str:
+        # Tuples dump as JSON lists; the cost as [numerator, denominator].
+        cost = self.measured_cost
         payload = {
+            **vars(self),
             "config": self.config.to_dict(),
-            "regime": self.regime,
-            "subsets": [list(s) for s in self.subsets],
-            "successes": list(self.successes),
-            "matches": list(self.matches),
-            "measured_cost": [self.measured_cost.numerator, self.measured_cost.denominator],
-            "formula_cost": self.formula_cost,
-            "cost_match": self.cost_match,
-            "failure_seeds": list(self.failure_seeds),
+            "measured_cost": [cost.numerator, cost.denominator],
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 

@@ -221,11 +221,12 @@ def scheme_from_dict(d: dict) -> Scheme:
 
 
 def loads(text: str | bytes) -> Scheme:
-    """Load a scheme file; any defect in it raises MalformedScheme."""
+    """Load a scheme file; any defect in it, too deep a nesting included,
+    raises MalformedScheme."""
     try:
         return scheme_from_dict(json.loads(text))
     except (
         LinsepError, ValueError, KeyError, IndexError, TypeError, AttributeError,
-        ArithmeticError,
+        ArithmeticError, RecursionError,
     ) as exc:
         raise MalformedScheme(str(exc)) from exc

@@ -36,7 +36,8 @@ def left_null_space(m):
     that coordinate 1, the other free ones 0 and the pivot coordinates
     solved from the RREF: a deterministic function of M.
     """
-    return fl._left_null_batch(m.array[None], m.field.q)[0].tolist()
+    basis, nullity = fl._left_null_batch(m.array[None], m.field.q, m.rows)
+    return basis[0, : nullity[0]].tolist()
 
 
 def zero_messages(k, l, f):
@@ -212,9 +213,9 @@ def ref_decode(scheme, answers):
     a grouped scheme's pair sums formed block by block, keeps each
     sub-problem's demand rows; the large regime then solves, per
     demand row, the Vandermonde rows of the m windows holding it beside the
-    row's symbols in them.
+    row's symbols in them.  The answers are N_r from distinct workers.
     """
-    answers = cd._check_answers(scheme, answers)
+    answers = sorted(answers, key=lambda a: a.worker)
     responders = tuple(a.worker for a in answers)
     f, q = scheme.demand.field, scheme.params.q
     l_total = answers[0].x.cols * scheme.split_count

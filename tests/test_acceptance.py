@@ -247,7 +247,7 @@ def test_acceptance_7_general_worker_counts():
 def _random_point(rng_seed):
     # Deterministic assortment of parameter points across all regimes,
     # including worker counts that do not divide the data.
-    stream = fl.ElementStream(FQ, fl.derive_seed(rng_seed, "points"))
+    stream = fl.ElementStream(FQ.q, fl.derive_seed(rng_seed, "points"))
 
     def pick(options):
         return options[stream.take(1)[0] % len(options)]

@@ -456,6 +456,11 @@ def _pairless_grouped(data):
       "--assignment", "grouped", "--out", "{tmp}/s.json"], 2),
     (["simulate", "-K", "6", "-N", "3", "--nr", "2", "--kc", "2",
       "--trials", "-1"], 2),
+    (["verify", "--scheme", "{deep}"], 3),
+    (["build", "-K", "6", "-N", "3", "--nr", "2", "--kc", "2",
+      "--demand-file", "{deep}", "--out", "{tmp}/deep.json"], 3),
+    (["simulate", "-K", "6", "-N", "3", "--nr", "2", "--kc", "2",
+      "--demand-file", "{deep}", "--trials", "1"], 3),
 ])
 def test_bad_input_exits_with_documented_code_and_no_traceback(
     tmp_path, argv, expected
@@ -475,7 +480,9 @@ def test_bad_input_exits_with_documented_code_and_no_traceback(
         "negative_length": _scheme_file(
             tmp_path, "negative_length.json", _negative_length, _large_6
         ),
+        "deep": str(tmp_path / "deep.json"),
     }
+    Path(files["deep"]).write_text("[" * 1000)  # nested past Python's recursion limit
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -486,7 +493,8 @@ def test_bad_input_exits_with_documented_code_and_no_traceback(
     assert proc.returncode == expected, proc.stderr
     assert "Traceback" not in proc.stderr
     if expected == 3:
-        assert "error: malformed scheme file" in proc.stderr
+        kind = "scheme" if "--scheme" in argv else "demand"
+        assert f"error: malformed {kind} file" in proc.stderr
 
 
 @pytest.mark.parametrize("k", [6, 7])

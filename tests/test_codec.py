@@ -394,8 +394,9 @@ def _scalar_verify(scheme, sample_count=None, seed=0, subproblem_cap=200):
     total = len(scheme.padded)
     indices = range(total)
     if scheme.mds is not None and total > subproblem_cap:
-        stream = fl.ElementStream(fl.Field(q), fl.derive_seed(seed, "large-subproblems"))
-        indices = cd._sample_distinct(total, subproblem_cap, stream)
+        indices = cd._sample_distinct(
+            total, subproblem_cap, fl.derive_seed(seed, "large-subproblems")
+        )
     # A small scheme's sub-problems run on N aggregates, one per class k mod N.
     if scheme.regime == "small":
         a = cyclic_assignment(p.N, p.N, p.N_r)

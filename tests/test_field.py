@@ -61,7 +61,7 @@ def test_ff_inv_exhaustive_small_fields(q):
 
 def test_ff_inv_sampled_large_field():
     for q in (FQ.q, Q_MAX):
-        x = np.array(fl.ElementStream(fl.Field(q), 7).nonzero(200)).reshape(20, 10)
+        x = np.array(fl.ElementStream(q, 7).nonzero(200)).reshape(20, 10)
         x[0, :2] = 1, q - 1
         inv = fl._inv_vec(x, q)
         assert inv.tolist() == fermat(x, q)
@@ -216,7 +216,7 @@ def test_random_matrix_mean_close_to_uniform():
 
 def test_element_stream_uniform_small_field():
     # Chi-square against uniform on a small field: 7 bins, 7000 draws.
-    stream = fl.ElementStream(F7, 99)
+    stream = fl.ElementStream(F7.q, 99)
     draws = stream.take(7000)
     counts = np.bincount(draws, minlength=7)
     expected = 1000.0
@@ -263,21 +263,23 @@ def assert_batched_matches_scalar(q, a):
     ranks = fl._rank_batch(a, q)
     red = a % q
     piv = fl._rref_chunk(red, q)
-    nulls = fl._left_null_batch(a, q)
+    nulls, nullity = fl._left_null_batch(a, q, a.shape[1])
     # The leading square slice of every matrix, beside a drawn right-hand side.
     k = min(a.shape[1:])
     f = fl.Field(q)
     rhs = fl.random_matrix(len(a) * k, 2, f, fl.derive_seed(int(a.sum()), "rhs"))
     rhs = rhs.array.reshape(len(a), k, 2)
     x, ok = fl._solve_batch(np.concatenate([a[:, :k, :k], rhs], axis=2), q)
-    assert len(ranks) == len(red) == len(piv) == len(nulls) == len(ok) == len(a)
+    assert len(ranks) == len(red) == len(piv) == len(ok) == len(a)
+    assert nulls.shape == (len(a), a.shape[1], a.shape[1]) and nullity.shape == (len(a),)
     for j, mat in enumerate(a):
         assert ranks[j] == _rank_raw(mat, q) == ref_rank(mat.tolist(), q)
         want_red, want_piv = _rref(mat, q)
         assert red[j].tolist() == want_red.tolist()
         assert piv[j][piv[j] >= 0].tolist() == want_piv
         want = _null_space_columns(mat.T, q)
-        assert nulls[j].tolist() == [v.tolist() for v in want]
+        assert nullity[j] == len(want)
+        assert nulls[j, : nullity[j]].tolist() == [v.tolist() for v in want]
         square = mat[:k, :k].tolist()
         assert ok[j] == (ref_rank(square, q) == k)
         if ok[j]:

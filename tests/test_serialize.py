@@ -1,10 +1,14 @@
+import copy
 import dataclasses
 import json
+from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ref_matmul
 from linsep import builder as bl
@@ -229,3 +233,55 @@ def test_loader_checks_k_and_n_before_building_the_placement(monkeypatch, key, v
     monkeypatch.setitem(sz._PLACEMENTS, data["assignment"]["kind"], spy)
     with pytest.raises(MalformedScheme):
         sz.loads(json.dumps(data))
+
+
+@lru_cache(maxsize=1)
+def _built_files() -> dict:
+    return {name: sz.scheme_to_dict(scheme) for name, scheme in sample_schemes()}
+
+
+# Stands in for a value that ``_edited_file`` replaces by deep nesting in the text.
+_DEEP = "<deep>"
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**20), 10**20) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2)
+    ),
+    max_leaves=4,
+)
+
+
+@st.composite
+def _edited_file(draw):
+    """A built file of some scheme kind with one or two JSON edits: a key
+    dropped, a value replaced by another JSON value, or deep nesting."""
+    data = copy.deepcopy(_built_files()[draw(st.sampled_from(sorted(_built_files())))])
+    depth = 0
+    for _ in range(draw(st.integers(1, 2))):
+        parent, key = None, None
+        node = data
+        # Walk down from the top to the value edited, one level at least.
+        while isinstance(node, (dict, list)) and node and (parent is None or draw(st.booleans())):
+            keys = sorted(node) if isinstance(node, dict) else range(len(node))
+            parent, key = node, draw(st.sampled_from(keys))
+            node = parent[key]
+        edit = draw(st.sampled_from(["drop", "replace", "deep"]))
+        if edit == "drop":
+            del parent[key]
+        elif edit == "deep":
+            parent[key], depth = _DEEP, draw(st.sampled_from([100, 1000, 10**5]))
+        else:
+            parent[key] = draw(JSON_VALUES)
+    return json.dumps(data).replace(json.dumps(_DEEP), "[" * depth + "]" * depth)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edited_file())
+def test_an_edited_file_loads_or_is_malformed(text):
+    # The loader's one failure is MalformedScheme, whatever the defect.
+    try:
+        sz.loads(text)
+    except MalformedScheme:
+        pass

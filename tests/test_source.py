@@ -372,3 +372,42 @@ def test_error_reported_outside_the_entry_point_is_reported():
     assert _error_codes_outside_main(trees) == [
         "cli.IO_ERROR (line 4)", "codec.USAGE_ERROR (line 1)", "codec.IO_ERROR (line 2)",
     ]
+
+
+# The elimination and its chunk walk stay inside ``field``; other modules
+# call the batched kernels built on them.
+ELIMINATION_NAMES = {"_eliminate", "_rref_chunk", "_chunks", "_by_chunk"}
+
+
+def _elimination_outside_field(trees: dict[str, ast.Module]) -> list[str]:
+    """``ELIMINATION_NAMES`` named by a module other than ``field``, by line."""
+    return [
+        f"{module}.{name} (line {line})"
+        for module, tree in trees.items()
+        if module != "field"
+        for line, name in sorted(
+            (node.lineno, name)
+            for node in ast.walk(tree)
+            for name in _named(node)
+            if name in ELIMINATION_NAMES
+        )
+    ]
+
+
+def test_only_the_field_eliminates():
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    assert _elimination_outside_field(trees) == []
+
+
+def test_elimination_outside_the_field_is_reported():
+    trees = {
+        "field": ast.parse("def _by_chunk(a, q, step):\n    return _eliminate(a, q)\n"),
+        "codec": ast.parse(
+            "from .field import _rref_chunk\nx = fl._by_chunk(a, q, f)\n"
+            "y = fl._rank_batch(a, q)\nfor c in fl._chunks(a, q):\n    fl._eliminate(c, q)\n"
+        ),
+    }
+    assert _elimination_outside_field(trees) == [
+        "codec._rref_chunk (line 1)", "codec._by_chunk (line 2)",
+        "codec._chunks (line 4)", "codec._eliminate (line 5)",
+    ]
