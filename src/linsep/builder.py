@@ -147,8 +147,6 @@ class MDSDescriptor:
         running products, each below (q-1)^2.
         """
         x = np.asarray(indices, dtype=np.int64) % f.q
-        if not x.all():
-            raise ShapeMismatch("code length must stay below the field modulus")
         out = np.empty(x.shape + (self.split_count,), dtype=np.int64)
         out[..., 0] = 1
         for e in range(1, self.split_count):
@@ -498,7 +496,7 @@ def build_grouped(f_mat: DemandMatrix, g: GroupedAssignment) -> Scheme:
     if g.N != 4 or g.N_r != 3:
         raise UnsupportedGroupedParams("grouped scheme is built for 4 workers, N_r=3")
     k, k_c = f_mat.k, f_mat.k_c
-    if k != g.K or k_c != k // g.N:
+    if k != g.K or k_c * g.N != k:
         raise UnsupportedGroupedParams(f"grouped scheme needs K_c = K/N, got {k_c}")
     group_size = k // comb(g.N, 2)
     if group_size != k_c - 1:
@@ -508,10 +506,8 @@ def build_grouped(f_mat: DemandMatrix, g: GroupedAssignment) -> Scheme:
     q, demand = f_mat.field.q, f_mat.matrix.array
     tags = grouped_tags(g.N)
     cols = np.array([members for _, members in g.groups]) - 1  # H_T, by tag
-    nulls, nullity = fl._left_null_batch(demand[:, cols].transpose(1, 0, 2), q, 1)
-    if not nullity.all():
-        full = tags[nullity.argmin()]
-        raise GroupedSolveFailed(f"demand columns of group {full} have full rank")
+    # A group's block is K_c x (K_c - 1), so it always has a left null vector.
+    nulls = fl._left_null_batch(demand[:, cols].transpose(1, 0, 2), q, 1)[0]
     nulls = nulls.reshape(len(tags), k_c)
     combined = fl._mul_batch(nulls, demand, q)
 

@@ -129,6 +129,8 @@ def _load_demand(path: str, f: Field) -> DemandMatrix:
             raw = json.load(fh)
         except RecursionError:
             raise MalformedDemand("JSON nested too deeply") from None
+        except ValueError as exc:  # bad JSON, or an integer past int's digit limit
+            raise MalformedDemand(str(exc)) from None
     rows = raw.get("rows") if isinstance(raw, dict) else None
     if not isinstance(rows, list):
         raise MalformedDemand('expected an object with a "rows" list')
@@ -325,14 +327,9 @@ def main(argv=None) -> int:
             return cmd_verify(args, seed)
         if args.command == "simulate":
             return cmd_simulate(args, seed)
-        if args.command == "bounds":
-            return cmd_bounds(args)
-        return USAGE_ERROR
+        return cmd_bounds(args)  # argparse admits only the five commands
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return IO_ERROR
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return IO_ERROR
     except MalformedDemand as exc:
         print(f"error: malformed demand file: {exc}", file=sys.stderr)

@@ -12,7 +12,9 @@ Verification ranks those systems.  Decoding is linear in the answers: it
 multiplies them by the demand rows of the systems' inverses (for the grouped
 scheme, times the sums of each responder pair's shares), and in the large
 regime by a per-scheme map that rebuilds every demand row from the
-MDS-coded symbols.  Both go over a batch axis of responder sets:
+MDS-coded symbols.  That map exists for every scheme the builder returns,
+so a decode fails only on a singular responder system.  Both go over a
+batch axis of responder sets:
 ``decode_subsets`` takes many sets a block at a time, inverts every system
 of a block with ``field``'s batched inverse, a map cached per scheme and
 block of sets, and multiplies all the block's answers in one product;
@@ -239,15 +241,15 @@ def _reconstruction_map(scheme: Scheme):
 
     Row j's m sub-messages are ``inv[j]`` times its rows in the m windows
     holding it, at flat (window, position) indices ``at[j]``, in any order.
-    Returns ``at``, ``inv``, and None or why not.
+    Returns ``at`` and ``inv``.  Every stack is invertible: its nodes are the
+    numbers of m distinct windows, distinct in 1..S, and the builder keeps
+    S below q.
     """
     windows = np.array(scheme.mds.subsets)
     at = np.argsort(windows, axis=None).reshape(scheme.params.K_c, -1)
     at.setflags(write=False)
     vandermonde = scheme.mds.generator_rows(at // windows.shape[1] + 1, scheme.demand.field)
-    inv, ok = fl._inverse_batch(vandermonde, scheme.params.q)
-    detail = None if ok.all() else f"component {ok.argmin() + 1}: reconstruction stack is singular"
-    return at, inv, detail
+    return at, fl._inverse_batch(vandermonde, scheme.params.q)[0]
 
 
 def decode(scheme: Scheme, answers) -> DecodeReport:
@@ -288,9 +290,8 @@ def decode_subsets(scheme: Scheme, answers, subsets) -> list[DecodeReport]:
     if l_total == 0:
         raise ShapeMismatch("answers carry no symbols")
     cost = Fraction(n_r * first.t_n, l_total)  # every answer has one shape
-    mds_detail = None
     if scheme.mds is not None:
-        at, inv, mds_detail = _reconstruction_map(scheme)
+        at, inv = _reconstruction_map(scheme)
     reports = []
     for block in _blocks(scheme, subsets):
         d_a, details = _responder_maps(scheme, tuple(block))
@@ -305,7 +306,6 @@ def decode_subsets(scheme: Scheme, answers, subsets) -> list[DecodeReport]:
         if scheme.recombine is not None:
             parts = fl._mul_batch(scheme.recombine.array, parts, q)
         for a_set, detail, raw in zip(block, details, parts):
-            detail = detail or mds_detail
             recovered = None if detail else FMatrix._of(f, raw)
             reports.append(DecodeReport(a_set, detail is None, recovered, cost, detail))
     return reports

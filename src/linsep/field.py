@@ -291,8 +291,6 @@ def _mul_batch(left: np.ndarray, right: np.ndarray, q: int) -> np.ndarray:
 
 def rank(m: FMatrix) -> int:
     """Row rank over F_q."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
     return int(_rank_batch(m.array[None], m.field.q)[0])
 
 

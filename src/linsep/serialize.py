@@ -213,7 +213,13 @@ def scheme_from_dict(d: dict) -> Scheme:
         DemandMatrix(_unmat(f, d["demand"])), a, l_symbols=d["params"]["L"], _draws=draws
     )
     if "recombine" in d:
-        scheme = replace(scheme, recombine=_unmat(f, d["recombine"]))
+        # The demand is recombine times the K_c rows decoded, of full row rank.
+        recombine = _unmat(f, d["recombine"])
+        if recombine.cols != scheme.params.K_c or fl.rank(recombine) < recombine.rows:
+            raise MalformedScheme(
+                f"recombine must have full row rank on the {scheme.params.K_c} decoded rows"
+            )
+        scheme = replace(scheme, recombine=recombine)
     text = _canonical(d)
     if text != dumps(scheme) and text != _complete_design_dump(scheme):
         raise MalformedScheme("file is not the scheme its demand and draws build")

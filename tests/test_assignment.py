@@ -40,6 +40,14 @@ def test_cyclic_rejects_non_dividing_K():
         asg.cyclic_assignment(7, 3, 2)
 
 
+def test_a_threshold_outside_1_to_N_or_a_wrong_set_count_is_refused():
+    for n_r in (0, 4):
+        with pytest.raises(ShapeMismatch, match=f"need 1 <= N_r <= N, got N_r={n_r}, N=3"):
+            asg.cyclic_assignment(6, 3, n_r)
+    with pytest.raises(ShapeMismatch, match="one dataset set per worker required"):
+        asg.Assignment(K=3, N=3, N_r=2, kind=asg.CYCLIC, z=((1, 2), (2, 3)))
+
+
 @pytest.mark.parametrize("K,N,N_r", [(6, 3, 2), (12, 4, 3), (12, 6, 4), (8, 4, 1), (10, 5, 5)])
 def test_cyclic_holder_identity_and_total_load(K, N, N_r):
     a = asg.cyclic_assignment(K, N, N_r)
@@ -58,6 +66,9 @@ def test_cyclic_holder_identity_and_total_load(K, N, N_r):
 def test_allocate_real_slots_hand_evaluated():
     # N=7, b=3: N-b=4 splits as (1,1,2) with alpha=2, so slots 1, 3, 5.
     assert asg.allocate_real_slots(7, 3) == (1, 3, 5)
+    for b in (0, 3):
+        with pytest.raises(ShapeMismatch, match=f"need 1 <= b < N, got b={b}, N=3"):
+            asg.allocate_real_slots(3, b)
     # N=6, b=3: parts (1,1,1), slots 1, 3, 5.
     assert asg.allocate_real_slots(6, 3) == (1, 3, 5)
 

@@ -72,6 +72,8 @@ def test_corollary_piecewise_values():
     assert bd.edge_threshold_cost(P(9, 3, 1, 7)) == 7
     with pytest.raises(NotCovered):
         bd.edge_threshold_cost(P(12, 4, 3, 2))
+    with pytest.raises(Unsupported, match="closed forms stated only for N dividing K"):
+        bd.edge_threshold_cost(P(7, 3, 2, 2))
 
 
 def test_computation_costs_examples():

@@ -268,6 +268,13 @@ def test_large_boundary_and_message_length_errors():
             bl.build_scheme(bl.random_demand(3, 3, FQ, 0), a, l_symbols=length)
 
 
+def test_a_demand_of_the_wrong_shape_is_refused():
+    with pytest.raises(ShapeMismatch, match="need 1 <= K_c <= K, got 3 x 2 demand"):
+        bl.DemandMatrix(fl.FMatrix(FQ, np.ones((3, 2), dtype=np.int64)))
+    with pytest.raises(ShapeMismatch, match="demand width disagrees with the assignment"):
+        bl.build_scheme(bl.random_demand(2, 6, FQ, 0), cyclic_assignment(9, 3, 2))
+
+
 def test_boundary_point_routes_to_middle():
     # K_c = K = N with N_r = N sits on the regime boundary: split count
     # would be C(N-1, N-1) = 1, and the dispatcher keeps it in the middle
@@ -358,10 +365,33 @@ def test_grouped_rejects_wrong_shapes():
     g = grouped_assignment(12, 4, 3)
     with pytest.raises(UnsupportedGroupedParams):
         bl.build_grouped(bl.random_demand(4, 12, FQ, 0), g)  # K_c != K/N
-    with pytest.raises(UnsupportedGroupedParams):
-        bl.build_grouped(
-            bl.random_demand(2, 6, FQ, 0), grouped_assignment(6, 4, 3)
-        )  # group size != K_c - 1
+    with pytest.raises(UnsupportedGroupedParams, match="needs K_c = K/N, got 2"):
+        bl.build_grouped(bl.random_demand(2, 6, FQ, 0), grouped_assignment(6, 4, 3))
+    # K/N = 4.5: its floor 4 is not K_c.
+    with pytest.raises(UnsupportedGroupedParams, match="needs K_c = K/N, got 4"):
+        bl.build_grouped(bl.random_demand(4, 18, FQ, 0), grouped_assignment(18, 4, 3))
+    with pytest.raises(UnsupportedGroupedParams, match="groups of K_c - 1 datasets, got 4"):
+        bl.build_grouped(bl.random_demand(6, 24, FQ, 0), grouped_assignment(24, 4, 3))
+    with pytest.raises(UnsupportedGroupedParams, match="built for 4 workers, N_r=3"):
+        bl.build_grouped(bl.random_demand(2, 6, FQ, 0), grouped_assignment(6, 3, 2))
+
+
+def test_every_group_block_has_a_left_null_vector():
+    """Each group's demand block is K_c x (K_c - 1), so its nullity is at
+    least 1 for any demand; a built scheme's u_T annihilates it."""
+    g = grouped_assignment(12, 4, 3)
+    demands = [bl.demand_from_rows(FQ, DEMAND_3x12), bl.demand_from_rows(FQ, [[0] * 12] * 3)]
+    demands += [bl.random_demand(3, 12, f, seed) for f in (FQ, fl.Field(7)) for seed in range(10)]
+    for demand in demands:
+        arr, q = demand.matrix.array, demand.field.q
+        blocks = [arr[:, [k - 1 for k in members]] for _, members in g.groups]
+        assert all(b.shape == (3, 2) and 3 - ref_rank(b.tolist(), q) >= 1 for b in blocks)
+        try:
+            nulls = bl.build_grouped(demand, g).grouped.null_vectors
+        except GroupedSolveFailed:
+            continue
+        for u, b in zip(nulls, blocks):
+            assert u.any() and not (u @ b % q).any()
 
 
 def test_grouped_success_rate_over_random_demands():

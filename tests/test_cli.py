@@ -4,9 +4,12 @@ import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from linsep import cli
 from linsep import builder as bl
@@ -15,6 +18,8 @@ from linsep import field as fl
 from linsep import serialize as sz
 from linsep.assignment import cyclic_assignment, general_assignment, grouped_assignment
 from linsep.errors import MalformedScheme
+from test_builder import DEMAND_3x12, DEMAND_4x6
+from test_serialize import edit_json
 
 FQ = fl.Field()
 
@@ -199,10 +204,27 @@ def test_a_grid_with_no_valid_point_is_a_usage_error(capsys, argv):
      "error: -L must be at least 1, got -3"),
     (("simulate", "-K", "6", "-N", "3", "--nr", "2", "--kc", "2", "--trials", "-1"),
      "error: --trials must be at least 0, got -1"),
-], ids=["build-K", "verify-kc", "simulate-L", "simulate-large-L", "simulate-trials"])
+    (("verify", "-K", "6", "-N", "3", "--nr", "2", "--kc", "2", "-q", "3037000507"),
+     "error: modulus 3037000507 too large for exact int64 arithmetic"),
+    (("verify", "-K", "6", "-N", "3", "--nr", "2", "--kc", "2", "-q", "1763"),
+     "error: modulus 1763 is not prime"),
+    (("build", "-K", "12", "-N", "4", "--nr", "3", "--kc", "2", "--assignment", "grouped",
+      "--out", "{out}"), "error: grouped scheme needs K_c = K/N, got 2"),
+    (("build", *POINT, "-q", "101", "--demand-file", "{demand}", "--out", "{out}"),
+     f"error: demand file modulus {fl.DEFAULT_MODULUS} != requested 101"),
+    (("build", "-K", "6", "-N", "3", "--nr", "2", "--kc", "2", "--demand-file", "{demand}",
+      "--out", "{out}"), "error: demand file is 2x3, flags say 2x6"),
+    (("simulate", "-K", "3,6", "-N", "3", "--nr", "2", "--kc", "2", "--demand-file",
+      "{demand}", "--trials", "1"), "error: --demand-file needs a single-point grid"),
+], ids=[
+    "build-K", "verify-kc", "simulate-L", "simulate-large-L", "simulate-trials",
+    "verify-q-too-large", "verify-q-not-prime", "build-grouped-kc", "build-demand-q",
+    "build-demand-shape", "simulate-demand-grid",
+])
 def test_a_zero_count_is_named_by_its_parameter(tmp_path, capsys, argv, message):
     path = tmp_path / "s.json"
-    code, out, err = run(capsys, *(a.format(out=path) for a in argv))
+    demand = write_demand(tmp_path / "d.json", [[1, 1, 1], [1, 2, 3]])
+    code, out, err = run(capsys, *(a.format(out=path, demand=demand) for a in argv))
     assert code == 2 and out == "" and message in err
     assert "random_matrix" not in err and not path.exists()
 
@@ -415,6 +437,10 @@ def _pairless_grouped(data):
     data["assignment"]["Z"] = [list(z) for z in grouped_assignment(12, 2, 1).z]
 
 
+# A 5 000-digit entry: past the 4 300 digits Python converts to an int by default.
+HUGE_INTEGER_DEMAND = '{"rows": [[%s, 1, 1], [1, 2, 3]]}' % ("9" * 5000)
+
+
 @pytest.mark.parametrize("argv,expected", [
     (["verify", "-K", "6", "-N", "3", "--nr", "2", "--kc", "2",
       "--mode", "sample:abc"], 2),
@@ -461,6 +487,12 @@ def _pairless_grouped(data):
       "--demand-file", "{deep}", "--out", "{tmp}/deep.json"], 3),
     (["simulate", "-K", "6", "-N", "3", "--nr", "2", "--kc", "2",
       "--demand-file", "{deep}", "--trials", "1"], 3),
+    (["build", "-K", "3", "-N", "3", "--nr", "2", "--kc", "2",
+      "--demand-file", "{huge}", "--out", "{tmp}/huge.json"], 3),
+    (["simulate", "-K", "3", "-N", "3", "--nr", "2", "--kc", "2",
+      "--demand-file", "{huge}", "--trials", "1"], 3),
+    (["build", "-K", "18", "-N", "4", "--nr", "3", "--kc", "4",
+      "--assignment", "grouped", "--out", "{tmp}/g18.json"], 2),
 ])
 def test_bad_input_exits_with_documented_code_and_no_traceback(
     tmp_path, argv, expected
@@ -481,8 +513,10 @@ def test_bad_input_exits_with_documented_code_and_no_traceback(
             tmp_path, "negative_length.json", _negative_length, _large_6
         ),
         "deep": str(tmp_path / "deep.json"),
+        "huge": str(tmp_path / "huge.json"),
     }
     Path(files["deep"]).write_text("[" * 1000)  # nested past Python's recursion limit
+    Path(files["huge"]).write_text(HUGE_INTEGER_DEMAND)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -609,3 +643,39 @@ def test_small_moduli_file_verify_matches_in_memory(tmp_path, capsys, q):
             ]
             codes.add(code)
     assert codes == {0, 1}
+
+
+# A demand file per scheme kind, with the flags that build it; K <= 12.
+DEMAND_BUILDS = {
+    "small": (("-K", "9", "-N", "3", "--nr", "2", "--kc", "2"), [[1] * 9, list(range(1, 10))]),
+    "middle": (("-K", "6", "-N", "3", "--nr", "2", "--kc", "4"), DEMAND_4x6),
+    "large": (("-K", "3", "-N", "3", "--nr", "2", "--kc", "3"), [[1, 1, 1], [1, 2, 3], [1, 4, 9]]),
+    "general": (("-K", "7", "-N", "3", "--nr", "2", "--kc", "2"), [[1] * 7, list(range(1, 8))]),
+    "grouped": (
+        ("-K", "12", "-N", "4", "--nr", "3", "--kc", "3", "--assignment", "grouped"), DEMAND_3x12
+    ),
+}
+
+
+@st.composite
+def _edited_demand(draw):
+    """Build flags and their demand file, entries as JSON integers or
+    strings, after one or two JSON edits."""
+    flags, rows = DEMAND_BUILDS[draw(st.sampled_from(sorted(DEMAND_BUILDS)))]
+    entry = str if draw(st.booleans()) else int
+    data = {"q": str(fl.DEFAULT_MODULUS), "rows": [[entry(x) for x in row] for row in rows]}
+    return flags, edit_json(draw, data)
+
+
+@settings(max_examples=200, deadline=None)
+@example((POINT, HUGE_INTEGER_DEMAND))
+@given(_edited_demand())
+def test_an_edited_demand_file_builds_or_exits_with_a_documented_code(case):
+    # Whatever the edit, build writes its scheme (0) or names a bad flag
+    # value (2) or a malformed file (3); nothing is raised.
+    flags, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        demand = Path(tmp) / "d.json"
+        demand.write_text(text)
+        code = cli.main(["build", *flags, "--demand-file", str(demand), "--out", f"{tmp}/s.json"])
+    assert code in (0, 2, 3)

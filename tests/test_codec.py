@@ -274,10 +274,17 @@ def _one_row_fewer(a):
     return cd.WorkerAnswer(a.worker, fl.FMatrix(a.x.field, a.x.array[:-1]))
 
 
-@pytest.mark.parametrize(
-    "edit", [_over_field_7, _one_column_more, _one_row_fewer], ids=["field", "columns", "rows"]
-)
-def test_decode_rejects_an_answer_of_another_field_or_shape(edit):
+def _from_worker_7(a):
+    return cd.WorkerAnswer(7, a.x)
+
+
+@pytest.mark.parametrize("edit,match", [
+    (_over_field_7, "is over another field"),
+    (_one_column_more, "not 2 x 2"),
+    (_one_row_fewer, "not 2 x 2"),
+    (_from_worker_7, "answer from a worker outside the scheme"),
+], ids=["field", "columns", "rows", "worker"])
+def test_decode_rejects_an_answer_of_another_field_or_shape(edit, match):
     schemes = [
         bl.build_auto(bl.random_demand(4, 6, FQ, 0), 3, 2),
         bl.build_grouped(bl.demand_from_rows(FQ, DEMAND_3x12), grouped_assignment(12, 4, 3)),
@@ -286,8 +293,18 @@ def test_decode_rejects_an_answer_of_another_field_or_shape(edit):
         w = cd.random_messages(s.params.K, 2, FQ, 1)
         answers = [cd.encode_worker(s, n, w) for n in range(1, s.params.N_r + 1)]
         assert cd.decode(s, answers).success
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ShapeMismatch, match=match):
             cd.decode(s, answers[:-1] + [edit(answers[-1])])
+
+
+def test_decode_of_answers_with_no_symbols_is_refused():
+    # A middle scheme fixes no L, so a K x 0 block encodes to 2 x 0 answers.
+    s = bl.build_scheme(bl.demand_from_rows(FQ, DEMAND_4x6), cyclic_assignment(6, 3, 2))
+    w = cd.MessageBlock(fl.FMatrix(FQ, np.zeros((6, 0), dtype=np.int64)))
+    answers = [cd.encode_worker(s, n, w) for n in (1, 2)]
+    assert answers[0].x.rows == 2 and answers[0].x.cols == 0
+    with pytest.raises(ShapeMismatch, match="answers carry no symbols"):
+        cd.decode(s, answers)
 
 
 def test_decode_reports_straggler_independence():
@@ -777,8 +794,8 @@ def test_cached_decoding_maps_are_read_only():
     w = cd.random_messages(6, scheme.params.L, FQ, 4)
     assert cd.decode(scheme, [cd.encode_worker(scheme, n, w) for n in (1, 3)]).success
     d_a, (detail,) = cd._responder_maps(scheme, ((1, 3),))
-    at, inv, mds_detail = cd._reconstruction_map(scheme)
-    assert detail is None and mds_detail is None
+    at, inv = cd._reconstruction_map(scheme)
+    assert detail is None
     w = cd.random_messages(12, 2, FQ, 4)
     assert cd.decode(grouped, [cd.encode_worker(grouped, n, w) for n in (1, 2, 4)]).success
     grouped_d_a, (detail,) = cd._responder_maps(grouped, ((1, 2, 4),))
@@ -787,6 +804,42 @@ def test_cached_decoding_maps_are_read_only():
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 1
+
+
+def _assert_reconstruction_map_inverts(scheme):
+    """Each demand row's nodes are m distinct windows in 1..S, and the map's
+    inverse times their Vandermonde stack, built by ``pow``, is I_m."""
+    q, m, s = scheme.params.q, scheme.split_count, scheme.mds.code_length
+    at, inv = cd._reconstruction_map(scheme)
+    nodes = at // len(scheme.mds.subsets[0]) + 1
+    assert nodes.shape == (scheme.params.K_c, m) and s < q
+    for j, row in enumerate(nodes.tolist()):
+        assert len(set(row)) == m and all(1 <= x <= s for x in row)
+        assert all(j + 1 in scheme.mds.subsets[x - 1] for x in row)
+        stack = [[pow(x, e, q) for e in range(m)] for x in row]
+        assert ref_matmul(inv[j].tolist(), stack, q) == np.eye(m, dtype=int).tolist()
+
+
+def test_the_reconstruction_map_inverts_on_every_large_point_of_the_sweep():
+    """Every large point of the acceptance-3 grid, one demand each."""
+    points = [
+        (k, n, n_r, k_c)
+        for n in range(2, 7) for k in (n, 2 * n, 3 * n)
+        for n_r in range(1, n + 1) for k_c in range(1, k + 1)
+        if k_c > k // n * n_r
+    ]
+    assert len(points) == 210
+    for k, n, n_r, k_c in points:
+        scheme = bl.build_auto(bl.random_demand(k_c, k, FQ, k * k_c), n, n_r)
+        assert scheme.regime == "large"
+        _assert_reconstruction_map_inverts(scheme)
+
+
+def test_the_reconstruction_map_inverts_with_q_minus_1_windows():
+    # (6, 6, 5, 6): t = 5 and gcd(6, 5) = 1, so S = 6 windows at q = 7.
+    scheme = bl.build_auto(bl.random_demand(6, 6, fl.Field(7), 3), 6, 5)
+    assert scheme.mds.code_length == 6 == scheme.params.q - 1
+    _assert_reconstruction_map_inverts(scheme)
 
 
 # Large points with K_c >= t + 2, where the coded design is not every t-subset.
@@ -883,6 +936,13 @@ def test_fallback_rejects_rank_deficient_demand():
     f_mat = bl.demand_from_rows(FQ, [[1, 1, 1], [2, 2, 2]])
     with pytest.raises(RankDeficientDemand):
         cd.fallback_full_recovery(f_mat, cyclic_assignment(3, 3, 2), 2)
+
+
+def test_fallback_gives_up_typed_when_no_attempt_is_left(monkeypatch):
+    monkeypatch.setattr(cd, "_FALLBACK_ATTEMPTS", 0)
+    f_mat = bl.demand_from_rows(FQ, [[1, 1, 1], [2, 1, 1]])
+    with pytest.raises(LinsepError, match="no decodable full-recovery demand found"):
+        cd.fallback_full_recovery(f_mat, cyclic_assignment(3, 3, 2), 2, seed=4)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,14 @@ def test_default_modulus_is_prime():
     assert FQ.q == 2**31 - 1
 
 
+def test_is_prime_rejects_numbers_below_2_and_composites_past_the_trial_division():
+    # 1763 = 41 * 43 has no factor among the bases, so the witness loop
+    # decides it; 3215031751 is a strong pseudoprime to bases 2, 3, 5 and 7.
+    for n in (0, 1, 1763, 3215031751):
+        assert not fl.is_prime(n), n
+    assert fl.is_prime(41) and fl.is_prime(3037000493)
+
+
 def fermat(x, q):
     return [[pow(int(v), q - 2, q) for v in row] for row in np.atleast_2d(x)]
 
@@ -119,6 +127,7 @@ def test_rank_examples():
     q = FQ.q
     assert fl.rank(fl.from_rows(FQ, [[1, q - 1], [1, q - 1]])) == 1
     assert fl.rank(zeros(2, 3, FQ)) == 0
+    assert fl.rank(zeros(0, 3, FQ)) == 0 and fl.rank(zeros(3, 0, FQ)) == 0
 
 
 def test_inverse_examples():
@@ -131,6 +140,16 @@ def test_inverse_examples():
     assert fl.mat_mul(c, inv) == fl.identity(4, FQ)
     with pytest.raises(SingularMatrix):
         fl.inverse(fl.from_rows(F7, [[1, 1], [1, 1]]))
+    with pytest.raises(ShapeMismatch, match="only square matrices have inverses"):
+        fl.inverse(fl.from_rows(F7, [[1, 1, 1], [1, 2, 3]]))
+
+
+def test_mat_mul_rejects_operands_of_another_field_or_shape():
+    a = fl.from_rows(F7, [[1, 2], [3, 4]])
+    with pytest.raises(ShapeMismatch, match="operands live in different fields"):
+        fl.mat_mul(a, fl.from_rows(FQ, [[1, 2], [3, 4]]))
+    with pytest.raises(ShapeMismatch, match="cannot multiply 2x2 by 3x1"):
+        fl.mat_mul(a, fl.from_rows(F7, [[1], [2], [3]]))
 
 
 def test_canonical_null_basis_is_stable():

@@ -78,6 +78,11 @@ def test_run_trial_demand_shape_guard():
         hn.run_trial(cfg, demand=bl.random_demand(2, 6, FQ, 1))
 
 
+def test_run_trial_refuses_an_unknown_scheme_kind():
+    with pytest.raises(ShapeMismatch, match="unknown scheme kind 'ring'"):
+        hn.run_trial(hn.TrialConfig(6, 3, 2, 2, scheme_kind="ring"))
+
+
 def test_replay_determinism_byte_for_byte():
     cfg = hn.TrialConfig(k=9, n=3, n_r=2, k_c=2, l=2, demand_seed=7, message_seed=8)
     assert hn.run_trial(cfg).to_json() == hn.run_trial(cfg).to_json()

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ref_matmul
@@ -17,7 +17,7 @@ from linsep import codec as cd
 from linsep import field as fl
 from linsep import serialize as sz
 from linsep.assignment import cyclic_assignment, grouped_assignment
-from linsep.errors import MalformedScheme, ShapeMismatch
+from linsep.errors import LinsepError, MalformedScheme, ShapeMismatch
 from test_builder import DEMAND_3x12, DEMAND_4x6
 
 FQ = fl.Field()
@@ -253,11 +253,10 @@ JSON_VALUES = st.recursive(
 )
 
 
-@st.composite
-def _edited_file(draw):
-    """A built file of some scheme kind with one or two JSON edits: a key
-    dropped, a value replaced by another JSON value, or deep nesting."""
-    data = copy.deepcopy(_built_files()[draw(st.sampled_from(sorted(_built_files())))])
+def edit_json(draw, data) -> str:
+    """The text of ``data`` after one or two JSON edits, made in place: a key
+    or list item dropped, a value replaced by another JSON value, or deep
+    nesting."""
     depth = 0
     for _ in range(draw(st.integers(1, 2))):
         parent, key = None, None
@@ -277,11 +276,62 @@ def _edited_file(draw):
     return json.dumps(data).replace(json.dumps(_DEEP), "[" * depth + "]" * depth)
 
 
+@st.composite
+def _edited_file(draw):
+    """A built file of some scheme kind with one or two JSON edits."""
+    name = draw(st.sampled_from(sorted(_built_files())))
+    return edit_json(draw, copy.deepcopy(_built_files()[name]))
+
+
+def _fallback_file(recombine) -> str:
+    """The built fallback file with its ``recombine`` rows replaced."""
+    data = copy.deepcopy(_built_files()["fallback"])
+    data["recombine"] = recombine(data["recombine"])
+    return json.dumps(data)
+
+
+# Edits of a fallback file's 2 x 3 recombine that its re-dump cannot catch.
+RECOMBINE_EDITS = {
+    "lost_column": lambda rows: [row[:-1] for row in rows],
+    "all_zero": lambda rows: [["0"] * len(row) for row in rows],
+    "rank_1": lambda rows: [rows[0], rows[0]],
+    "extra_row": lambda rows: rows + [["1", "0", "0"], ["0", "1", "0"]],
+}
+
+
+@pytest.mark.parametrize("edit", list(RECOMBINE_EDITS.values()), ids=list(RECOMBINE_EDITS))
+def test_a_fallback_file_whose_recombine_loses_rank_is_malformed(tmp_path, capsys, edit):
+    text = _fallback_file(edit)
+    with pytest.raises(MalformedScheme, match="recombine must have full row rank on the 3"):
+        sz.loads(text)
+    path = tmp_path / "fallback.json"
+    path.write_text(text)
+    assert cli.main(["verify", "--scheme", str(path)]) == 3
+    assert "error: malformed scheme file: recombine" in capsys.readouterr().err
+
+
+def test_an_unknown_assignment_kind_is_malformed():
+    data = copy.deepcopy(_built_files()["middle"])
+    data["assignment"]["kind"] = "ring"
+    with pytest.raises(MalformedScheme, match="unknown assignment kind 'ring'"):
+        sz.loads(json.dumps(data))
+
+
 @settings(max_examples=300, deadline=None)
+@example(_fallback_file(RECOMBINE_EDITS["lost_column"]))
+@example(_fallback_file(RECOMBINE_EDITS["all_zero"]))
 @given(_edited_file())
 def test_an_edited_file_loads_or_is_malformed(text):
-    # The loader's one failure is MalformedScheme, whatever the defect.
+    # The loader's one failure is MalformedScheme, whatever the defect, and
+    # a file that loads encodes, decodes and verifies, failing only typed.
     try:
-        sz.loads(text)
+        scheme = sz.loads(text)
     except MalformedScheme:
+        return
+    p = scheme.params
+    try:
+        w = cd.random_messages(p.K, p.L or 2, fl.Field(p.q), 1)
+        cd.decode(scheme, [cd.encode_worker(scheme, n, w) for n in range(1, p.N_r + 1)])
+        cd.verify_decodability(scheme)
+    except LinsepError:
         pass
