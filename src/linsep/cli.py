@@ -129,8 +129,12 @@ def _load_demand(path: str, f: Field) -> DemandMatrix:
             raw = json.load(fh)
         except RecursionError:
             raise MalformedDemand("JSON nested too deeply") from None
-        except ValueError as exc:  # bad JSON, or an integer past int's digit limit
+        except json.JSONDecodeError as exc:
             raise MalformedDemand(str(exc)) from None
+        except ValueError:  # json's only other error: an integer past int's digit limit
+            raise MalformedDemand(
+                f"an integer has more than {sys.get_int_max_str_digits()} digits"
+            ) from None
     rows = raw.get("rows") if isinstance(raw, dict) else None
     if not isinstance(rows, list):
         raise MalformedDemand('expected an object with a "rows" list')

@@ -16,8 +16,13 @@ output is already reduced, so the library wraps it with ``FMatrix._of``
 as it is; the public ``FMatrix`` constructor copies and reduces its data.
 
 One elimination, ``_eliminate``, serves every rank, RREF, null space and
-solve.  It runs over a ``(B, m, n)`` stack, and picks pivots per matrix:
-the first nonzero row at or below that matrix's current row.  It eliminates
+solve.  It runs over a ``(B, m, n)`` stack, and its pivot per matrix is the
+first nonzero row at or below that matrix's current row.  It first takes
+every diagonal entry as the pivot, the whole stack at once with no search:
+over a large field a matrix's leading minors are almost never 0, and where
+the diagonal stays nonzero it is the pivot the search would pick, so the
+result is the same bit for bit.  Only the matrices whose diagonal meets a
+zero are restored and searched column by column.  It eliminates
 fraction-free: a row update is ``row * pivot - factor * pivot_row`` with
 both operands in ``[0, q)``, so each product is at most ``(q-1)**2`` and
 their difference lies strictly between ``-(q-1)**2`` and ``(q-1)**2``,
@@ -328,7 +333,42 @@ def _eliminate(a: np.ndarray, q: int) -> np.ndarray:
     the matrix's current row, swapped up to it.  Every other row becomes
     ``row * pivot - factor * pivot row``.  Returns the ``(B, m)`` pivot
     columns, -1 past each matrix's rank.
+
+    The whole stack first takes the diagonal entry as the pivot of each
+    column ``c < min(m, n)``: no mask, search, swap or gather.  A nonzero
+    ``a[c, c]`` is the pivot the search picks, and after ``min(m, n)``
+    pivots a matrix has no row or no column left, so a matrix whose
+    diagonal never meets a zero gets the search's pivots and rows, bit for
+    bit.  Only the matrices that meet one are restored and run through
+    ``_search_pivots``; over a large field they are rare.
     """
+    b, m, n = a.shape
+    k = min(m, n)
+    src = a.copy()
+    for c in range(k):
+        prow = a[:, c].copy()
+        update = a[:, :, c, None] * prow[:, None, :]
+        a *= prow[:, c, None, None]
+        a -= update
+        a %= q
+        a[:, c] = prow
+    pivots = np.full((b, m), -1, dtype=np.intp)
+    pivots[:, :k] = np.arange(k)
+    # Column 0 of every row but row 0 is 0 from the first step on, so each
+    # later step only multiplies a[0, 0] by its diagonal pivot: a[0, 0] ends
+    # as the product of all k of them, nonzero exactly when each one is.
+    # A matrix whose diagonal met a zero then holds garbage; it is restored.
+    fail = np.flatnonzero(a[:, 0, 0] == 0) if k else []
+    if len(fail):
+        sub = src[fail]
+        pivots[fail] = _search_pivots(sub, q)
+        a[fail] = sub
+    return pivots
+
+
+def _search_pivots(a: np.ndarray, q: int) -> np.ndarray:
+    """``_eliminate`` with a pivot search in every column, for the matrices
+    whose diagonal meets a zero."""
     b, m, n = a.shape
     pivots = np.full((b, m), -1, dtype=np.intp)
     r = np.zeros(b, dtype=np.intp)  # each matrix's current row

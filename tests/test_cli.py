@@ -529,6 +529,12 @@ def test_bad_input_exits_with_documented_code_and_no_traceback(
     if expected == 3:
         kind = "scheme" if "--scheme" in argv else "demand"
         assert f"error: malformed {kind} file" in proc.stderr
+    if "{huge}" in argv:
+        # Our own words: json's text would name a Python call no flag makes.
+        limit = sys.get_int_max_str_digits()
+        assert proc.stderr.endswith(
+            f"error: malformed demand file: an integer has more than {limit} digits\n"
+        ), proc.stderr
 
 
 @pytest.mark.parametrize("k", [6, 7])

@@ -254,7 +254,7 @@ def test_derive_seed_separates_streams():
 # Batched kernels against the scalar ones
 # ---------------------------------------------------------------------------
 
-BATCH_MODULI = (7, 101, 2**31 - 1, Q_MAX)
+BATCH_MODULI = (7, 11, 101, 2**31 - 1, Q_MAX)
 
 
 @st.composite
@@ -330,6 +330,98 @@ def test_batched_kernels_across_chunks(q):
     a[::3, 5] = a[::3, 0]
     a[1::4, :, 2] = 0
     assert_batched_matches_scalar(q, a)
+
+
+def _scaled(base, q, seed, count):
+    """``count`` copies of ``base`` with rows and columns scaled by drawn
+    nonzero factors: the rank and the zero pattern of every minor kept."""
+    base = np.array(base, dtype=np.int64) % q
+    m, n = base.shape
+    stream = fl.ElementStream(q, seed)
+    rows = np.array(stream.nonzero(count * m), dtype=np.int64).reshape(count, m, 1)
+    cols = np.array(stream.nonzero(count * n), dtype=np.int64).reshape(count, 1, n)
+    return base * rows % q * cols % q
+
+
+def _random_stack(q, seed, b, m, n):
+    return fl.random_matrix(b * m, n, fl.Field(q), seed).array.reshape(b, m, n).copy()
+
+
+def _diagonal_fails(mat, q):
+    """Whether the diagonal pass meets a zero: some leading principal minor
+    of order up to min(m, n) is 0."""
+    return any(ref_rank(mat[:c, :c].tolist(), q) < c for c in range(1, min(mat.shape) + 1))
+
+
+def _fallback_stack(kind, q):
+    if kind == "zero_corner":
+        a = _random_stack(q, 1, 3, 4, 4)
+        a[:, 0, 0] = 0
+    elif kind == "zero_after_update":
+        # Full rank, yet the (2, 2) entry is 0 once row 1 has lost row 0.
+        base = [[1, 1, 0, 0], [1, 1, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
+        a = _scaled(base, q, 2, 3)
+        assert all(ref_rank(m.tolist(), q) == 4 for m in a)
+    elif kind == "row_swap":
+        # Column 1's pivot is in row 2; the last diagonal entry ends nonzero.
+        a = _scaled([[1, 0, 0], [0, 0, 1], [0, 1, 0]], q, 8, 3)
+    elif kind == "rank_deficient":
+        a = _random_stack(q, 3, 3, 5, 5)
+        a[:, 3] = a[:, 1] * 3 % q
+    elif kind == "tall":
+        a = _random_stack(q, 4, 3, 6, 3)
+        a[:, :, 1] = 0
+    elif kind == "wide":
+        # The leading 3 x 3 block is singular, the matrix has full row rank.
+        base = [[1, 0, 1, 0, 2, 5], [0, 1, 1, 0, 3, 1], [1, 1, 2, 1, 0, 4]]
+        a = _scaled(base, q, 5, 3)
+    else:  # "mixed": matrices that pass beside ones that fail, in one chunk
+        a = _random_stack(q, 6, 8, 4, 5)
+        a[1::2, 0, 0] = 0
+    return a
+
+
+@pytest.mark.parametrize("q", BATCH_MODULI)
+@pytest.mark.parametrize(
+    "kind",
+    ["zero_corner", "zero_after_update", "row_swap", "rank_deficient", "tall", "wide", "mixed"],
+)
+def test_pivot_search_runs_only_where_the_diagonal_fails(monkeypatch, q, kind):
+    a = _fallback_stack(kind, q)
+    search, searched = fl._search_pivots, []
+
+    def spy(sub, q):
+        searched.extend(sub.tolist())
+        return search(sub, q)
+
+    monkeypatch.setattr(fl, "_search_pivots", spy)
+    fl._eliminate(a % q, q)
+    failing = [mat.tolist() for mat in a if _diagonal_fails(mat, q)]
+    assert failing and searched == failing
+    if kind == "mixed" and q > 101:
+        assert len(failing) == len(a) // 2
+    assert_batched_matches_scalar(q, a)
+
+
+@pytest.mark.parametrize("q", (7, 2**31 - 1))
+def test_each_matrix_is_reduced_as_its_own_batch_of_one(q):
+    # Past one chunk, with matrices whose diagonal fails in every chunk: a
+    # matrix's pivots and rows do not depend on its chunk-mates.
+    b, m, n = 3 * fl._BATCH_ELEMENTS // 20 + 7, 4, 5
+    a = _random_stack(q, 7, b, m, n)
+    a[::3, 0, 0] = 0
+    a[1::5, 2] = a[1::5, 1]
+    size = fl._BATCH_ELEMENTS // (m * n)
+    assert b > 2 * size and all(a[lo : lo + size, 0, 0].min() == 0 for lo in range(0, b, size))
+
+    def step(c):
+        return fl._rref_chunk(c, q), c
+
+    piv, red = fl._by_chunk(a, q, step)
+    for j in range(b):
+        one_piv, one_red = step(a[j : j + 1] % q)
+        assert piv[j].tolist() == one_piv[0].tolist()
+        assert red[j].tolist() == one_red[0].tolist()
 
 
 @pytest.mark.parametrize("fill", ["top", "random"])
