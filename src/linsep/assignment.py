@@ -1,8 +1,10 @@
 """Dataset-to-worker assignments.
 
-Dataset and worker indices are 1-based.  ``mod1`` is the modulo that lands in
-``[1..a]`` (so ``mod1(a, a) == a``), which keeps the cyclic formulas directly
-checkable against their closed forms.
+Dataset and worker indices are 1-based.  The cyclic rule, which the general
+assignment applies on its effective slots and the builder on the columns a
+worker misses, is stated once, by ``cyclic_holds``: worker n holds dataset k
+exactly when (k - n) mod N <= N - N_r, so dataset k goes to the N - N_r + 1
+workers k, k - 1, ..., k - N + N_r, counted mod N in [1..N].
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import ceil, comb, floor
 
+import numpy as np
+
 from .errors import ShapeMismatch, UnsupportedGroupedParams, UseGeneralAssignment
 
 CYCLIC = "cyclic"
@@ -18,10 +22,15 @@ GENERAL_VIRTUAL = "general-virtual"
 GROUPED = "grouped"
 
 
-def mod1(b: int, a: int) -> int:
-    """Modulo into [1..a]: mod1(b, a) == a whenever a divides b."""
-    r = b % a
-    return a if r == 0 else r
+def cyclic_holds(K: int, N: int, N_r: int) -> np.ndarray:
+    """The cyclic rule as an (N, K) mask: entry [n - 1, k - 1] is whether
+    worker n holds dataset k, that is, whether (k - n) mod N <= N - N_r."""
+    return (np.arange(K) - np.arange(N)[:, None]) % N <= N - N_r
+
+
+def _sets(held: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The Z sets of an (N, K) holding mask: each row's 1-based true columns."""
+    return tuple(tuple(k for k, h in enumerate(row, 1) if h) for row in held.tolist())
 
 
 def _check_threshold(N: int, N_r: int) -> None:
@@ -52,10 +61,6 @@ class Assignment:
         if len(self.z) != self.N:
             raise ShapeMismatch("one dataset set per worker required")
 
-    def not_assigned(self, n: int) -> tuple[int, ...]:
-        held = set(self.z[n - 1])
-        return tuple(k for k in range(1, self.K + 1) if k not in held)
-
 
 @dataclass(frozen=True)
 class GroupedAssignment(Assignment):
@@ -64,23 +69,12 @@ class GroupedAssignment(Assignment):
     groups: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = field(default=())
 
 
-def _cyclic_sets(K: int, N: int, N_r: int) -> tuple[tuple[int, ...], ...]:
-    per = K // N
-    sets = []
-    for n in range(1, N + 1):
-        members = {
-            mod1(n + i, N) + p * N for p in range(per) for i in range(N - N_r + 1)
-        }
-        sets.append(tuple(sorted(members)))
-    return tuple(sets)
-
-
 def cyclic_assignment(K: int, N: int, N_r: int) -> Assignment:
-    """Cyclic assignment: dataset k goes to workers mod1(k,N), ..., mod1(k-N+N_r,N)."""
+    """The cyclic assignment of ``cyclic_holds``, for N dividing K."""
     _check_threshold(N, N_r)
     if K % N != 0:
         raise UseGeneralAssignment(f"N={N} does not divide K={K}")
-    return Assignment(K=K, N=N, N_r=N_r, kind=CYCLIC, z=_cyclic_sets(K, N, N_r))
+    return Assignment(K=K, N=N, N_r=N_r, kind=CYCLIC, z=_sets(cyclic_holds(K, N, N_r)))
 
 
 def allocate_real_slots(N: int, b: int) -> tuple[int, ...]:
@@ -110,7 +104,8 @@ def general_assignment(K: int, N: int, N_r: int) -> Assignment:
     Datasets [1..aN] follow the plain cyclic rule.  The trailing b datasets
     are placed on slots chosen by ``allocate_real_slots`` inside one extra
     cyclic block of N effective slots, which caps the number of trailing real
-    datasets per worker at ceil((N-N_r+1)/floor(N/b)).
+    datasets per worker at ceil((N-N_r+1)/floor(N/b)).  Each dataset is held
+    as the cyclic rule holds its slot.
     """
     _check_threshold(N, N_r)
     b = K % N
@@ -120,18 +115,13 @@ def general_assignment(K: int, N: int, N_r: int) -> Assignment:
     k_eff = (a + 1) * N
     tail_slots = allocate_real_slots(N, b)
     slot_of = tuple(range(1, a * N + 1)) + tuple(a * N + s for s in tail_slots)
-    effective_z = _cyclic_sets(k_eff, N, N_r)
-    dataset_at = {slot: k for k, slot in enumerate(slot_of, start=1)}
-    z = tuple(
-        tuple(sorted(dataset_at[s] for s in zn if s in dataset_at))
-        for zn in effective_z
-    )
+    held = cyclic_holds(k_eff, N, N_r)[:, np.array(slot_of) - 1]
     return Assignment(
         K=K,
         N=N,
         N_r=N_r,
         kind=GENERAL_VIRTUAL,
-        z=z,
+        z=_sets(held),
         effective_k=k_eff,
         slot_of_dataset=slot_of,
     )

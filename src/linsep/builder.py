@@ -22,7 +22,10 @@ sub-problem's demand over its padding rows, and ``code``, the
 scheme is one sub-problem on the messages; a small scheme has one per demand
 row, an all-ones row on that row's aggregates; a large scheme has one per
 window, on that window's coded symbol block.  ``_null_code`` fills ``code``
-from one batched elimination over all workers of all sub-problems.
+from one batched elimination over all workers of all sub-problems; it
+gathers each worker's missed columns from the cyclic rule's mask,
+``assignment.cyclic_holds``, over the stack's width (K, the effective slots,
+or the small regime's N aggregates), so no assignment is rebuilt for it.
 ``Scheme.encoder(n)`` folds worker n's rows of every sub-problem into one
 encoding matrix E_n over the split messages, built on demand, so every
 scheme kind encodes as one product.
@@ -62,7 +65,7 @@ from .assignment import (
     GROUPED,
     Assignment,
     GroupedAssignment,
-    cyclic_assignment,
+    cyclic_holds,
     general_assignment,
 )
 from .errors import (
@@ -346,25 +349,26 @@ def _padded(demand: np.ndarray, paddings: Sequence[FMatrix | None]) -> np.ndarra
     return padded
 
 
-def _null_code(padded: np.ndarray, a: Assignment, f: Field) -> tuple[np.ndarray, bool]:
+def _null_code(padded: np.ndarray, n: int, n_r: int, q: int) -> tuple[np.ndarray, bool]:
     """Code rows of every padded demand of a stack, and whether any is degenerate.
 
-    Worker n's rows ``code[s, n - 1]`` are the first K/N canonical left null
-    vectors of the columns of ``padded[s]`` it misses on the cyclic ``a``;
-    every worker misses the same number, so all null spaces of the
+    With per = width/n, worker w's rows ``code[s, w - 1]`` are the first per
+    canonical left null vectors of the columns of ``padded[s]`` it misses
+    under the cyclic rule on ``width`` columns.  The gather index is row by
+    row the false columns of ``cyclic_holds``, in increasing order; every
+    worker misses the same number, so all null spaces of the
     ``(S, t, width)`` stack come from one batched elimination.  The stack is
-    degenerate where some null space is larger than K/N.
+    degenerate where some null space is larger than per.
     """
-    s, t, _ = padded.shape
-    per = a.K // a.N
-    if t != per * a.N_r:
-        raise ShapeMismatch(f"padded demand has {t} rows, not {per * a.N_r}")
-    cols = np.array([a.not_assigned(n) for n in range(1, a.N + 1)], dtype=np.intp)
-    cols = cols.reshape(a.N, -1) - 1
-    blocks = padded[:, :, cols].transpose(0, 2, 1, 3).reshape(s * a.N, t, cols.shape[1])
-    code, nullity = fl._left_null_batch(blocks, f.q, per)
+    s, t, width = padded.shape
+    per = width // n
+    if t != per * n_r:
+        raise ShapeMismatch(f"padded demand has {t} rows, not {per * n_r}")
+    cols = np.nonzero(~cyclic_holds(width, n, n_r))[1].reshape(n, -1)
+    blocks = padded[:, :, cols].transpose(0, 2, 1, 3).reshape(s * n, t, cols.shape[1])
+    code, nullity = fl._left_null_batch(blocks, q, per)
     assert (nullity >= per).all(), "null space smaller than guaranteed"
-    code = code.reshape(s, a.N, per, t)
+    code = code.reshape(s, n, per, t)
     code.setflags(write=False)
     return code, bool((nullity != per).any())
 
@@ -387,26 +391,25 @@ def _cyclic(
 ) -> Scheme:
     """The cyclic-family scheme: one stack of middle sub-problems, by regime.
 
-    A general-virtual demand is first embedded into the effective slots, and
-    the code runs on the cyclic assignment of those.  With per = width/N and
-    t = per * N_r, the regime picks the stack:
+    A general-virtual demand is first embedded into the effective slots.
+    The code always runs on the cyclic rule over the stack's width columns.
+    With per = width/N and t = per * N_r, the regime picks the stack:
 
     * small: demand row j is sub-problem j, the all-ones row on N aggregates
       over N_r - 1 padding rows.  Aggregate n collects row j's terms on
       messages n, n+N, n+2N, ..., so it is computable by exactly the workers
-      holding those messages, which coincide under the cyclic assignment;
-      the code therefore runs on the cyclic assignment of N datasets.
+      holding those messages, which coincide under the cyclic rule; the
+      code therefore runs on the cyclic rule over N columns.
     * middle: the one sub-problem, the demand over t - K_c padding rows.
     * large: one sub-problem per cyclic window of t demand rows, which needs
       no padding; every message splits into m sub-messages, and L must be a
       positive multiple of m.
     """
     f, k_c = f_mat.field, f_mat.k_c
-    demand, effective, placement = f_mat.matrix.array, None, a
+    demand, effective = f_mat.matrix.array, None
     if a.kind == GENERAL_VIRTUAL:
         effective = _effective_demand(f_mat, a, draws)
         demand = effective.array
-        placement = cyclic_assignment(a.effective_k, a.N, a.N_r)
     per = demand.shape[1] // a.N
     t = per * a.N_r
     regime, mds, length = regime_for(k_c, per, a.N_r), None, None
@@ -414,7 +417,6 @@ def _cyclic(
         pad = a.N_r - 1
         paddings = [draws.padding(j, pad, a.N, f) for j in range(1, k_c + 1)]
         padded = _padded(np.ones((1, a.N), dtype=np.int64), paddings)
-        placement = cyclic_assignment(a.N, a.N, a.N_r)
     elif regime == MIDDLE:
         pad = t - k_c
         padded = _padded(demand, [draws.padding(0, pad, demand.shape[1], f)])
@@ -431,7 +433,7 @@ def _cyclic(
         padded = demand[np.array(design) - 1]
         padded.setflags(write=False)
         mds = MDSDescriptor(split_count=m, subsets=design)
-    code, degenerate = _null_code(padded, placement, f)
+    code, degenerate = _null_code(padded, a.N, a.N_r, f.q)
     return Scheme(
         regime=regime,
         params=SchemeParams(a.K, a.N, a.N_r, k_c, f.q, L=length),
@@ -589,16 +591,10 @@ def adversarial_fixture(
     resp = tuple(sorted(set(responding_set)))
     if len(resp) != N_r or not all(1 <= n <= N for n in resp):
         raise ShapeMismatch(f"responding set must be N_r={N_r} distinct workers")
-    blocks = K // N
-    base = cyclic_assignment(N, N, N_r)
+    held = cyclic_holds(N, N, N_r)[np.array(resp) - 1]
+    held = np.kron(np.eye(K // N, dtype=bool), held)  # block-diagonal, (K/N)N_r x K
     f = Field()
     stream = fl.ElementStream(f.q, derive_seed(seed, "fixture"))
-    arr = np.zeros((blocks * N_r, K), dtype=np.int64)
-    for blk in range(blocks):
-        for i, worker in enumerate(resp):
-            missing = set(base.not_assigned(worker))
-            row = blk * N_r + i
-            for col in range(1, N + 1):
-                if col not in missing:
-                    arr[row, blk * N + col - 1] = stream.nonzero(1)[0]
+    arr = np.zeros(held.shape, dtype=np.int64)
+    arr[held] = stream.nonzero(int(held.sum()))  # in row-major order
     return DemandMatrix(FMatrix(f, arr))

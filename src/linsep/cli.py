@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 
 from . import bounds as bd
@@ -112,18 +113,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _too_many_digits() -> MalformedDemand:
+    return MalformedDemand(f"an integer has more than {sys.get_int_max_str_digits()} digits")
+
+
 def _integer(x) -> int:
     """A JSON integer or integer string; anything else is malformed."""
     try:
         if isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool)):
             return int(x)
     except ValueError:
-        pass
+        # An integer literal can fail ``int`` only by passing its digit limit.
+        if re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", x):
+            raise _too_many_digits() from None
     raise MalformedDemand(f"{x!r} is not an integer")
 
 
-def _load_demand(path: str, f: Field) -> DemandMatrix:
-    """The demand of a ``{"q": ..., "rows": [[...], ...]}`` file, entries mod q."""
+def _load_demand(path: str, f: Field, k_c: int, k: int) -> DemandMatrix:
+    """The K_c x K demand of a ``{"q": ..., "rows": [[...], ...]}`` file, entries mod q."""
     with open(path, encoding="utf-8", errors="replace") as fh:
         try:
             raw = json.load(fh)
@@ -132,9 +139,7 @@ def _load_demand(path: str, f: Field) -> DemandMatrix:
         except json.JSONDecodeError as exc:
             raise MalformedDemand(str(exc)) from None
         except ValueError:  # json's only other error: an integer past int's digit limit
-            raise MalformedDemand(
-                f"an integer has more than {sys.get_int_max_str_digits()} digits"
-            ) from None
+            raise _too_many_digits() from None
     rows = raw.get("rows") if isinstance(raw, dict) else None
     if not isinstance(rows, list):
         raise MalformedDemand('expected an object with a "rows" list')
@@ -143,17 +148,16 @@ def _load_demand(path: str, f: Field) -> DemandMatrix:
     width = len(rows[0]) if rows and isinstance(rows[0], list) else 0
     if not width or not all(isinstance(r, list) and len(r) == width for r in rows):
         raise MalformedDemand("rows must be one or more nonempty lists of one length")
-    return DemandMatrix(from_rows(f, [[_integer(x) % f.q for x in r] for r in rows]))
+    demand = DemandMatrix(from_rows(f, [[_integer(x) % f.q for x in r] for r in rows]))
+    if (demand.k_c, demand.k) != (k_c, k):
+        raise LinsepError(f"demand file is {demand.k_c}x{demand.k}, flags say {k_c}x{k}")
+    return demand
 
 
 def _build_scheme(args, f: Field, seed: int) -> Scheme:
     bd.Params(K=args.K, N=args.N, N_r=args.nr, K_c=args.kc)  # raises on a bad point
     if args.demand_file:
-        demand = _load_demand(args.demand_file, f)
-        if demand.k != args.K or demand.k_c != args.kc:
-            raise LinsepError(
-                f"demand file is {demand.k_c}x{demand.k}, flags say {args.kc}x{args.K}"
-            )
+        demand = _load_demand(args.demand_file, f, args.kc, args.K)
     else:
         demand = random_demand(args.kc, args.K, f, derive_seed(seed, "demand"))
     scheme = build_scheme(
@@ -287,13 +291,13 @@ def cmd_simulate(args, seed: int) -> int:
     points = _grid_points(args)
     if args.trials < 0:
         raise LinsepError(f"--trials must be at least 0, got {args.trials}")
+    demand = None  # loaded and checked before the trial log is truncated
+    if args.demand_file:
+        if len(points) != 1:
+            raise LinsepError("--demand-file needs a single-point grid")
+        demand = _load_demand(args.demand_file, f, points[0].k_c, points[0].k)
     log_fh = open(args.trial_log, "w") if args.trial_log else None
     try:
-        demand = None
-        if args.demand_file:
-            if len(points) != 1:
-                raise LinsepError("--demand-file needs a single-point grid")
-            demand = _load_demand(args.demand_file, f)
         on_trial = (lambda r: log_fh.write(r.to_json() + "\n")) if log_fh else None
         rows = sweep(points, args.trials, seed, on_trial, q=f.q, demand=demand)
     finally:

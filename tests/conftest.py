@@ -10,9 +10,10 @@ systems beside their answers, block by block.  ``indices_containing`` and
 ``reconstruction_stack`` name the windows that rebuild a large scheme's
 demand row and their Vandermonde stack.  ``grouped_by_tag`` reads a grouped
 scheme's arrays by tag.  ``left_null_space``, ``zero_messages``,
-``workers_holding``, ``replication``, ``unique_group`` and
+``workers_holding``, ``not_assigned``, ``replication``, ``unique_group`` and
 ``validate_replication`` are helpers the tests call and the library does
-not.
+not; ``workers_holding`` and ``not_assigned`` read an assignment's Z sets,
+so they are oracles for the library's ``cyclic_holds`` mask.
 """
 
 from dataclasses import dataclass
@@ -48,6 +49,12 @@ def zero_messages(k, l, f):
 def workers_holding(a, k):
     """The workers whose dataset set Z_n holds dataset k, in increasing order."""
     return tuple(n for n in range(1, a.N + 1) if k in a.z[n - 1])
+
+
+def not_assigned(a, n):
+    """The datasets outside worker n's set Z_n, in increasing order."""
+    held = set(a.z[n - 1])
+    return tuple(k for k in range(1, a.K + 1) if k not in held)
 
 
 def replication(a, k):

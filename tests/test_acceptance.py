@@ -12,7 +12,7 @@ from math import ceil
 
 import pytest
 
-from conftest import in_row_span, reconstruction_stack, ref_matmul
+from conftest import in_row_span, not_assigned, reconstruction_stack, ref_matmul
 from linsep import bounds as bd
 from linsep import builder as bl
 from linsep import codec as cd
@@ -283,7 +283,7 @@ def test_acceptance_8_property_suites():
                 if scheme.effective_demand is not None else scheme.assignment
             )
             for n, rows in enumerate(scheme.code[0], 1):
-                missing = scheme.padded[0][:, [c - 1 for c in base.not_assigned(n)]]
+                missing = scheme.padded[0][:, [c - 1 for c in not_assigned(base, n)]]
                 assert not fl.mat_mul(fl.FMatrix(FQ, rows), fl.FMatrix(FQ, missing)).array.any()
                 checked_orthogonality += 1
     assert checked_orthogonality > 100

@@ -1,6 +1,8 @@
 from math import ceil, comb, floor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import replication, unique_group, validate_replication, workers_holding
 from linsep import assignment as asg
@@ -48,14 +50,44 @@ def test_a_threshold_outside_1_to_N_or_a_wrong_set_count_is_refused():
         asg.Assignment(K=3, N=3, N_r=2, kind=asg.CYCLIC, z=((1, 2), (2, 3)))
 
 
+def mod1(b, a):
+    """The paper's modulo into [1..a]: mod1(b, a) == a whenever a divides b."""
+    return (b - 1) % a + 1
+
+
+def assert_paper_rule(K, N, N_r):
+    """The placement is the paper's formula: the cyclic rule puts slot s on
+    workers mod1(s, N), ..., mod1(s - N + N_r, N), and the assignment puts
+    dataset k where its slot is, which is slot k when N divides K."""
+    def workers(s):
+        return {mod1(s - i, N) for i in range(N - N_r + 1)}
+
+    mask = asg.cyclic_holds(K, N, N_r)
+    assert mask.shape == (N, K)
+    for s in range(1, K + 1):
+        assert {n for n in range(1, N + 1) if mask[n - 1, s - 1]} == workers(s)
+    a = asg.general_assignment(K, N, N_r)
+    slots = a.slot_of_dataset or range(1, K + 1)
+    for k, s in enumerate(slots, start=1):
+        assert set(workers_holding(a, k)) == workers(s)
+    assert sum(len(zn) for zn in a.z) == K * (N - N_r + 1)
+    if K % N == 0:
+        assert a.kind == asg.CYCLIC
+        assert all(len(zn) == (K // N) * (N - N_r + 1) for zn in a.z)
+
+
 @pytest.mark.parametrize("K,N,N_r", [(6, 3, 2), (12, 4, 3), (12, 6, 4), (8, 4, 1), (10, 5, 5)])
 def test_cyclic_holder_identity_and_total_load(K, N, N_r):
-    a = asg.cyclic_assignment(K, N, N_r)
-    for k in range(1, K + 1):
-        expected = {asg.mod1(k - i, N) for i in range(N - N_r + 1)}
-        assert set(workers_holding(a, k)) == expected
-    assert sum(len(zn) for zn in a.z) == K * (N - N_r + 1)
-    assert all(len(zn) == (K // N) * (N - N_r + 1) for zn in a.z)
+    assert_paper_rule(K, N, N_r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.tuples(st.integers(1, 5 * n), st.just(n), st.integers(1, n))
+))
+def test_every_placement_up_to_12_workers_is_the_papers_formula(point):
+    # K/N <= 5; a K that N does not divide runs on virtual slots.
+    assert_paper_rule(*point)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import grouped_by_tag, in_row_span, reconstruction_stack, ref_rank
+from conftest import grouped_by_tag, in_row_span, not_assigned, reconstruction_stack, ref_rank
 from linsep import builder as bl
 from linsep import field as fl
 from linsep.assignment import cyclic_assignment, general_assignment, grouped_assignment
@@ -48,12 +48,15 @@ def middle_4x6():
     )
 
 
-def assert_code_orthogonal(s, a):
-    """Every worker's code rows annihilate the padded demand columns it misses."""
-    for n in range(1, a.N + 1):
-        missing = s.padded[0][:, [c - 1 for c in a.not_assigned(n)]]
-        prod = fl.mat_mul(fl.FMatrix(FQ, s.code[0, n - 1]), fl.FMatrix(FQ, missing))
-        assert not prod.array.any()
+def assert_code_orthogonal(s):
+    """In every sub-problem, every worker's code rows annihilate the padded
+    demand columns it misses on the cyclic assignment of the stack's width."""
+    a = cyclic_assignment(s.padded.shape[2], s.params.N, s.params.N_r)
+    for padded, code in zip(s.padded, s.code):
+        for n in range(1, a.N + 1):
+            missing = padded[:, [c - 1 for c in not_assigned(a, n)]]
+            prod = fl.mat_mul(fl.FMatrix(FQ, code[n - 1]), fl.FMatrix(FQ, missing))
+            assert not prod.array.any()
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +90,7 @@ def test_middle_orthogonality_and_computability():
             a = cyclic_assignment(k, n, n_r)
             f_mat = bl.random_demand(k_c, k, FQ, seed=fl.derive_seed(seed, k, n, n_r, k_c))
             s = bl.build_scheme(f_mat, a, padding_seed=seed)
-            assert_code_orthogonal(s, a)
+            assert_code_orthogonal(s)
             assert s.code.shape == (1, n, k // n, k // n * n_r)
             for worker in range(1, n + 1):
                 held = set(a.z[worker - 1])
@@ -441,7 +444,23 @@ def test_general_scheme_shapes_and_orthogonality():
     # real columns embed the original demand
     for k, slot in enumerate(s.assignment.slot_of_dataset, start=1):
         assert list(eff.array[:, slot - 1]) == list(f_mat.matrix.array[:, k - 1])
-    assert_code_orthogonal(s, cyclic_assignment(s.assignment.effective_k, 3, 2))
+    assert_code_orthogonal(s)
+
+
+@pytest.mark.parametrize("k,n_r,k_c,regime,subproblems", [
+    (9, 2, 2, "small", 2),
+    (6, 2, 4, "middle", 1),
+    (6, 2, 5, "large", 5),
+    (7, 2, 1, "small", 1),
+    (7, 2, 5, "middle", 1),
+    (7, 2, 7, "large", 7),
+])
+def test_code_annihilates_the_missed_columns_in_every_regime(k, n_r, k_c, regime, subproblems):
+    # K = 7 on N = 3 workers runs on 9 effective slots.
+    s = bl.build_auto(bl.random_demand(k_c, k, FQ, seed=k), 3, n_r, padding_seed=1, virtual_seed=2)
+    assert (s.regime, len(s.padded)) == (regime, subproblems)
+    assert (s.effective_demand is not None) == (k % 3 != 0)
+    assert_code_orthogonal(s)
 
 
 def test_general_real_slot_placement_3_6_4():
@@ -461,7 +480,7 @@ def test_fixture_zero_pattern():
     fx = bl.adversarial_fixture(4, 4, 3, (1, 2, 4), seed=6)
     arr = fx.matrix.array
     for i, worker in enumerate((1, 2, 4)):
-        missing = set(base.not_assigned(worker))
+        missing = set(not_assigned(base, worker))
         for col in range(1, 5):
             if col in missing:
                 assert arr[i, col - 1] == 0

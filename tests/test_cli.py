@@ -330,6 +330,29 @@ def test_grouped_build_and_verify(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv,expected", [
+    (("-K", "3,6", "--demand-file", "{demand}"), 2),
+    (("-K", "6", "--demand-file", "{demand}"), 2),
+    (("-K", "3", "--demand-file", "{malformed}"), 3),
+    (("-K", "3", "--demand-file", "{missing}"), 3),
+], ids=["multi-point-grid", "demand-shape", "malformed-demand", "missing-demand"])
+def test_a_failed_simulate_leaves_an_existing_trial_log_alone(tmp_path, capsys, argv, expected):
+    log = tmp_path / "trials.jsonl"
+    log.write_text('{"kept": true}\n')
+    files = {
+        "demand": write_demand(tmp_path / "d.json", [[1, 1, 1], [1, 2, 3]]),
+        "malformed": str(tmp_path / "bad.json"),
+        "missing": str(tmp_path / "missing.json"),
+    }
+    Path(files["malformed"]).write_text('{"rows": [["1", "1", "a"], ["1", "2", "3"]]}')
+    code, _, _ = run(
+        capsys, "simulate", *(a.format(**files) for a in argv), "-N", "3", "--nr", "2",
+        "--kc", "2", "--trials", "1", "--trial-log", str(log),
+    )
+    assert code == expected
+    assert log.read_text() == '{"kept": true}\n'
+
+
 def test_simulate_trial_log(tmp_path, capsys):
     log = tmp_path / "trials.jsonl"
     code, _, _ = run(
@@ -439,6 +462,7 @@ def _pairless_grouped(data):
 
 # A 5 000-digit entry: past the 4 300 digits Python converts to an int by default.
 HUGE_INTEGER_DEMAND = '{"rows": [[%s, 1, 1], [1, 2, 3]]}' % ("9" * 5000)
+QUOTED_HUGE_INTEGER_DEMAND = '{"rows": [["%s", 1, 1], [1, 2, 3]]}' % ("9" * 5000)
 
 
 @pytest.mark.parametrize("argv,expected", [
@@ -493,6 +517,8 @@ HUGE_INTEGER_DEMAND = '{"rows": [[%s, 1, 1], [1, 2, 3]]}' % ("9" * 5000)
       "--demand-file", "{huge}", "--trials", "1"], 3),
     (["build", "-K", "18", "-N", "4", "--nr", "3", "--kc", "4",
       "--assignment", "grouped", "--out", "{tmp}/g18.json"], 2),
+    (["build", "-K", "3", "-N", "3", "--nr", "2", "--kc", "2",
+      "--demand-file", "{quoted_huge}", "--out", "{tmp}/quoted.json"], 3),
 ])
 def test_bad_input_exits_with_documented_code_and_no_traceback(
     tmp_path, argv, expected
@@ -514,9 +540,11 @@ def test_bad_input_exits_with_documented_code_and_no_traceback(
         ),
         "deep": str(tmp_path / "deep.json"),
         "huge": str(tmp_path / "huge.json"),
+        "quoted_huge": str(tmp_path / "quoted_huge.json"),
     }
     Path(files["deep"]).write_text("[" * 1000)  # nested past Python's recursion limit
     Path(files["huge"]).write_text(HUGE_INTEGER_DEMAND)
+    Path(files["quoted_huge"]).write_text(QUOTED_HUGE_INTEGER_DEMAND)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -529,8 +557,9 @@ def test_bad_input_exits_with_documented_code_and_no_traceback(
     if expected == 3:
         kind = "scheme" if "--scheme" in argv else "demand"
         assert f"error: malformed {kind} file" in proc.stderr
-    if "{huge}" in argv:
-        # Our own words: json's text would name a Python call no flag makes.
+    if "{huge}" in argv or "{quoted_huge}" in argv:
+        # Our own words: json's text would name a Python call no flag makes,
+        # and ``int``'s would call a quoted integer no integer.
         limit = sys.get_int_max_str_digits()
         assert proc.stderr.endswith(
             f"error: malformed demand file: an integer has more than {limit} digits\n"

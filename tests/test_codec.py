@@ -10,6 +10,7 @@ from conftest import (
     _rref,
     grouped_by_tag,
     indices_containing,
+    not_assigned,
     ref_decode,
     ref_encode,
     ref_matmul,
@@ -427,7 +428,7 @@ def _scalar_verify(scheme, sample_count=None, seed=0, subproblem_cap=200):
     for i in indices:
         rows_by_worker = []
         for n in range(1, p.N + 1):
-            cols = [c - 1 for c in a.not_assigned(n)]
+            cols = [c - 1 for c in not_assigned(a, n)]
             basis = _null_space_columns(scheme.padded[i][:, cols].T, q)[:per]
             assert [v.tolist() for v in basis] == scheme.code[i, n - 1].tolist()
             rows_by_worker.append(np.array(basis))

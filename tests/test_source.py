@@ -379,24 +379,24 @@ def test_error_reported_outside_the_entry_point_is_reported():
 ELIMINATION_NAMES = {"_eliminate", "_rref_chunk", "_chunks", "_by_chunk"}
 
 
-def _elimination_outside_field(trees: dict[str, ast.Module]) -> list[str]:
-    """``ELIMINATION_NAMES`` named by a module other than ``field``, by line."""
+def _named_outside(trees: dict[str, ast.Module], names, modules) -> list[str]:
+    """``names`` named by a module outside ``modules``, by module and line."""
     return [
         f"{module}.{name} (line {line})"
         for module, tree in trees.items()
-        if module != "field"
+        if module not in modules
         for line, name in sorted(
             (node.lineno, name)
             for node in ast.walk(tree)
             for name in _named(node)
-            if name in ELIMINATION_NAMES
+            if name in names
         )
     ]
 
 
 def test_only_the_field_eliminates():
     trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
-    assert _elimination_outside_field(trees) == []
+    assert _named_outside(trees, ELIMINATION_NAMES, {"field"}) == []
 
 
 def test_elimination_outside_the_field_is_reported():
@@ -407,7 +407,34 @@ def test_elimination_outside_the_field_is_reported():
             "y = fl._rank_batch(a, q)\nfor c in fl._chunks(a, q):\n    fl._eliminate(c, q)\n"
         ),
     }
-    assert _elimination_outside_field(trees) == [
+    assert _named_outside(trees, ELIMINATION_NAMES, {"field"}) == [
         "codec._rref_chunk (line 1)", "codec._by_chunk (line 2)",
         "codec._chunks (line 4)", "codec._eliminate (line 5)",
+    ]
+
+
+# The builder gathers a worker's missed columns from ``cyclic_holds``, the one
+# statement of the cyclic rule; only the assignment, which defines the cyclic
+# placement, and the two boundaries that hand one to the builder (the CLI's
+# ``--assignment cyclic`` and a loaded scheme file) build a cyclic assignment.
+PLACEMENT_NAMES = {"cyclic_assignment"}
+PLACEMENT_MODULES = {"assignment", "cli", "serialize"}
+
+
+def test_only_the_placement_boundaries_name_cyclic_assignment():
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    assert _named_outside(trees, PLACEMENT_NAMES, PLACEMENT_MODULES) == []
+
+
+def test_cyclic_assignment_named_outside_the_boundaries_is_reported():
+    trees = {
+        "assignment": ast.parse("def cyclic_assignment(K, N, N_r):\n    pass\n"),
+        "serialize": ast.parse("from .assignment import cyclic_assignment\n"),
+        "builder": ast.parse(
+            "from .assignment import cyclic_assignment, general_assignment\n"
+            "a = general_assignment(6, 3, 2)\nb = asg.cyclic_assignment(3, 3, 2)\n"
+        ),
+    }
+    assert _named_outside(trees, PLACEMENT_NAMES, PLACEMENT_MODULES) == [
+        "builder.cyclic_assignment (line 1)", "builder.cyclic_assignment (line 3)",
     ]
