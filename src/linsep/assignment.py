@@ -4,7 +4,9 @@ Dataset and worker indices are 1-based.  The cyclic rule, which the general
 assignment applies on its effective slots and the builder on the columns a
 worker misses, is stated once, by ``cyclic_holds``: worker n holds dataset k
 exactly when (k - n) mod N <= N - N_r, so dataset k goes to the N - N_r + 1
-workers k, k - 1, ..., k - N + N_r, counted mod N in [1..N].
+workers k, k - 1, ..., k - N + N_r, counted mod N in [1..N].  The grouped
+rule is a mask too: the g-th run of K/C(N, 2) datasets goes to the g-th
+worker pair in lex order.
 """
 
 from __future__ import annotations
@@ -132,7 +134,8 @@ def grouped_assignment(K: int, N: int, N_r: int) -> GroupedAssignment:
 
     Supported only for N - N_r + 1 == 2 with (N choose 2) dividing K; the
     2-subsets are enumerated in lexicographic order and dataset indices fill
-    the groups consecutively.
+    the groups consecutively, so the Z sets are the "worker is in pair" mask
+    repeated by the group size.
     """
     _check_threshold(N, N_r)
     if N - N_r + 1 != 2:
@@ -143,18 +146,10 @@ def grouped_assignment(K: int, N: int, N_r: int) -> GroupedAssignment:
     if K % n_groups != 0:
         raise UnsupportedGroupedParams(f"{n_groups} groups do not divide K={K}")
     size = K // n_groups
-    groups = []
-    nxt = 1
-    for t in combinations(range(1, N + 1), 2):
-        groups.append((t, tuple(range(nxt, nxt + size))))
-        nxt += size
-    z = []
-    for n in range(1, N + 1):
-        mine: list[int] = []
-        for t, members in groups:
-            if n in t:
-                mine.extend(members)
-        z.append(tuple(sorted(mine)))
+    pairs = list(combinations(range(1, N + 1), 2))
+    in_pair = (np.array(pairs)[:, :, None] == np.arange(1, N + 1)).any(axis=1)  # (groups, N)
+    members = np.arange(1, K + 1).reshape(n_groups, size).tolist()
     return GroupedAssignment(
-        K=K, N=N, N_r=N_r, kind=GROUPED, z=tuple(z), groups=tuple(groups)
+        K=K, N=N, N_r=N_r, kind=GROUPED, z=_sets(np.repeat(in_pair.T, size, axis=1)),
+        groups=tuple((t, tuple(m)) for t, m in zip(pairs, members)),
     )

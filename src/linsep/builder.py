@@ -37,8 +37,8 @@ demand, and the assignment the slot of every dataset.
 
 A non-cyclic "grouped" construction exists for the N=4, N_r=3, K_c=K/N=3
 family, where it halves the cyclic scheme's communication cost; its scheme
-holds ``GroupedCode``, four read-only arrays built with the same batched
-kernels.
+holds ``GroupedCode``, read-only arrays built with the same batched
+kernels, among them the pair table: the share each worker sends with each.
 
 ``build_scheme`` is the one entry: a grouped assignment gets
 ``build_grouped``, and every other scheme is built by ``_cyclic``, the one
@@ -53,8 +53,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb, gcd
+from math import gcd
 from typing import Sequence
 
 import numpy as np
@@ -159,18 +158,23 @@ class MDSDescriptor:
 
 @dataclass(frozen=True, eq=False)
 class GroupedCode:
-    """The grouped scheme's read-only arrays, by tag in ``grouped_tags`` order.
+    """The grouped scheme's read-only arrays; tag i is the assignment's
+    i-th group's worker pair, in lex order.
 
-    ``null_vectors[i]`` is u_T of tag i and ``combined[i]`` is U_T = u_T F;
-    ``rows[n - 1]`` holds worker n's shares in the order of
-    ``grouped_tags(N, n)``, and it sends rows 0 and 1, as row 2 is
-    ``relations[n - 1]`` = (a, b) times them.
+    ``null_vectors[i]`` is u_T of tag i and ``combined[i]`` is U_T = u_T F.
+    ``rows[n - 1, r]`` is worker n's share of tag ``share_tags[n - 1, r]``,
+    the tags without n in lex order; it sends rows 0 and 1, as row 2 is
+    ``relations[n - 1]`` = (a, b) times them.  Workers i + 1 and j + 1
+    jointly send the combination of the tag complementary to theirs, worker
+    i + 1 its share ``joint[i, j]`` of it (-1 on the diagonal).
     """
 
     null_vectors: np.ndarray  # (6, K_c)
     combined: np.ndarray  # (6, K)
     rows: np.ndarray  # (N, 3, K)
     relations: np.ndarray  # (N, 2)
+    share_tags: np.ndarray  # (N, 3)
+    joint: np.ndarray  # (N, N)
 
 
 @dataclass(frozen=True, eq=False)
@@ -473,14 +477,6 @@ def _effective_demand(f_mat: DemandMatrix, a: Assignment, draws: _Draws) -> FMat
 # ---------------------------------------------------------------------------
 
 
-def grouped_tags(n_workers: int, without: int = 0) -> list[tuple[int, int]]:
-    """The 2-subsets T of workers in lex order; only those without ``without``.
-
-    Worker n's shares of the grouped scheme follow ``grouped_tags(N, n)``.
-    """
-    return [t for t in combinations(range(1, n_workers + 1), 2) if without not in t]
-
-
 def build_grouped(f_mat: DemandMatrix, g: GroupedAssignment) -> Scheme:
     """Pairwise-cooperative scheme on the grouped assignment.
 
@@ -500,39 +496,41 @@ def build_grouped(f_mat: DemandMatrix, g: GroupedAssignment) -> Scheme:
     k, k_c = f_mat.k, f_mat.k_c
     if k != g.K or k_c * g.N != k:
         raise UnsupportedGroupedParams(f"grouped scheme needs K_c = K/N, got {k_c}")
-    group_size = k // comb(g.N, 2)
+    group_size = k // len(g.groups)
     if group_size != k_c - 1:
         raise UnsupportedGroupedParams(
             f"grouped scheme needs groups of K_c - 1 datasets, got {group_size}"
         )
     q, demand = f_mat.field.q, f_mat.matrix.array
-    tags = grouped_tags(g.N)
     cols = np.array([members for _, members in g.groups]) - 1  # H_T, by tag
     # A group's block is K_c x (K_c - 1), so it always has a left null vector.
     nulls = fl._left_null_batch(demand[:, cols].transpose(1, 0, 2), q, 1)[0]
-    nulls = nulls.reshape(len(tags), k_c)
+    nulls = nulls.reshape(len(cols), k_c)
     combined = fl._mul_batch(nulls, demand, q)
 
-    # Share r of worker i + 1 is of tag mine[i, r].  Lex order puts each
-    # tag's complement, the pair of the worker and its partner, at the
-    # mirrored index comp[i, r]; the partner holds the tag in share back[i, r].
+    # The pair table: worker i + 1's shares are the tags lacking it, in lex
+    # order; with worker j + 1 it sends the tag lacking both, its share joint[i, j].
     idx = np.arange(g.N)[:, None]
-    mine = np.array([[tags.index(t) for t in grouped_tags(g.N, n + 1)] for n in range(g.N)])
-    comp = len(tags) - 1 - mine
-    partner = np.array(tags)[comp].sum(axis=2) - idx - 2  # 0-based, like idx
-    back = (mine[partner] == mine[:, :, None]).argmax(axis=2)
-    shared = cols[comp]  # (N, 3, K_c - 1): the group each share splits
-    r = np.arange(3)[:, None]  # share index
-    free = np.zeros((g.N, 3, k), dtype=bool)
-    free[idx[:, :, None], r, shared] = True
     held = np.zeros((g.N, k), dtype=bool)
     held[idx, np.array(g.z) - 1] = True
-    rows = np.where(held[:, None] & ~free, combined[mine], 0)
+    lacks = ~held[:, cols[:, 0]]  # (N, tags): a tag is the pair that holds its group
+    share_tags = np.nonzero(lacks)[1].reshape(g.N, -1)
+    joint = (lacks.cumsum(axis=1) - 1)[idx, (lacks[:, None] & lacks).argmax(axis=2)]
+    np.fill_diagonal(joint, -1)
+    # Share r is sent with worker partner[i, r] + 1 (the diagonal's -1 sorts
+    # first), whose share back[i, r] is of the same tag; it splits their
+    # pair's group, the columns both hold.
+    partner = joint.argsort(axis=1)[:, 1:]
+    back = joint[partner, idx]
+    free = held[:, None] & held[partner]  # (N, 3, K)
+    shared = np.nonzero(free)[2].reshape(g.N, 3, -1)  # (N, 3, K_c - 1)
+    r = np.arange(3)[:, None]  # share index
+    rows = np.where(held[:, None] & ~free, combined[share_tags], 0)
 
     relations = np.ones((g.N, 2), dtype=np.int64)
     for i in range(g.N):
-        if i:  # solved on H_{1,i+1}, the group of tag i - 1
-            x, ok = fl._solve_batch(rows[i][:, cols[i - 1]].T[None], q)
+        if i:  # solved on H_{1,i+1}, the columns workers 1 and i + 1 hold
+            x, ok = fl._solve_batch(rows[i][:, held[0] & held[i]].T[None], q)
             if not ok[0]:
                 raise GroupedSolveFailed(f"worker {i + 1}: rank system is singular")
             relations[i] = x[0, :, 0]
@@ -544,29 +542,29 @@ def build_grouped(f_mat: DemandMatrix, g: GroupedAssignment) -> Scheme:
         rows[i] = np.where(free[i], fill, rows[i])
         free[i] = False
         at = (partner[i, :, None], back[i, :, None], shared[i])
-        rows[at] = (combined[mine[i, :, None], shared[i]] - rows[i, r, shared[i]]) % q
+        rows[at] = (combined[share_tags[i, :, None], shared[i]] - rows[i, r, shared[i]]) % q
         free[at] = False
 
-    apart = (rows + rows[partner, back]) % q != combined[mine]
+    apart = (rows + rows[partner, back]) % q != combined[share_tags]
     if apart.any():
         i, j = np.argwhere(apart.any(axis=2))[0]
         raise GroupedSolveFailed(
-            f"pair {tags[comp[i, j]]} cannot jointly form the combination of "
-            f"{tags[mine[i, j]]}"
+            f"workers {i + 1} and {partner[i, j] + 1} cannot jointly form the "
+            f"combination of {g.groups[share_tags[i, j]][0]}"
         )
     short = (fl._rank_batch(rows, q) != 2) | (fl._rank_batch(rows[:, :2], q) != 2)
     if short.any():
         raise GroupedSolveFailed(
             f"worker {short.argmax() + 1}: transmissions do not have rank 2"
         )
-    for a in (nulls, combined, rows, relations):
+    for a in (nulls, combined, rows, relations, share_tags, joint):
         a.setflags(write=False)
     return Scheme(
         regime=GROUPED_REGIME,
         params=SchemeParams(g.K, g.N, g.N_r, k_c, q),
         assignment=g,
         demand=f_mat,
-        grouped=GroupedCode(nulls, combined, rows, relations),
+        grouped=GroupedCode(nulls, combined, rows, relations, share_tags, joint),
     )
 
 

@@ -7,18 +7,18 @@ scheme and worker.  Its rows go sub-problem by sub-problem, per rows each.
 Decoding and verification share one system per responder set, built by
 ``_systems`` in task-coefficient space: per sub-problem the responders'
 rows of ``Scheme.code``, or for the grouped scheme the null vectors of the
-complements of the responder pairs.
+complements of the responder pairs, read off its pair table.
 Verification ranks those systems.  Decoding is linear in the answers: it
 multiplies them by the demand rows of the systems' inverses (for the grouped
-scheme, times the sums of each responder pair's shares), and in the large
-regime by a per-scheme map that rebuilds every demand row from the
-MDS-coded symbols.  That map exists for every scheme the builder returns,
-so a decode fails only on a singular responder system.  Both go over a
-batch axis of responder sets:
-``decode_subsets`` takes many sets a block at a time, inverts every system
-of a block with ``field``'s batched inverse, a map cached per scheme and
-block of sets, and multiplies all the block's answers in one product;
-``decode`` is its batch of one, checked and decoded by the same code.
+scheme, times the sums of each responder pair's two shares, which the pair
+table names), and in the large regime by a per-scheme map that rebuilds
+every demand row from the MDS-coded symbols.  That map exists for every
+scheme the builder returns, so a decode fails only on a singular responder
+system.  Both go over a batch axis of responder sets: ``decode_subsets``
+takes many sets a block at a time, inverts every system of a block with
+``field``'s batched inverse, a map cached per scheme and block of sets, and
+multiplies all the block's answers in one product; ``decode`` is its batch
+of one, checked and decoded by the same code.
 Verification ranks its systems in blocks of the same size, and samples
 subsets and sub-problems by one seeded sampler.  The simulation harness
 decodes every responder set of a trial in one call and cross-checks each
@@ -37,7 +37,7 @@ import numpy as np
 
 from . import field as fl
 from .assignment import Assignment
-from .builder import DemandMatrix, Scheme, build_scheme, grouped_tags
+from .builder import DemandMatrix, Scheme, build_scheme
 from .errors import LinsepError, RankDeficientDemand, ShapeMismatch, WrongResponderCount
 from .field import (
     ElementStream, Field, FMatrix, derive_seed, inverse, mat_mul, random_matrix, rank,
@@ -117,7 +117,7 @@ def _held_encoder(scheme: Scheme, n: int):
     e_n = scheme.encoder(n).array
     held = np.array(scheme.assignment.z[n - 1], dtype=np.intp) - 1
     m, k = scheme.split_count, scheme.params.K
-    e_n = e_n.reshape(-1, m, k)[:, :, held].reshape(-1, m * len(held))
+    e_n = e_n.reshape(-1, m, k)[:, :, held].reshape(len(e_n), -1)  # Z_n may be empty
     held.setflags(write=False)
     e_n.setflags(write=False)
     return held, e_n
@@ -146,8 +146,12 @@ def _answers_by_worker(scheme: Scheme, answers) -> dict[int, WorkerAnswer]:
     return by_worker
 
 
-def _complement(scheme: Scheme, pair) -> tuple[int, ...]:
-    return tuple(x for x in range(1, scheme.params.N + 1) if x not in pair)
+def _responder_pairs(subsets):
+    """The pairs of every responder set, in pair order: their positions i < j
+    in a set, and the 0-based workers at them, two ``(B, C(N_r, 2))`` arrays."""
+    i, j = np.array(list(combinations(range(len(subsets[0])), 2))).T
+    workers = np.array(subsets) - 1
+    return i, j, workers[:, i], workers[:, j]
 
 
 def _systems(scheme: Scheme, subsets, sampled=None) -> np.ndarray:
@@ -158,15 +162,12 @@ def _systems(scheme: Scheme, subsets, sampled=None) -> np.ndarray:
     ``code[s, A]``; ``sampled`` picks the sub-problems gathered (default all).
     The grouped scheme has one system of t = K_c rows: the null vectors of
     the complements of A's pairs, in pair order, since each responder pair
-    jointly sends the combination of its complement pair.
+    jointly sends the combination of its complement, by the pair table.
     """
-    if scheme.grouped is not None:
-        tags = grouped_tags(scheme.params.N)
-        at = [
-            [tags.index(_complement(scheme, pair)) for pair in combinations(a_set, 2)]
-            for a_set in subsets
-        ]
-        return scheme.grouped.null_vectors[np.array(at)][:, None]
+    g = scheme.grouped
+    if g is not None:
+        _, _, wi, wj = _responder_pairs(subsets)
+        return g.null_vectors[g.share_tags[wi, g.joint[wi, wj]]][:, None]
     code = scheme.code
     sub = np.arange(len(code)) if sampled is None else np.asarray(sampled)
     rows = code[sub[:, None], np.array(subsets)[:, None, :] - 1]
@@ -190,24 +191,23 @@ def _blocks(scheme: Scheme, subsets, sampled=None) -> list:
 _DECODE_CACHE = 64
 
 
-def _pair_sums(scheme: Scheme, responders: tuple[int, ...]) -> np.ndarray:
-    """Grouped scheme: the pair sums as weights on the responders' sent rows.
+def _pair_sums(scheme: Scheme, subsets) -> np.ndarray:
+    """Grouped scheme: every set's pair sums as weights on its sent rows.
 
-    Row i of the ``(C(N_r, 2), 2 N_r)`` result sums the shares that pair i
-    of ``responders``, in pair order, holds of its complement's combination.
-    A responder's shares 0 and 1 are its two sent rows, and share 2 is their
-    combination by its relation (a, b).
+    Row p of set b's ``(C(N_r, 2), 2 N_r)`` block sums the two shares that
+    the set's pair p, in pair order, holds of its complement's combination,
+    ``joint[i, j]`` and ``joint[j, i]``.  A responder's shares 0 and 1 are
+    its two sent rows, and share 2 is their combination by its relation.
     """
-    n, relations = scheme.params.N, scheme.grouped.relations
-    shares = np.concatenate([np.broadcast_to(np.eye(2, dtype=np.int64), (n, 2, 2)),
-                             relations[:, None]], axis=1)  # (N, 3, 2)
-    out = np.zeros((comb(len(responders), 2), 2 * len(responders)), dtype=np.int64)
-    for i, pair in enumerate(combinations(range(len(responders)), 2)):
-        tag = _complement(scheme, [responders[j] for j in pair])
-        for j in pair:
-            share = grouped_tags(n, responders[j]).index(tag)
-            out[i, 2 * j : 2 * j + 2] = shares[responders[j] - 1, share]
-    return out
+    g = scheme.grouped
+    shares = np.tile(np.eye(3, 2, dtype=np.int64), (scheme.params.N, 1, 1))  # (N, 3, 2)
+    shares[:, 2] = g.relations
+    i, j, wi, wj = _responder_pairs(subsets)
+    p = np.arange(len(i))
+    out = np.zeros((len(subsets), len(p), len(subsets[0]), 2), dtype=np.int64)
+    out[:, p, i] = shares[wi, g.joint[wi, wj]]
+    out[:, p, j] = shares[wj, g.joint[wj, wi]]
+    return out.reshape(len(subsets), len(p), -1)
 
 
 @lru_cache(maxsize=_DECODE_CACHE)
@@ -217,8 +217,8 @@ def _responder_maps(scheme: Scheme, subsets: tuple[tuple[int, ...], ...]):
     The maps are sub-problem-major, ``(S, B, t - padding_rows, rows)``: D_A
     at sub-problem s maps A's answer rows of s, in responder order, to the
     demand rows of s.  They are the demand rows of the inverses of A's
-    systems of ``_systems``, all B sets' inverted in one solve, times A's
-    ``_pair_sums`` for the grouped scheme.  Read-only.
+    systems of ``_systems``, all B sets' inverted in one solve, times the
+    sets' ``_pair_sums`` for the grouped scheme.  Read-only.
     """
     q = scheme.params.q
     systems = _systems(scheme, subsets)
@@ -226,7 +226,7 @@ def _responder_maps(scheme: Scheme, subsets: tuple[tuple[int, ...], ...]):
     inv, ok = fl._inverse_batch(systems.reshape(b * s, t, t), q)
     d_a = inv.reshape(b, s, t, t)[:, :, : t - scheme.padding_rows].swapaxes(0, 1)
     if scheme.grouped is not None:
-        d_a = fl._mul_batch(d_a, np.stack([_pair_sums(scheme, a) for a in subsets]), q)
+        d_a = fl._mul_batch(d_a, _pair_sums(scheme, subsets), q)
     d_a.setflags(write=False)
     details = tuple(
         None if good.all() else f"sub-problem {good.argmin() + 1}: stacked code rows are singular"
@@ -345,17 +345,18 @@ _SUBSET_CAP = 10**6  # responder subsets an exhaustive list may enumerate
 def responder_subsets(
     n: int, n_r: int, sample_count: int | None = None, seed: int = 0
 ) -> list[tuple[int, ...]]:
-    """Every N_r-subset of the N workers, or a seeded sample of ``sample_count``."""
+    """Every N_r-subset of the N workers, under a cap, or a seeded sample
+    of ``sample_count`` of them where that is fewer."""
     total = comb(n, n_r)
-    if sample_count is None:
+    if sample_count is not None and sample_count < 1:
+        raise ShapeMismatch(f"sample count must be at least 1, got {sample_count}")
+    if sample_count is None or sample_count >= total:
         if total > _SUBSET_CAP:
             raise ShapeMismatch(
                 f"{total} responder subsets exceed the exhaustive cap {_SUBSET_CAP}"
             )
         return list(combinations(range(1, n + 1), n_r))
-    if sample_count < 1:
-        raise ShapeMismatch(f"sample count must be at least 1, got {sample_count}")
-    indices = _sample_distinct(total, min(sample_count, total), derive_seed(seed, "subsets"))
+    indices = _sample_distinct(total, sample_count, derive_seed(seed, "subsets"))
     return [_unrank_combination(n, n_r, i) for i in indices]
 
 
@@ -422,8 +423,6 @@ def fallback_full_recovery(
     k, k_c = f_mat.k, f_mat.k_c
     if rank(f_mat.matrix) != k_c:
         raise RankDeficientDemand("fallback needs a full-row-rank demand")
-    if k_c == k:
-        return build_scheme(f_mat, a, l_symbols=l_symbols)
     f = f_mat.field
     for attempt in range(_FALLBACK_ATTEMPTS):
         g = random_matrix(k, k, f, derive_seed(seed, "full-recovery", attempt))

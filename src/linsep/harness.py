@@ -23,8 +23,8 @@ from .builder import (
     expected_cost,
     random_demand,
 )
-from .codec import decode_subsets, encode_worker, random_messages, responder_subsets
-from .errors import ShapeMismatch
+from .codec import DecodeReport, decode_subsets, encode_worker, random_messages, responder_subsets
+from .errors import GroupedSolveFailed, ShapeMismatch
 from .field import DEFAULT_MODULUS, Field, derive_seed, mat_mul
 
 AUTO, GROUPED_KIND = "auto", "grouped"
@@ -118,38 +118,45 @@ def run_trial(cfg: TrialConfig, demand: DemandMatrix | None = None) -> TrialResu
     """Build, encode, decode, and audit one parameter point, from every N_r responders.
 
     ``demand`` overrides the seeded demand draw (used to replay a fixed
-    instance); everything else is a pure function of the config.
+    instance); everything else is a pure function of the config.  A demand
+    the grouped construction cannot serve fails on every subset, at cost 0.
     """
     f = Field(cfg.q)
     if demand is None:
         demand = random_demand(cfg.k_c, cfg.k, f, derive_seed(cfg.demand_seed, "demand"))
     if demand.k_c != cfg.k_c or demand.k != cfg.k:
         raise ShapeMismatch("supplied demand disagrees with the config")
-    scheme = _build_for(cfg, demand)
-    l = _message_length(cfg, scheme)
-    messages = random_messages(cfg.k, l, f, derive_seed(cfg.message_seed, "messages"))
-    oracle = mat_mul(demand.matrix, messages.w)  # direct product, no scheme code
-
     subsets = responder_subsets(cfg.n, cfg.n_r)
-    # A worker's answer does not depend on who else responds: encode it once.
-    responders = dict.fromkeys(n for a_set in subsets for n in a_set)
-    answers = [encode_worker(scheme, n, messages) for n in responders]
+    formula = _formula_cost(cfg)
+    try:
+        scheme = _build_for(cfg, demand)
+    except GroupedSolveFailed as exc:
+        regime, oracle = cfg.scheme_kind, None
+        reports = [DecodeReport(a_set, False, None, Fraction(0), str(exc)) for a_set in subsets]
+    else:
+        # The built scheme's own target cost must agree with the closed form;
+        # a mismatch here is a construction bug, not a probabilistic event.
+        assert expected_cost(scheme) == formula, (scheme.regime, formula)
+        regime = scheme.regime
+        l = _message_length(cfg, scheme)
+        messages = random_messages(cfg.k, l, f, derive_seed(cfg.message_seed, "messages"))
+        oracle = mat_mul(demand.matrix, messages.w)  # direct product, no scheme code
+        # A worker's answer does not depend on who else responds: encode it once.
+        responders = dict.fromkeys(n for a_set in subsets for n in a_set)
+        answers = [encode_worker(scheme, n, messages) for n in responders]
+        reports = decode_subsets(scheme, answers, subsets)
     successes, matches, failure_seeds = [], [], []
     worst = Fraction(0)
-    for a_set, report in zip(subsets, decode_subsets(scheme, answers, subsets)):
+    for a_set, report in zip(subsets, reports):
         successes.append(report.success)
         ok = bool(report.success and report.recovered == oracle)
         matches.append(ok)
         worst = max(worst, report.cost)
         if not ok:
             failure_seeds.append({"subset": list(a_set), **cfg.to_dict()})
-    formula = _formula_cost(cfg)
-    # The built scheme's own target cost must agree with the closed form;
-    # a mismatch here is a construction bug, not a probabilistic event.
-    assert expected_cost(scheme) == formula, (scheme.regime, formula)
     return TrialResult(
         config=cfg,
-        regime=scheme.regime,
+        regime=regime,
         subsets=tuple(subsets),
         successes=tuple(successes),
         matches=tuple(matches),

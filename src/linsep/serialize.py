@@ -37,7 +37,6 @@ from .builder import (
     Scheme,
     _Draws,
     build_scheme,
-    grouped_tags,
 )
 from .errors import LinsepError, MalformedScheme, ShapeMismatch
 from .field import Field, FMatrix
@@ -112,17 +111,18 @@ def scheme_to_dict(scheme: Scheme) -> dict:
         }
     elif scheme.regime == GROUPED_REGIME:
         code = scheme.grouped
+        tags = [list(t) for t, _ in scheme.assignment.groups]
         out["workers"] = [
             {
                 "id": n,
                 "rows": _mat(rows),
-                "tags": [list(t) for t in grouped_tags(p.N, n)],
+                "tags": [tags[i] for i in code.share_tags[n - 1]],
                 "relation": [str(c) for c in relation],
             }
             for n, (rows, relation) in enumerate(zip(code.rows, code.relations.tolist()), 1)
         ]
         out["grouped"] = {
-            "tags": [list(t) for t in grouped_tags(p.N)],
+            "tags": tags,
             "null_vectors": _mat(code.null_vectors),
             "combined": _mat(code.combined),
         }

@@ -9,7 +9,8 @@ before it cached a decoding map per responder set: it solved the responders'
 systems beside their answers, block by block.  ``indices_containing`` and
 ``reconstruction_stack`` name the windows that rebuild a large scheme's
 demand row and their Vandermonde stack.  ``grouped_by_tag`` reads a grouped
-scheme's arrays by tag.  ``left_null_space``, ``zero_messages``,
+scheme's arrays by tag, with ``tags_without`` naming a worker's share tags,
+so both are oracles for the scheme's pair table.  ``left_null_space``, ``zero_messages``,
 ``workers_holding``, ``not_assigned``, ``replication``, ``unique_group`` and
 ``validate_replication`` are helpers the tests call and the library does
 not; ``workers_holding`` and ``not_assigned`` read an assignment's Z sets,
@@ -25,7 +26,6 @@ import numpy as np
 from linsep import codec as cd
 from linsep import field as fl
 from linsep.assignment import CYCLIC
-from linsep.builder import grouped_tags
 from linsep.errors import ShapeMismatch
 from linsep.field import FMatrix
 
@@ -119,6 +119,12 @@ def ref_matmul(a, b, q):
     return out
 
 
+def tags_without(n_workers, n):
+    """The pairs of workers without worker n, in lex order: the tags of
+    worker n's shares in a grouped scheme."""
+    return [t for t in combinations(range(1, n_workers + 1), 2) if n not in t]
+
+
 def grouped_by_tag(scheme, n=None):
     """A grouped scheme's rows by tag T, the 2-subsets of workers in lex order.
 
@@ -131,7 +137,7 @@ def grouped_by_tag(scheme, n=None):
     if n is None:
         tags = list(combinations(workers, 2))
         return dict(zip(tags, zip(code.null_vectors.tolist(), code.combined.tolist())))
-    tags = list(combinations([x for x in workers if x != n], 2))
+    tags = tags_without(scheme.params.N, n)
     coef = ([1, 0], [0, 1], code.relations[n - 1].tolist())
     return dict(zip(tags, zip(code.rows[n - 1].tolist(), coef)))
 
@@ -208,7 +214,7 @@ def _ref_answer_rows(scheme, answers):
     sums = []
     for pair in combinations(shares, 2):
         tag = tuple(x for x in range(1, scheme.params.N + 1) if x not in pair)
-        rows = [shares[n][grouped_tags(scheme.params.N, n).index(tag)] for n in pair]
+        rows = [shares[n][tags_without(scheme.params.N, n).index(tag)] for n in pair]
         sums.append(sum(rows) % q)
     return np.array(sums)[None]
 

@@ -1,5 +1,5 @@
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb, gcd
 
 import numpy as np
@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import grouped_by_tag, in_row_span, not_assigned, reconstruction_stack, ref_rank
+from conftest import (
+    grouped_by_tag, in_row_span, not_assigned, reconstruction_stack, ref_rank, tags_without,
+)
 from linsep import builder as bl
 from linsep import field as fl
 from linsep.assignment import cyclic_assignment, general_assignment, grouped_assignment
@@ -362,6 +364,32 @@ def test_grouped_rank_and_pair_sums():
         row1 = grouped_by_tag(s, s1)[tag][0]
         row2 = grouped_by_tag(s, s2)[tag][0]
         assert [(x + y) % Q for x, y in zip(row1, row2)] == combined[tag][1]
+
+
+def test_the_pair_table_names_each_pairs_complement():
+    # Workers i and j jointly send the combination of the complement of
+    # {i, j}: share joint[i, j] of worker i and joint[j, i] of worker j,
+    # both of that tag, adding to its combined row.
+    schemes = [grouped_example()] + [
+        bl.build_grouped(bl.random_demand(3, 12, FQ, seed), grouped_assignment(12, 4, 3))
+        for seed in range(3)
+    ]
+    workers = (1, 2, 3, 4)
+    for s in schemes:
+        g, combined = s.grouped, grouped_by_tag(s)
+        tags = list(combined)
+        assert not (g.share_tags.flags.writeable or g.joint.flags.writeable)
+        assert g.share_tags.tolist() == [
+            [tags.index(t) for t in tags_without(4, n)] for n in workers
+        ]
+        assert np.diag(g.joint).tolist() == [-1] * 4
+        for i, j in permutations(workers, 2):
+            tag = tuple(x for x in workers if x not in (i, j))
+            r_i, r_j = g.joint[i - 1, j - 1], g.joint[j - 1, i - 1]
+            assert tags[g.share_tags[i - 1, r_i]] == tag == tags[g.share_tags[j - 1, r_j]]
+            assert tags_without(4, i)[r_i] == tag == tags_without(4, j)[r_j]
+            share_i, share_j = grouped_by_tag(s, i)[tag][0], grouped_by_tag(s, j)[tag][0]
+            assert [(x + y) % Q for x, y in zip(share_i, share_j)] == combined[tag][1]
 
 
 def test_grouped_rejects_wrong_shapes():

@@ -640,6 +640,31 @@ def test_simulate_exits_0_once_the_table_is_written(tmp_path, capsys):
     assert [r["failures"] for r in rows] == ["6"]
 
 
+def test_a_grouped_build_failure_is_a_failed_trial(tmp_path, capsys):
+    # At q = 101 the grouped construction cannot serve some of these 50
+    # demands.  Each such trial failed on every responder subset, at cost 0,
+    # and its log line has the keys of any other.
+    point = ["-K", "12", "-N", "4", "--nr", "3", "--kc", "3", "--assignment", "grouped",
+             "-q", "101"]
+    log, out = tmp_path / "t.jsonl", tmp_path / "r.csv"
+    code, _, _ = run(
+        capsys, "simulate", *point, "--trials", "50", "--trial-log", str(log), "--out", str(out)
+    )
+    assert code == 0
+    trials = [json.loads(line) for line in log.read_text().splitlines()]
+    failed = [t for t in trials if not any(t["successes"])]
+    assert len(trials) == 50 and failed
+    assert len({tuple(sorted(t)) for t in trials}) == 1
+    assert all(t["regime"] == "grouped" and t["measured_cost"] == [0, 1] for t in failed)
+    assert all(len(t["failure_seeds"]) == 4 and not t["cost_match"] for t in failed)
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [r["failures"] for r in rows] == [str(len(failed))]
+    # One scheme that cannot be built is still a usage error.
+    for argv in (["build", "--out", str(tmp_path / "s.json")], ["verify"]):
+        code, _, err = run(capsys, *argv, *point, "--seed", "28")
+        assert code == 2 and "zero combination weight" in err
+
+
 # Large points, built at small q: (6,3,2,6) and (6,3,1,4) at K_c >= t + 2,
 # (5,3,2,5) and (7,4,2,6) on virtual slots, the latter at K_c = t + 2.
 SMALL_Q_LARGE_POINTS = ((6, 3, 1, 4), (6, 3, 2, 6), (5, 3, 2, 5), (7, 4, 2, 6))
@@ -714,3 +739,73 @@ def test_an_edited_demand_file_builds_or_exits_with_a_documented_code(case):
         demand.write_text(text)
         code = cli.main(["build", *flags, "--demand-file", str(demand), "--out", f"{tmp}/s.json"])
     assert code in (0, 2, 3)
+
+
+_BAD_INTEGERS = st.sampled_from(["x", "1.5", "", "1e3", "0x3", "--"])
+# Prime and not, small and past field._MAX_MODULUS (2^61 - 1 is prime).
+_MODULI = st.sampled_from(
+    [str(fl.DEFAULT_MODULUS), "101", "7", "3", "4", "1", "0", "-7", "3037000507", str(2**61 - 1)]
+)
+
+
+@st.composite
+def _argv(draw):
+    """An argument vector of one of the five commands, with bounded values:
+    K <= 12, N <= 6, --trials <= 2 and -L <= 64.  Points are mostly valid:
+    one value in 20 is any integer up to its bound, one in 20 is not an
+    integer, and one point flag in 20 is missing."""
+    command = draw(st.sampled_from(["plan", "build", "verify", "simulate", "bounds"]))
+    rare = st.integers(0, 19)
+
+    def spoil(x, hi):
+        odd = draw(rare)
+        if odd == 0:
+            return draw(_BAD_INTEGERS)
+        return str(draw(st.integers(-1, hi)) if odd == 1 else x)
+
+    k, n = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    point = {
+        "-K": (k, 12), "-N": (n, 6),
+        "--nr": (draw(st.integers(1, n)), 6), "--kc": (draw(st.integers(1, k)), 12),
+    }
+    argv = [command]
+    for flag, (x, hi) in point.items():
+        if draw(rare):
+            values = [spoil(x, hi)]
+            if command in ("simulate", "bounds") and draw(st.booleans()):
+                values.append(spoil(draw(st.integers(1, hi)), hi))
+            argv += [flag, ",".join(values)]
+    if command in ("build", "verify", "simulate"):
+        if draw(rare) < 5:
+            argv += ["-q", draw(_MODULI)]
+        if draw(rare) < 5:
+            argv += ["-L", spoil(draw(st.integers(1, 64)), 64)]
+        if draw(st.booleans()):
+            argv += ["--assignment", "ring" if not draw(rare) else draw(st.sampled_from(
+                ["auto", "cyclic", "general", "grouped"]))]
+        if draw(st.booleans()):
+            argv += ["--seed", spoil(draw(st.integers(0, 100)), 100)]
+    if command == "verify" and draw(st.booleans()):
+        argv += ["--mode", draw(st.sampled_from(
+            ["exhaustive", "sample:1", "sample:3", "sample:100", "sample:0", "sample:x", "all"]))]
+    if command == "simulate":
+        argv += ["--trials", spoil(draw(st.integers(0, 2)), 2)]
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@example(["simulate", "-K", "1", "-N", "2", "--nr", "2", "--kc", "1", "--trials", "1"])
+@given(_argv())
+def test_any_argument_vector_exits_with_a_documented_code(argv):
+    # cli.main returns 0 to 3, or argparse exits 2; nothing else is raised.
+    with tempfile.TemporaryDirectory() as tmp:
+        if argv[0] in ("build", "simulate"):
+            argv = [*argv, "--out", f"{tmp}/out"]
+        if argv[0] == "simulate":
+            argv += ["--trial-log", f"{tmp}/log"]
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            return
+    assert code in (0, 1, 2, 3), argv

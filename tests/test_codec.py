@@ -69,6 +69,16 @@ def test_encode_zero_messages_gives_zero_answers():
         assert not cd.encode_worker(s, n, w).x.array.any()
 
 
+def test_a_worker_holding_no_dataset_sends_zero_rows():
+    # K = 1 < N = 2 at N_r = 2: the one dataset sits on worker 1 alone.
+    s = bl.build_auto(bl.random_demand(1, 1, FQ, 1), 2, 2)
+    assert s.assignment.z == ((1,), ())
+    w = cd.random_messages(1, 3, FQ, 1)
+    answer = cd.encode_worker(s, 2, w)
+    assert answer.x.array.shape == (s.rows_sent, 3) and not answer.x.array.any()
+    assert decode_everywhere(s, s.demand, w) == {Fraction(2)}
+
+
 def test_encode_symbol_count_middle():
     f_mat = bl.demand_from_rows(FQ, DEMAND_4x6)
     s = bl.build_scheme(f_mat, cyclic_assignment(6, 3, 2))
@@ -397,6 +407,18 @@ def test_responder_subsets_rejects_sample_counts_below_one():
     for count in (0, -3):
         with pytest.raises(ShapeMismatch):
             cd.responder_subsets(3, 2, count)
+
+
+def test_a_sample_of_every_responder_subset_is_the_exhaustive_list(monkeypatch):
+    everything = cd.responder_subsets(16, 8)
+    assert len(everything) == 12870
+    monkeypatch.setattr(cd, "_sample_distinct", None)  # no draw is made
+    for count in (12870, 20000):
+        assert cd.responder_subsets(16, 8, count, seed=3) == everything
+    # C(24, 12) = 2 704 156 subsets pass the exhaustive cap, sampled or not.
+    for count in (None, 2704156, 3 * 10**6):
+        with pytest.raises(ShapeMismatch, match="exceed the exhaustive cap"):
+            cd.responder_subsets(24, 12, count)
 
 
 def _scalar_verify(scheme, sample_count=None, seed=0, subproblem_cap=200):
@@ -923,14 +945,16 @@ def test_fallback_at_n_r_equal_n(k):
     assert decode_everywhere(s, f_mat, w) == {Fraction(k)}
 
 
-def test_fallback_delegates_when_demand_is_square():
-    f_mat = bl.demand_from_rows(FQ, [[1, 1, 1], [1, 2, 3], [1, 4, 9]])
-    a = cyclic_assignment(3, 3, 2)
-    from linsep import serialize
-
-    via_fallback = cd.fallback_full_recovery(f_mat, a, 2, seed=0)
-    direct = bl.build_scheme(f_mat, a, l_symbols=2)
-    assert serialize.dumps(via_fallback) == serialize.dumps(direct)
+def test_fallback_verifies_a_square_demand():
+    # The construction itself fails on the identity; the fallback's seeded
+    # full-recovery demand decodes it everywhere, at cost K.
+    f_mat = bl.demand_from_rows(FQ, np.eye(6, dtype=np.int64).tolist())
+    a = cyclic_assignment(6, 3, 2)
+    assert len(cd.verify_decodability(bl.build_scheme(f_mat, a))) == 3
+    s = cd.fallback_full_recovery(f_mat, a, seed=0)
+    assert s.recombine is not None and cd.verify_decodability(s) == []
+    w = cd.random_messages(6, s.params.L, FQ, 18)
+    assert decode_everywhere(s, f_mat, w) == {Fraction(6)}
 
 
 def test_fallback_rejects_rank_deficient_demand():
