@@ -15,20 +15,22 @@ combinations:
   every row lies in m = t/g windows.  One middle sub-problem is solved per
   window.
 
-All three are S middle sub-problems, and a ``Scheme`` holds them as two
-read-only arrays: ``padded``, the ``(S, t, width)`` stack of each
-sub-problem's demand over its padding rows, and ``code``, the
-``(S, N, per, t)`` stack of every worker's canonical null rows.  A middle
-scheme is one sub-problem on the messages; a small scheme has one per demand
-row, an all-ones row on that row's aggregates; a large scheme has one per
-window, on that window's coded symbol block.  ``_null_code`` fills ``code``
-from one batched elimination over all workers of all sub-problems; it
-gathers each worker's missed columns from the cyclic rule's mask,
-``assignment.cyclic_holds``, over the stack's width (K, the effective slots,
-or the small regime's N aggregates), so no assignment is rebuilt for it.
-``Scheme.encoder(n)`` folds worker n's rows of every sub-problem into one
-encoding matrix E_n over the split messages, built on demand, so every
-scheme kind encodes as one product.
+All three are S middle sub-problems, and a ``Scheme`` holds them as three
+read-only arrays: ``windows``, the ``(S, w)`` demand rows each sub-problem
+recovers, from which m and the padding follow; ``padded``, the
+``(S, t, width)`` stack of those rows over t - w padding rows; and ``code``,
+the ``(S, N, per, t)`` stack of every worker's canonical null rows.  A middle
+scheme is one sub-problem on the messages, all K_c rows; a small scheme has
+one per demand row, an all-ones row on that row's aggregates; a large scheme
+has one per window, on that window's coded symbol block.  ``_null_code``
+fills ``code`` from one batched elimination over all workers of all
+sub-problems; it gathers each worker's missed columns from the cyclic rule's
+mask, ``assignment.cyclic_holds``, over the stack's width (K, the effective
+slots, or the small regime's N aggregates), so no assignment is rebuilt for
+it.  ``Scheme.encoder(n)`` folds worker n's rows of every sub-problem, each
+scaled by its ``vandermonde`` row, into one encoding matrix E_n over the
+split messages, built on demand, so every scheme kind encodes as one
+product.
 
 When N does not divide K, the demand is embedded into N*ceil(K/N) effective
 slots (the extra slots carry all-zero messages) and the same machinery runs
@@ -42,7 +44,7 @@ kernels, among them the pair table: the share each worker sends with each.
 
 ``build_scheme`` is the one entry: a grouped assignment gets
 ``build_grouped``, and every other scheme is built by ``_cyclic``, the one
-cyclic-family construction, whose regime picks the ``padded`` stack it
+cyclic-family construction, whose regime picks the ``windows`` it
 codes.  A scheme is a deterministic function of its demand, its assignment
 and its random inputs (the padding rows of each middle sub-problem and the
 virtual-slot coefficients), which come from one ``_Draws`` source: drawn from
@@ -69,6 +71,7 @@ from .assignment import (
 )
 from .errors import (
     BadMessageLength,
+    BadModulus,
     GroupedSolveFailed,
     ShapeMismatch,
     UnsupportedGroupedParams,
@@ -121,39 +124,20 @@ class SchemeParams:
     L: int | None = None  # fixed only where the construction splits messages
 
 
-@dataclass(frozen=True)
-class MDSDescriptor:
-    """Erasure code used to split messages in the large regime.
+def vandermonde(nodes, m: int, q: int) -> np.ndarray:
+    """Rows (1, x, ..., x^(m-1)) mod q of an array of nodes x, as one array.
 
-    Generator vectors are rows of the Vandermonde matrix on points 1..code
-    length, so any ``split_count`` of them are linearly independent, and are
-    generated on demand.  Window i's coded symbol block mixes the
-    ``split_count`` sub-messages of every message by vector i; the encoder
-    scales the window's code rows by it instead of forming the block.  Every
-    demand row lies in exactly ``split_count`` of the ``subsets``, which is
-    all that rebuilding the row from its symbols needs.
+    The large regime's generator vectors: window s's coded symbol block
+    mixes the m sub-messages of every message by the row of node s, and any
+    m rows of distinct nodes below q are independent.  At m = 1 every row is
+    (1).  Built column by column as running products, each below (q-1)^2.
     """
-
-    split_count: int  # m: sub-messages per message
-    subsets: tuple[tuple[int, ...], ...]  # lex-ordered t-subsets of [1..K_c]
-
-    @property
-    def code_length(self) -> int:
-        """Number of coded symbols, one sub-problem each."""
-        return len(self.subsets)
-
-    def generator_rows(self, indices, f: Field) -> np.ndarray:
-        """Generator vectors of an array of 1-based lex indices, as one array.
-
-        Entry ``e`` of index x's row is x^e mod q, built column by column as
-        running products, each below (q-1)^2.
-        """
-        x = np.asarray(indices, dtype=np.int64) % f.q
-        out = np.empty(x.shape + (self.split_count,), dtype=np.int64)
-        out[..., 0] = 1
-        for e in range(1, self.split_count):
-            out[..., e] = out[..., e - 1] * x % f.q
-        return out
+    x = np.asarray(nodes, dtype=np.int64) % q
+    out = np.empty(x.shape + (m,), dtype=np.int64)
+    out[..., 0] = 1
+    for e in range(1, m):
+        out[..., e] = out[..., e - 1] * x % q
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,9 +165,11 @@ class GroupedCode:
 class Scheme:
     """A built coding scheme; frozen once constructed, with every sub-problem.
 
-    Not comparable: ``padded`` and ``code`` are arrays.  Sub-problem s's
-    demand is its first ``t - padding_rows`` rows of ``padded[s]``, and
-    ``code[s, n - 1]`` holds worker n's rows in it, in task coefficients.
+    Not comparable: ``padded``, ``code`` and ``windows`` are arrays.
+    Sub-problem s recovers the demand rows ``windows[s]`` (1-based): its
+    first w rows of ``padded[s]``, over ``padding_rows`` padding rows; they
+    are its aggregate row in the small regime.  ``code[s, n - 1]`` holds
+    worker n's rows in it, in task coefficients.
     """
 
     regime: str
@@ -192,8 +178,7 @@ class Scheme:
     demand: DemandMatrix  # original demand over real datasets
     padded: np.ndarray | None = None  # (S, t, width), read-only; None: grouped
     code: np.ndarray | None = None  # (S, N, per, t), read-only; None: grouped
-    padding_rows: int = 0  # per sub-problem
-    mds: MDSDescriptor | None = None
+    windows: np.ndarray | None = None  # (S, w), read-only; None: grouped
     grouped: GroupedCode | None = None
     # K_c x effective_k, on the assignment's effective slots; None: no virtual slots
     effective_demand: FMatrix | None = None
@@ -202,8 +187,13 @@ class Scheme:
 
     @property
     def split_count(self) -> int:
-        """Sub-messages per message: the MDS split count, else 1."""
-        return self.mds.split_count if self.mds else 1
+        """Sub-messages per message: the windows holding each demand row, else 1."""
+        return 1 if self.windows is None else self.windows.size // self.params.K_c
+
+    @property
+    def padding_rows(self) -> int:
+        """Padding rows below each sub-problem's w demand rows: t - w."""
+        return 0 if self.windows is None else self.padded.shape[1] - self.windows.shape[1]
 
     def encoder(self, n: int) -> FMatrix:
         """Worker n's encoding matrix E_n; its answer is E_n times the split messages.
@@ -215,9 +205,10 @@ class Scheme:
         of every sub-problem, then elementwise products only.  A small
         scheme's row j weights M_{j,n}[k mod N] by demand row j's coefficient
         on k (the effective demand's, with virtual slots), since aggregate
-        k mod N collects message k with that weight; a large scheme's block
-        (s, e) is v_s[e] M_{s,n}; virtual slots, whose messages are zero, lose
-        their columns.
+        k mod N collects message k with that weight; block (s, e) is
+        v_s[e] M_{s,n}, v_s the ``vandermonde`` row of node s, all ones
+        where m = 1; virtual slots, whose messages are zero, lose their
+        columns.
         """
         if not (1 <= n <= self.params.N):
             raise ShapeMismatch(f"no worker {n} in a {self.params.N}-worker scheme")
@@ -231,10 +222,8 @@ class Scheme:
             spread = np.arange(coef.shape[1]) % self.params.N
             rows = rows[:, :, spread] * coef[:, None, :] % f.q
         s, per, width = rows.shape
-        if self.mds is not None:
-            v = self.mds.generator_rows(np.arange(1, s + 1), f)
-            rows = v[:, None, :, None] * rows[:, :, None, :] % f.q
-        rows = rows.reshape(s * per, self.split_count, width)
+        v = vandermonde(np.arange(1, s + 1), self.split_count, f.q)
+        rows = (v[:, None, :, None] * rows[:, :, None, :] % f.q).reshape(s * per, -1, width)
         if self.effective_demand is not None:
             rows = rows[:, :, np.array(self.assignment.slot_of_dataset) - 1]
         return FMatrix._of(f, rows.reshape(s * per, -1))
@@ -344,13 +333,14 @@ def build_auto(
 # ---------------------------------------------------------------------------
 
 
-def _padded(demand: np.ndarray, paddings: Sequence[FMatrix | None]) -> np.ndarray:
-    """Read-only ``(S, t, width)`` stack of the demand over each padding (None: none)."""
-    padded = np.stack(
-        [demand if p is None else np.vstack([demand, p.array]) for p in paddings]
-    )
-    padded.setflags(write=False)
-    return padded
+def _padded(rows: np.ndarray, paddings: Sequence[FMatrix | None]) -> np.ndarray:
+    """Read-only ``(S, t, width)`` stack of each sub-problem's ``(S, w, width)``
+    rows over its padding: all of ``paddings`` are None (no padding rows), or
+    none is."""
+    if paddings[0] is not None:
+        rows = np.concatenate([rows, np.stack([p.array for p in paddings])], axis=1)
+    rows.setflags(write=False)
+    return rows
 
 
 def _null_code(padded: np.ndarray, n: int, n_r: int, q: int) -> tuple[np.ndarray, bool]:
@@ -397,17 +387,19 @@ def _cyclic(
 
     A general-virtual demand is first embedded into the effective slots.
     The code always runs on the cyclic rule over the stack's width columns.
-    With per = width/N and t = per * N_r, the regime picks the stack:
+    With per = width/N and t = per * N_r, the regime picks ``windows``, the
+    demand rows each sub-problem recovers, and the stack:
 
     * small: demand row j is sub-problem j, the all-ones row on N aggregates
       over N_r - 1 padding rows.  Aggregate n collects row j's terms on
       messages n, n+N, n+2N, ..., so it is computable by exactly the workers
       holding those messages, which coincide under the cyclic rule; the
       code therefore runs on the cyclic rule over N columns.
-    * middle: the one sub-problem, the demand over t - K_c padding rows.
+    * middle: the one sub-problem, all K_c rows over t - K_c padding rows.
     * large: one sub-problem per cyclic window of t demand rows, which needs
-      no padding; every message splits into m sub-messages, and L must be a
-      positive multiple of m.
+      no padding; every row lies in m windows, so every message splits into
+      m sub-messages, and L must be a positive multiple of m.  The window
+      numbers are the code's nodes, so there must be fewer than q windows.
     """
     f, k_c = f_mat.field, f_mat.k_c
     demand, effective = f_mat.matrix.array, None
@@ -416,27 +408,26 @@ def _cyclic(
         demand = effective.array
     per = demand.shape[1] // a.N
     t = per * a.N_r
-    regime, mds, length = regime_for(k_c, per, a.N_r), None, None
+    regime, length = regime_for(k_c, per, a.N_r), None
     if regime == SMALL:
-        pad = a.N_r - 1
-        paddings = [draws.padding(j, pad, a.N, f) for j in range(1, k_c + 1)]
-        padded = _padded(np.ones((1, a.N), dtype=np.int64), paddings)
+        windows = np.arange(1, k_c + 1)[:, None]
+        paddings = [draws.padding(j, a.N_r - 1, a.N, f) for j in range(1, k_c + 1)]
+        padded = _padded(np.ones((k_c, 1, a.N), dtype=np.int64), paddings)
     elif regime == MIDDLE:
-        pad = t - k_c
-        padded = _padded(demand, [draws.padding(0, pad, demand.shape[1], f)])
+        windows = np.arange(1, k_c + 1)[None]
+        padded = _padded(demand[windows - 1], [draws.padding(0, t - k_c, demand.shape[1], f)])
     else:
-        pad, design = 0, cyclic_design(k_c, t)
-        m = t * len(design) // k_c  # rows per window times windows, per row
+        windows = np.array(cyclic_design(k_c, t))
+        m = windows.size // k_c
         length = m if l_symbols is None else operator.index(l_symbols)
         if length < 1:
             raise BadMessageLength(f"L={length} must be at least 1")
         if length % m != 0:
             raise BadMessageLength(f"L={length} not divisible by split count {m}")
-        if len(design) >= f.q:
-            raise ShapeMismatch("code length must stay below the field modulus")
-        padded = demand[np.array(design) - 1]
-        padded.setflags(write=False)
-        mds = MDSDescriptor(split_count=m, subsets=design)
+        if len(windows) >= f.q:
+            raise BadModulus("code length must stay below the field modulus")
+        padded = _padded(demand[windows - 1], [None])
+    windows.setflags(write=False)
     code, degenerate = _null_code(padded, a.N, a.N_r, f.q)
     return Scheme(
         regime=regime,
@@ -445,8 +436,7 @@ def _cyclic(
         demand=f_mat,
         padded=padded,
         code=code,
-        padding_rows=pad,
-        mds=mds,
+        windows=windows,
         effective_demand=effective,
         degenerate=degenerate,
     )

@@ -11,8 +11,9 @@ complements of the responder pairs, read off its pair table.
 Verification ranks those systems.  Decoding is linear in the answers: it
 multiplies them by the demand rows of the systems' inverses (for the grouped
 scheme, times the sums of each responder pair's two shares, which the pair
-table names), and in the large regime by a per-scheme map that rebuilds
-every demand row from the MDS-coded symbols.  That map exists for every
+table names), and, where messages split into m > 1 sub-messages, by a
+per-scheme map that rebuilds every demand row from its symbols in the m
+windows holding it, read off ``Scheme.windows``.  That map exists for every
 scheme the builder returns, so a decode fails only on a singular responder
 system.  Both go over a batch axis of responder sets: ``decode_subsets``
 takes many sets a block at a time, inverts every system of a block with
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import field as fl
 from .assignment import Assignment
-from .builder import DemandMatrix, Scheme, build_scheme
+from .builder import DemandMatrix, Scheme, build_scheme, vandermonde
 from .errors import LinsepError, RankDeficientDemand, ShapeMismatch, WrongResponderCount
 from .field import (
     ElementStream, Field, FMatrix, derive_seed, inverse, mat_mul, random_matrix, rank,
@@ -237,19 +238,18 @@ def _responder_maps(scheme: Scheme, subsets: tuple[tuple[int, ...], ...]):
 
 @lru_cache(maxsize=_DECODE_CACHE)
 def _reconstruction_map(scheme: Scheme):
-    """Large regime: each demand row's windows and their inverse Vandermonde.
+    """Each demand row's windows and their inverse Vandermonde stack.
 
     Row j's m sub-messages are ``inv[j]`` times its rows in the m windows
-    holding it, at flat (window, position) indices ``at[j]``, in any order.
-    Returns ``at`` and ``inv``.  Every stack is invertible: its nodes are the
-    numbers of m distinct windows, distinct in 1..S, and the builder keeps
-    S below q.
+    holding it, at flat (window, position) indices ``at[j]`` of
+    ``Scheme.windows``, in any order.  Returns ``at`` and ``inv``.  Every
+    stack is invertible: its nodes are the numbers of m distinct windows,
+    distinct in 1..S, and the builder keeps S below q.
     """
-    windows = np.array(scheme.mds.subsets)
+    windows, q = scheme.windows, scheme.params.q
     at = np.argsort(windows, axis=None).reshape(scheme.params.K_c, -1)
     at.setflags(write=False)
-    vandermonde = scheme.mds.generator_rows(at // windows.shape[1] + 1, scheme.demand.field)
-    return at, fl._inverse_batch(vandermonde, scheme.params.q)[0]
+    return at, fl._inverse_batch(vandermonde(at // windows.shape[1] + 1, at.shape[1], q), q)[0]
 
 
 def decode(scheme: Scheme, answers) -> DecodeReport:
@@ -266,7 +266,7 @@ def decode_subsets(scheme: Scheme, answers, subsets) -> list[DecodeReport]:
     sizes its blocks, so that temporaries stay a fixed size for any number
     of sets.  Per block, one gather stacks the sets' answer rows
     sub-problem-major, one product multiplies them by the block's
-    ``_responder_maps``, and in the large regime one more rebuilds the
+    ``_responder_maps``, and where messages split one more rebuilds the
     demand rows from the coded symbols, and for the fallback one more
     recombines them.
     """
@@ -285,12 +285,12 @@ def decode_subsets(scheme: Scheme, answers, subsets) -> list[DecodeReport]:
         return []
     f, q = scheme.demand.field, scheme.params.q
     first = by_worker[subsets[0][0]]
-    cols = first.x.cols
-    l_total = cols * scheme.split_count
+    cols, m = first.x.cols, scheme.split_count
+    l_total = cols * m
     if l_total == 0:
         raise ShapeMismatch("answers carry no symbols")
     cost = Fraction(n_r * first.t_n, l_total)  # every answer has one shape
-    if scheme.mds is not None:
+    if m > 1:
         at, inv = _reconstruction_map(scheme)
     reports = []
     for block in _blocks(scheme, subsets):
@@ -300,7 +300,7 @@ def decode_subsets(scheme: Scheme, answers, subsets) -> list[DecodeReport]:
         # Stacked as a temporary: held through the reconstruction, it cost ~8 % a block.
         parts = fl._mul_batch(d_a, np.concatenate(rows, axis=1).reshape(s, b, -1, cols), q)
         parts = parts.swapaxes(0, 1)
-        if scheme.mds is not None:
+        if m > 1:
             parts = fl._mul_batch(inv, parts.reshape(b, -1, cols)[:, at], q)
         parts = parts.reshape(b, -1, l_total)
         if scheme.recombine is not None:
@@ -369,11 +369,11 @@ def verify_decodability(
     """Responder subsets with a system of ``_systems`` that is not invertible.
 
     Exhaustive over responder subsets, at most ``_SUBSET_CAP`` of them, or
-    a seeded sample of ``sample_count`` of them.  Large-regime schemes with
-    more than ``subproblem_cap`` coded sub-problems (one per window of the
-    design, K_c/gcd(K_c, t) of them) are checked on a deterministic seeded
-    sample of sub-problems.  The stacks go through the batched rank a block
-    of subsets at a time, each block's stacks within
+    a seeded sample of ``sample_count`` of them.  Schemes that split
+    messages (m > 1) with more than ``subproblem_cap`` coded sub-problems
+    (one per window, K_c/gcd(K_c, t) of them) are checked on a deterministic
+    seeded sample of sub-problems.  The stacks go through the batched rank a
+    block of subsets at a time, each block's stacks within
     ``field._BATCH_ELEMENTS`` entries (or one subset's).  The returned list
     is sorted, as the subsets are.
     """
@@ -382,7 +382,7 @@ def verify_decodability(
     subsets = responder_subsets(scheme.params.N, scheme.params.N_r, sample_count, seed)
     q = scheme.params.q
     sampled = None
-    if scheme.mds is not None and len(scheme.code) > subproblem_cap:
+    if scheme.split_count > 1 and len(scheme.code) > subproblem_cap:
         sampled = _sample_distinct(
             len(scheme.code), subproblem_cap, derive_seed(seed, "large-subproblems")
         )

@@ -6,7 +6,7 @@ class LinsepError(Exception):
 
 
 class BadModulus(LinsepError, ValueError):
-    """Field modulus is not a prime in the supported range."""
+    """Field modulus is not a prime in the supported range, or too small for a code."""
 
 
 class MalformedScheme(LinsepError):

@@ -24,7 +24,7 @@ from .builder import (
     random_demand,
 )
 from .codec import DecodeReport, decode_subsets, encode_worker, random_messages, responder_subsets
-from .errors import GroupedSolveFailed, ShapeMismatch
+from .errors import BadMessageLength, BadModulus, GroupedSolveFailed, ShapeMismatch
 from .field import DEFAULT_MODULUS, Field, derive_seed, mat_mul
 
 AUTO, GROUPED_KIND = "auto", "grouped"
@@ -118,8 +118,9 @@ def run_trial(cfg: TrialConfig, demand: DemandMatrix | None = None) -> TrialResu
     """Build, encode, decode, and audit one parameter point, from every N_r responders.
 
     ``demand`` overrides the seeded demand draw (used to replay a fixed
-    instance); everything else is a pure function of the config.  A demand
-    the grouped construction cannot serve fails on every subset, at cost 0.
+    instance); everything else is a pure function of the config.  A point
+    the construction refuses (a grouped demand it cannot serve, or windows
+    the config's L or q cannot carry) fails on every subset, at cost 0.
     """
     f = Field(cfg.q)
     if demand is None:
@@ -130,7 +131,7 @@ def run_trial(cfg: TrialConfig, demand: DemandMatrix | None = None) -> TrialResu
     formula = _formula_cost(cfg)
     try:
         scheme = _build_for(cfg, demand)
-    except GroupedSolveFailed as exc:
+    except (GroupedSolveFailed, BadMessageLength, BadModulus) as exc:
         regime, oracle = cfg.scheme_kind, None
         reports = [DecodeReport(a_set, False, None, Fraction(0), str(exc)) for a_set in subsets]
     else:

@@ -4,11 +4,13 @@ Field elements are serialized as decimal strings of their canonical
 representatives, and objects are dumped with sorted keys and fixed
 separators, so identical schemes produce byte-identical files.  A middle
 sub-problem's entry is a slice of the scheme's arrays: its padding rows from
-``Scheme.padded`` and each worker's code rows from ``Scheme.code``.  Loading
-re-runs the construction on the random inputs a file stores, so the builder
-is the only code that assembles a scheme.  A large-regime file written when
-that regime coded over all C(K_c, t) subsets of the demand rows loads as the
-scheme the builder makes today, on the cyclic windows.
+``Scheme.padded`` and each worker's code rows from ``Scheme.code``; a large
+file's ``mds`` entry holds the split count and the number of
+``Scheme.windows``.  Loading re-runs the construction on the random inputs a
+file stores, so the builder is the only code that assembles a scheme.  A
+large-regime file written when that regime coded over all C(K_c, t) subsets
+of the demand rows loads as the scheme the builder makes today, on the
+cyclic windows.
 """
 
 from __future__ import annotations
@@ -99,16 +101,11 @@ def scheme_to_dict(scheme: Scheme) -> dict:
             for j in range(len(scheme.code))
         ]
     elif scheme.regime == LARGE:
-        if scheme.mds.code_length > MAX_CODE_LENGTH:
-            raise ShapeMismatch(
-                "scheme too large to serialize: "
-                f"{scheme.mds.code_length} coded sub-problems"
-            )
+        length = len(scheme.windows)
+        if length > MAX_CODE_LENGTH:
+            raise ShapeMismatch(f"scheme too large to serialize: {length} coded sub-problems")
         out["workers"] = []
-        out["mds"] = {
-            "split_count": scheme.mds.split_count,
-            "code_length": scheme.mds.code_length,
-        }
+        out["mds"] = {"split_count": scheme.split_count, "code_length": length}
     elif scheme.regime == GROUPED_REGIME:
         code = scheme.grouped
         tags = [list(t) for t, _ in scheme.assignment.groups]

@@ -7,10 +7,12 @@ encode the library ran before every answer became one product by the
 worker's encoding matrix.  ``ref_decode`` is the decode the library ran
 before it cached a decoding map per responder set: it solved the responders'
 systems beside their answers, block by block.  ``indices_containing`` and
-``reconstruction_stack`` name the windows that rebuild a large scheme's
-demand row and their Vandermonde stack.  ``grouped_by_tag`` reads a grouped
-scheme's arrays by tag, with ``tags_without`` naming a worker's share tags,
-so both are oracles for the scheme's pair table.  ``left_null_space``, ``zero_messages``,
+``reconstruction_stack`` name the windows that rebuild a demand row and
+their Vandermonde stack.  All four read a scheme's ``windows`` as stored and
+build every Vandermonde row with ``pow``, so none calls the library's.
+``grouped_by_tag`` reads a grouped scheme's arrays by tag, with
+``tags_without`` naming a worker's share tags, so both are oracles for the
+scheme's pair table.  ``left_null_space``, ``zero_messages``,
 ``workers_holding``, ``not_assigned``, ``replication``, ``unique_group`` and
 ``validate_replication`` are helpers the tests call and the library does
 not; ``workers_holding`` and ``not_assigned`` read an assignment's Z sets,
@@ -174,10 +176,10 @@ def ref_encode(scheme, n, w):
             [[c if k % p.N == r else 0 for k, c in enumerate(row)] for r in range(p.N)]
             for row in demand.to_lists()
         ]
+    m = len(indices_containing(scheme.windows, 1))  # windows per demand row
     out = []
     for i, (padded, code) in enumerate(zip(scheme.padded, scheme.code)):
-        if scheme.mds is not None:
-            m = scheme.mds.split_count
+        if scheme.regime == "large":
             if w.l == 0 or w.l % m:
                 raise ShapeMismatch(f"message length {w.l} not divisible by {m}")
             lm = w.l // m
@@ -223,15 +225,18 @@ def ref_decode(scheme, answers):
     """``decode``'s report, by batched solves beside the answer rows.
 
     One solve of the responders' ``_systems`` beside their answer rows, with
-    a grouped scheme's pair sums formed block by block, keeps each
-    sub-problem's demand rows; the large regime then solves, per
-    demand row, the Vandermonde rows of the m windows holding it beside the
-    row's symbols in them.  The answers are N_r from distinct workers.
+    a grouped scheme's pair sums formed block by block, gives each
+    sub-problem's rows.  A cyclic-family scheme then solves, per demand row
+    j, the Vandermonde rows of the m windows holding j beside j's symbols in
+    them (one window and the row (1) unless messages split).  The answers are
+    N_r from distinct workers.
     """
     answers = sorted(answers, key=lambda a: a.worker)
     responders = tuple(a.worker for a in answers)
     f, q = scheme.demand.field, scheme.params.q
-    l_total = answers[0].x.cols * scheme.split_count
+    windows = scheme.windows
+    m = 1 if windows is None else len(indices_containing(windows, 1))
+    l_total = answers[0].x.cols * m
     if l_total == 0:
         raise ShapeMismatch("answers carry no symbols")
     cost = Fraction(sum(a.t_n for a in answers), l_total)
@@ -242,14 +247,14 @@ def ref_decode(scheme, answers):
     if not ok.all():
         detail = f"sub-problem {ok.argmin() + 1}: stacked code rows are singular"
         return cd.DecodeReport(responders, False, None, cost, detail)
-    raw = x[:, : x.shape[1] - scheme.padding_rows]
-    if scheme.mds is not None:
+    raw = x
+    if windows is not None:
         holders = [[] for _ in range(scheme.params.K_c)]  # row j: (window, position)
-        for i, subset in enumerate(scheme.mds.subsets):
-            for pos, j in enumerate(subset):
+        for i, window in enumerate(windows.tolist()):
+            for pos, j in enumerate(window):
                 holders[j - 1].append((i, pos))
         at = np.array(holders)
-        gen = scheme.mds.generator_rows(at[:, :, 0] + 1, f)
+        gen = np.array([[[pow(i + 1, e, q) for e in range(m)] for i, _ in row] for row in holders])
         aug = np.concatenate([gen, raw[at[:, :, 0], at[:, :, 1]]], axis=2)
         x, ok = fl._solve_batch(aug, q)
         if not ok.all():
@@ -262,14 +267,15 @@ def ref_decode(scheme, answers):
     return cd.DecodeReport(responders, True, raw, cost)
 
 
-def indices_containing(mds, j):
-    """1-based indices of the large regime's windows that hold demand row j."""
-    return tuple(i for i, s in enumerate(mds.subsets, start=1) if j in s)
+def indices_containing(windows, j):
+    """1-based numbers of the rows of ``windows`` that hold demand row j."""
+    return tuple(i for i, window in enumerate(windows.tolist(), start=1) if j in window)
 
 
-def reconstruction_stack(mds, j, f):
-    """m x m stack of the generator vectors of every window holding row j."""
-    return FMatrix(f, mds.generator_rows(indices_containing(mds, j), f))
+def reconstruction_stack(windows, j, f):
+    """m x m stack of the Vandermonde rows, by ``pow``, of the m windows holding row j."""
+    nodes = indices_containing(windows, j)
+    return FMatrix(f, np.array([[pow(x, e, f.q) for e in range(len(nodes))] for x in nodes]))
 
 
 def ref_rank(rows, q):

@@ -92,7 +92,7 @@ def test_acceptance_1_worked_examples():
     demand = bl.demand_from_rows(FQ, DEMAND_3x3)
     scheme = bl.build_scheme(demand, cyclic_assignment(3, 3, 2))
     for j in (1, 2, 3):
-        stack = reconstruction_stack(scheme.mds, j, FQ)
+        stack = reconstruction_stack(scheme.windows, j, FQ)
         fl.inverse(stack)  # raises if singular
     w = cd.random_messages(3, 4, FQ, seed=103)
     assert _decode_all_subsets(scheme, demand, w) == 3

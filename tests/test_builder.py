@@ -198,8 +198,8 @@ def test_small_range_ends_below_k_over_n():
 def test_large_split_counts_and_subdemands():
     f_mat = bl.demand_from_rows(FQ, [[1, 1, 1], [1, 2, 3], [1, 4, 9]])
     s = bl.build_scheme(f_mat, cyclic_assignment(3, 3, 2))
-    assert s.mds.split_count == 2 and s.mds.code_length == 3
-    assert s.mds.subsets == ((1, 2), (1, 3), (2, 3))
+    assert s.split_count == 2 and len(s.windows) == 3
+    assert s.windows.tolist() == [[1, 2], [1, 3], [2, 3]]
     assert s.padded[2].tolist() == [[1, 2, 3], [1, 4, 9]]  # subset {2, 3}
     assert s.padding_rows == 0 and s.code.shape == (3, 3, 1, 2)
     assert s.params.L == 2  # default: one symbol per sub-message
@@ -208,18 +208,18 @@ def test_large_split_counts_and_subdemands():
 def test_large_reconstruction_stacks_invertible():
     f_mat = bl.random_demand(5, 6, FQ, seed=8)
     s = bl.build_scheme(f_mat, cyclic_assignment(6, 3, 2))
-    assert s.mds.split_count == comb(4, 3) and s.mds.code_length == comb(5, 4)
+    assert s.split_count == comb(4, 3) and len(s.windows) == comb(5, 4)
     for j in range(1, 6):
-        stack = reconstruction_stack(s.mds, j, FQ)
-        assert fl.rank(stack) == s.mds.split_count
+        stack = reconstruction_stack(s.windows, j, FQ)
+        assert fl.rank(stack) == s.split_count
 
 
 def test_any_m_generator_vectors_independent():
     f_mat = bl.random_demand(6, 6, FQ, seed=9)
     s = bl.build_scheme(f_mat, cyclic_assignment(6, 3, 2))
-    m = s.mds.split_count
-    vectors = s.mds.generator_rows(np.arange(1, s.mds.code_length + 1), FQ)
-    for chosen in combinations(range(s.mds.code_length), m):
+    m = s.split_count
+    vectors = bl.vandermonde(np.arange(1, len(s.windows) + 1), m, Q)
+    for chosen in combinations(range(len(s.windows)), m):
         assert fl.rank(fl.FMatrix(FQ, vectors[list(chosen)])) == m
 
 
@@ -239,7 +239,7 @@ def _large_points(draw):
 def test_cyclic_design_is_regular_at_cost_k_c(point):
     k, n, n_r, k_c = point
     s = bl.build_auto(bl.random_demand(k_c, k, FQ, k_c), n, n_r)
-    t, m, design = k // n * n_r, s.mds.split_count, s.mds.subsets
+    t, m, design = k // n * n_r, s.split_count, tuple(map(tuple, s.windows.tolist()))
     g = gcd(k_c, t)
     assert s.regime == "large" and design == bl.cyclic_design(k_c, t)
     assert len(design) == k_c // g and len(set(design)) == len(design)
@@ -248,6 +248,58 @@ def test_cyclic_design_is_regular_at_cost_k_c(point):
     assert len(design) * t == k_c * m and m == t // g
     assert bl.expected_cost(s) == k_c
     assert comb(k_c - 1, t - 1) % (t // g) == 0  # every old -L stays valid
+
+
+# Every point of the acceptance-3 grid, and virtual-slot points (N does not
+# divide K) in all three regimes.
+WINDOW_POINTS = [
+    (k, n, n_r, k_c)
+    for n in range(2, 7) for k in (n, 2 * n, 3 * n)
+    for n_r in range(1, n + 1) for k_c in range(1, k + 1)
+] + [
+    (k, n, n_r, k_c)
+    for k, n in ((5, 3), (7, 3), (7, 4), (11, 4))
+    for n_r in range(1, n + 1) for k_c in range(1, k + 1)
+]
+
+
+def test_windows_state_the_split_at_every_point():
+    """``windows`` names each sub-problem's demand rows, once.
+
+    They are ``[[1], ..., [K_c]]`` small, ``[[1 ... K_c]]`` middle and the
+    cyclic design large.  Every demand row lies in exactly m =
+    ``split_count`` windows; in the middle and large regimes ``padded[s]``
+    is the (effective) demand's rows ``windows[s]`` over its padding, and in
+    the small regime the all-ones aggregate row; ``padding_rows`` is t - w;
+    and ``windows`` is read-only.
+    """
+    regimes = Counter()
+    for k, n, n_r, k_c in WINDOW_POINTS:
+        s = bl.build_auto(bl.random_demand(k_c, k, FQ, k * k_c + n_r), n, n_r)
+        regimes[s.regime, s.effective_demand is not None] += 1
+        windows, m = s.windows, s.split_count
+        assert Counter(windows.ravel().tolist()) == {j: m for j in range(1, k_c + 1)}
+        demand = (s.demand.matrix if s.effective_demand is None else s.effective_demand).array
+        w = windows.shape[1]
+        if s.regime == "small":
+            t = n_r
+            assert windows.tolist() == [[j] for j in range(1, k_c + 1)]
+            assert (s.padded[:, :w] == 1).all()
+        else:
+            t = demand.shape[1] // n * n_r
+            for rows, window in zip(s.padded, windows.tolist()):
+                assert rows[:w].tolist() == [demand[j - 1].tolist() for j in window]
+        if s.regime == "middle":
+            assert windows.tolist() == [list(range(1, k_c + 1))]
+        if s.regime == "large":
+            assert windows.tolist() == [list(x) for x in bl.cyclic_design(k_c, t)]
+        assert s.padding_rows == t - w and s.padded.shape[1] == t
+        assert not windows.flags.writeable
+        with pytest.raises(ValueError):
+            windows[0, 0] = 1
+    assert len(WINDOW_POINTS) == 540 + 108
+    assert {r for r, _ in regimes} == {"small", "middle", "large"}
+    assert {r for r, virtual in regimes if virtual} == {"small", "middle", "large"}
 
 
 def test_cyclic_design_is_the_complete_design_at_k_c_t_plus_1():

@@ -665,6 +665,38 @@ def test_a_grouped_build_failure_is_a_failed_trial(tmp_path, capsys):
         assert code == 2 and "zero combination weight" in err
 
 
+@pytest.mark.parametrize("flag,value,refusal", [
+    ("-L", "3", "L=3 not divisible by split count 4"),
+    ("-q", "3", "code length must stay below the field modulus"),
+], ids=["L", "q"])
+def test_a_point_the_construction_refuses_is_a_failed_trial(
+    tmp_path, capsys, flag, value, refusal
+):
+    # (6, 3, 2, 5) codes 5 windows of t = 4 rows, so m = 4: L = 3 is not a
+    # multiple of it, and q = 3 cannot number the windows.  The sweep still
+    # runs every trial of both points and writes its table; the refused
+    # point's trials failed on every subset, at cost 0.
+    point = ["-K", "6", "-N", "3", "--nr", "2"]
+    log, out = tmp_path / "log.jsonl", tmp_path / "o.csv"
+    code, _, _ = run(
+        capsys, "simulate", *point, "--kc", "1,5", flag, value, "--trials", "2",
+        "--trial-log", str(log), "--out", str(out),
+    )
+    assert code == 0
+    trials = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [t["config"]["k_c"] for t in trials] == [1, 1, 5, 5]
+    assert len({tuple(sorted(t)) for t in trials}) == 1
+    for refused in trials[2:]:
+        assert not any(refused["successes"]) and refused["measured_cost"] == [0, 1]
+        assert len(refused["failure_seeds"]) == 3 and not refused["cost_match"]
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [(r["K_c"], r["failures"]) for r in rows][1] == ("5", "2")
+    # Building or verifying the refused point is still a usage error.
+    for argv in (["build", "--out", str(tmp_path / "s.json")], ["verify"]):
+        code, _, err = run(capsys, *argv, *point, "--kc", "5", flag, value)
+        assert code == 2 and refusal in err
+
+
 # Large points, built at small q: (6,3,2,6) and (6,3,1,4) at K_c >= t + 2,
 # (5,3,2,5) and (7,4,2,6) on virtual slots, the latter at K_c = t + 2.
 SMALL_Q_LARGE_POINTS = ((6, 3, 1, 4), (6, 3, 2, 6), (5, 3, 2, 5), (7, 4, 2, 6))

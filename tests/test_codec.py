@@ -21,6 +21,7 @@ from linsep import codec as cd
 from linsep import field as fl
 from linsep.assignment import cyclic_assignment, grouped_assignment
 from linsep.errors import (
+    BadModulus,
     GroupedSolveFailed,
     LinsepError,
     RankDeficientDemand,
@@ -123,7 +124,7 @@ def _reference_schemes():
             demand = bl.random_demand(k_c, k, f7, fl.derive_seed(seed, "encode", k, k_c))
             try:
                 yield bl.build_auto(demand, n, n_r, padding_seed=seed, virtual_seed=seed)
-            except ShapeMismatch:
+            except BadModulus:
                 pass
 
 
@@ -433,7 +434,7 @@ def _scalar_verify(scheme, sample_count=None, seed=0, subproblem_cap=200):
     q, p = scheme.params.q, scheme.params
     total = len(scheme.padded)
     indices = range(total)
-    if scheme.mds is not None and total > subproblem_cap:
+    if scheme.split_count > 1 and total > subproblem_cap:
         indices = cd._sample_distinct(
             total, subproblem_cap, fl.derive_seed(seed, "large-subproblems")
         )
@@ -567,14 +568,14 @@ def _scalar_subproblems(scheme, answers, q):
         x = np.vstack([a.x.array[offset : offset + rows] for a in answers])
         parts.append(ref_matmul(inv, x.tolist(), q)[:k_c])
         offset += rows
-    if scheme.mds is None:
+    if scheme.regime != "large":
         return [row for part in parts for row in part]
-    mds = scheme.mds
+    windows = scheme.windows.tolist()
     out = []
     for j in range(1, scheme.params.K_c + 1):
-        idxs = indices_containing(mds, j)
-        h_j = [parts[i - 1][mds.subsets[i - 1].index(j)] for i in idxs]
-        stack = np.array([[pow(i, e, q) for e in range(mds.split_count)] for i in idxs])
+        idxs = indices_containing(scheme.windows, j)
+        h_j = [parts[i - 1][windows[i - 1].index(j)] for i in idxs]
+        stack = np.array([[pow(i, e, q) for e in range(scheme.split_count)] for i in idxs])
         try:
             inv = _ref_inverse(stack, q)
         except SingularMatrix:
@@ -832,13 +833,13 @@ def test_cached_decoding_maps_are_read_only():
 def _assert_reconstruction_map_inverts(scheme):
     """Each demand row's nodes are m distinct windows in 1..S, and the map's
     inverse times their Vandermonde stack, built by ``pow``, is I_m."""
-    q, m, s = scheme.params.q, scheme.split_count, scheme.mds.code_length
+    q, m, s = scheme.params.q, scheme.split_count, len(scheme.windows)
     at, inv = cd._reconstruction_map(scheme)
-    nodes = at // len(scheme.mds.subsets[0]) + 1
+    nodes = at // scheme.windows.shape[1] + 1
     assert nodes.shape == (scheme.params.K_c, m) and s < q
     for j, row in enumerate(nodes.tolist()):
         assert len(set(row)) == m and all(1 <= x <= s for x in row)
-        assert all(j + 1 in scheme.mds.subsets[x - 1] for x in row)
+        assert all(j + 1 in scheme.windows[x - 1] for x in row)
         stack = [[pow(x, e, q) for e in range(m)] for x in row]
         assert ref_matmul(inv[j].tolist(), stack, q) == np.eye(m, dtype=int).tolist()
 
@@ -861,7 +862,7 @@ def test_the_reconstruction_map_inverts_on_every_large_point_of_the_sweep():
 def test_the_reconstruction_map_inverts_with_q_minus_1_windows():
     # (6, 6, 5, 6): t = 5 and gcd(6, 5) = 1, so S = 6 windows at q = 7.
     scheme = bl.build_auto(bl.random_demand(6, 6, fl.Field(7), 3), 6, 5)
-    assert scheme.mds.code_length == 6 == scheme.params.q - 1
+    assert len(scheme.windows) == 6 == scheme.params.q - 1
     _assert_reconstruction_map_inverts(scheme)
 
 
@@ -884,7 +885,7 @@ def test_small_moduli_never_return_a_wrong_value(q):
             demand = bl.random_demand(k_c, k, f, fl.derive_seed(seed, "small-q", q))
             try:
                 scheme = bl.build_auto(demand, n, n_r, padding_seed=seed, virtual_seed=seed)
-            except ShapeMismatch:
+            except BadModulus:
                 continue
             built.append((seed, demand, scheme))
     # The grouped (12, 4, 3, 3) point; its construction can fail typed at small q.

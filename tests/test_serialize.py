@@ -101,10 +101,8 @@ def test_oversized_scheme_refuses_serialization():
     # the builder's 3 windows.
     scheme = bl.build_scheme(bl.random_demand(18, 18, FQ, 5), cyclic_assignment(18, 6, 2))
     complete = tuple(combinations(range(1, 19), 6))
-    scheme = dataclasses.replace(
-        scheme, mds=dataclasses.replace(scheme.mds, subsets=complete)
-    )
-    assert scheme.mds.code_length > sz.MAX_CODE_LENGTH
+    scheme = dataclasses.replace(scheme, windows=np.array(complete))
+    assert len(scheme.windows) > sz.MAX_CODE_LENGTH
     with pytest.raises(ShapeMismatch):
         sz.dumps(scheme)
 
@@ -132,7 +130,7 @@ def test_legacy_complete_design_file_loads_verifies_and_decodes(tmp_path, capsys
     windows = bl.build_scheme(scheme.demand, cyclic_assignment(6, 3, 2), l_symbols=10)
     assert sz.dumps(scheme) == sz.dumps(windows) != text
     assert sz.dumps(sz.loads(sz.dumps(scheme))) == sz.dumps(scheme)
-    assert scheme.mds.code_length == 3 and scheme.mds.split_count == 2
+    assert len(scheme.windows) == 3 and scheme.split_count == 2
     assert scheme.params.L == 10
     assert cli.main(["verify", "--scheme", str(LEGACY_LARGE)]) == 0
     w = cd.random_messages(6, scheme.params.L, FQ, 8)

@@ -438,3 +438,37 @@ def test_cyclic_assignment_named_outside_the_boundaries_is_reported():
     assert _named_outside(trees, PLACEMENT_NAMES, PLACEMENT_MODULES) == [
         "builder.cyclic_assignment (line 1)", "builder.cyclic_assignment (line 3)",
     ]
+
+
+# Only the builder assembles a scheme (a loaded file re-runs it), so the split
+# count and the padding it derives from ``Scheme.windows`` hold for every one.
+def _schemes_made_outside_the_builder(trees: dict[str, ast.Module]) -> list[str]:
+    """Calls of ``Scheme`` by a module other than ``builder``, by module and line."""
+    return [
+        f"{module}.Scheme (line {line})"
+        for module, tree in trees.items()
+        if module != "builder"
+        for line in sorted(
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _named(node.func) == ["Scheme"]
+        )
+    ]
+
+
+def test_only_the_builder_calls_scheme():
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    assert _schemes_made_outside_the_builder(trees) == []
+
+
+def test_scheme_called_outside_the_builder_is_reported():
+    trees = {
+        "builder": ast.parse("def build():\n    return Scheme(regime='small')\n"),
+        "codec": ast.parse("s = bl.Scheme(regime='large')\nt = replace(s, recombine=r)\n"),
+        "serialize": ast.parse(
+            "from .builder import Scheme\n\ndef load(d) -> Scheme:\n    return Scheme(**d)\n"
+        ),
+    }
+    assert _schemes_made_outside_the_builder(trees) == [
+        "codec.Scheme (line 1)", "serialize.Scheme (line 4)",
+    ]
